@@ -48,7 +48,6 @@ from .postproc import (
     PostprocConfig,
     dilate,
     connected_components,
-    keep_two_largest,
     postprocess_cs,
 )
 from .metrics import (

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import losses, metrics, postproc, synth
-from .presets import default_generator_config, default_priors, make_phantom
+from .presets import PHANTOM_SUBSTITUTIONS, default_generator_config, default_priors, make_phantom
 from .volume import BinaryMask, VoxelGrid
 
 __all__ = ["CheckResult", "run_checks", "CHECK_NAMES"]
@@ -331,15 +331,7 @@ def _check_generator_identity() -> CheckResult:
     priors = synth.TissuePriors(
         {l: ((m, m), (0.0, 0.0)) for l, m in means.items()}
     )
-    config = default_generator_config(
-        rotation_range=(0.0, 0.0),
-        scaling_range=(1.0, 1.0),
-        shear_range=(0.0, 0.0),
-        translation_range=(0.0, 0.0),
-        elastic_std_range=(0.0, 0.0),
-        blur_sigma_range=(0.0, 0.0),
-        bias_std_range=(0.0, 0.0),
-    )
+    config = synth.GeneratorConfig.identity(substitution_table=dict(PHANTOM_SUBSTITUTIONS))
     image, seg = synth.generate_sample(labels, priors, config, seed=1)
     synth_map = synth.substitute_sulci(labels, config.substitution_table)
     paint = np.zeros(labels.grid.shape, dtype=np.float64)
@@ -362,7 +354,7 @@ def _check_postproc_fixture() -> CheckResult:
     mask[1:6, 2:3, 2:4] = True  # 10 voxels
     mask[12:17, 2:3, 2:3] = True  # 5 voxels
     mask[25, 8, 8] = True  # 1 voxel
-    cleaned = postproc.keep_two_largest(BinaryMask(grid, mask))
+    cleaned = postproc.postprocess_cs(BinaryMask(grid, mask))
     kept = cleaned.count
     subset = bool((cleaned.voxels & ~mask).sum() == 0)
     return CheckResult(

@@ -174,8 +174,7 @@ def contrastive_loss_grad(batch, temperature: float = DEFAULT_TEMPERATURE) -> np
         raise ValueError(f"temperature must be > 0, got {temperature}")
     n = rows.shape[0]
     unit, norms = _unit_rows(rows)
-    logits = (unit @ unit.T) / temperature
-    np.fill_diagonal(logits, -np.inf)
+    logits = _logits(rows, temperature)
     m = logits.max(axis=1)
     p = np.exp(logits - m[:, None])
     p /= p.sum(axis=1, keepdims=True)

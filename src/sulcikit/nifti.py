@@ -178,10 +178,14 @@ def read_nifti(path, kind: str = "intensity"):
     if not 1 <= ndim <= 7:
         raise CorruptHeaderError(f"dim[0] = {ndim} outside 1..7")
     extents = [int(d) for d in dim[1 : ndim + 1]]
+    if any(d < 1 for d in extents):
+        raise CorruptHeaderError(f"dim[1..{ndim}] = {extents} must all be >= 1")
     if any(d > 1 for d in extents[3:]):
         raise UnsupportedDatatypeError(f"only 3D volumes are supported, got dims {extents}")
     shape = tuple((extents + [1, 1, 1])[:3])
 
+    if not np.isfinite(hdr["vox_offset"]):
+        raise CorruptHeaderError(f"vox_offset {hdr['vox_offset']} is not finite")
     offset = int(hdr["vox_offset"])
     count = int(np.prod(shape))
     end = offset + count * dtype.itemsize

@@ -21,7 +21,6 @@ __all__ = [
     "PostprocConfig",
     "dilate",
     "connected_components",
-    "keep_two_largest",
     "postprocess_cs",
 ]
 
@@ -98,23 +97,16 @@ def connected_components(mask: BinaryMask, connectivity: int = 26) -> ComponentL
     return ComponentLabeling(LabelVolume(mask.grid, lut[raw]), sizes)
 
 
-def keep_two_largest(original: BinaryMask, config: PostprocConfig = PostprocConfig()) -> BinaryMask:
-    """Retain original voxels inside the largest dilated components.
-
-    Components are computed on the dilated mask; the output keeps exactly the
-    original voxels whose dilated component ranks within ``config.keep``.
-    With fewer components than ``keep``, everything is retained.
-    """
-    grown = dilate(original, config.dilation_radius, config.connectivity)
-    labeling = connected_components(grown, config.connectivity)
-    comp = labeling.labels.voxels
-    kept = original.voxels & (comp > 0) & (comp <= config.keep)
-    return original.with_voxels(kept)
-
-
 def postprocess_cs(pred: BinaryMask, config: PostprocConfig = PostprocConfig()) -> BinaryMask:
     """Full prediction clean-up: dilate, label, keep the largest components.
 
-    Idempotent: the kept components reproduce themselves under a second pass.
+    Components are computed on the dilated mask; the output keeps exactly the
+    original voxels whose dilated component ranks within ``config.keep``.
+    With fewer components than ``keep``, everything is retained. Idempotent:
+    the kept components reproduce themselves under a second pass.
     """
-    return keep_two_largest(pred, config)
+    grown = dilate(pred, config.dilation_radius, config.connectivity)
+    labeling = connected_components(grown, config.connectivity)
+    comp = labeling.labels.voxels
+    kept = pred.voxels & (comp > 0) & (comp <= config.keep)
+    return pred.with_voxels(kept)

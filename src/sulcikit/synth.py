@@ -25,9 +25,10 @@ from .volume import (
     IntensityVolume,
     LabelVolume,
     VoxelGrid,
-    require_same_grid,
-    trilinear_sample,
+    _linear_weights,
+    _separable_apply,
     nearest_sample,
+    require_same_grid,
 )
 
 __all__ = [
@@ -278,19 +279,13 @@ def sample_affine(config: GeneratorConfig, rng_seed: int) -> np.ndarray:
     )
 
 
-def _lattice_coords(full_shape, lattice_shape) -> np.ndarray:
-    """Map full-resolution voxel indices onto a corner-aligned control lattice."""
-    axes = []
-    for s, g in zip(full_shape, lattice_shape):
-        stretch = (g - 1) / (s - 1) if s > 1 else 0.0
-        axes.append(np.arange(s, dtype=np.float64) * stretch)
-    gx, gy, gz = np.meshgrid(*axes, indexing="ij")
-    return np.stack([gx, gy, gz], axis=-1)
-
-
 def _upsample_lattice(control: np.ndarray, full_shape) -> np.ndarray:
-    coords = _lattice_coords(full_shape, control.shape)
-    return trilinear_sample(control, coords)
+    """Trilinear upsampling from a control lattice corner-aligned with the volume."""
+    mats = []
+    for s, g in zip(full_shape, control.shape):
+        stretch = (g - 1) / (s - 1) if s > 1 else 0.0
+        mats.append(_linear_weights(g, np.arange(s, dtype=np.float64) * stretch))
+    return _separable_apply(mats, control)
 
 
 def sample_elastic(config: GeneratorConfig, grid: VoxelGrid, rng_seed: int) -> DeformationField:
@@ -387,7 +382,9 @@ def gaussian_blur(image: IntensityVolume, sigma: float) -> IntensityVolume:
     """Separable Gaussian blur, kernel support |offset| <= 3*sigma.
 
     Boundaries are handled by reflection about the array edge (edge value
-    included). sigma = 0 returns the input unchanged.
+    included), repeated for kernels wider than the axis: along an axis of
+    length n, index i reads m = i mod 2n, or 2n - 1 - m when m >= n.
+    sigma = 0 returns the input unchanged.
     """
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
@@ -397,17 +394,16 @@ def gaussian_blur(image: IntensityVolume, sigma: float) -> IntensityVolume:
     radius = len(kernel) // 2
     if radius == 0:
         return image
-    data = image.voxels.astype(np.float64)
-    for ax in range(3):
-        pad = [(radius, radius) if a == ax else (0, 0) for a in range(3)]
-        padded = np.pad(data, pad, mode="symmetric")
-        acc = np.zeros_like(data)
-        for k, w in enumerate(kernel):
-            sl = [slice(None)] * 3
-            sl[ax] = slice(k, k + data.shape[ax])
-            acc += w * padded[tuple(sl)]
-        data = acc
-    return image.with_voxels(data)
+    mats = []
+    for n in image.grid.shape:
+        # padding the index array reproduces np.pad's reflection for any radius
+        taps = np.lib.stride_tricks.sliding_window_view(
+            np.pad(np.arange(n), radius, mode="symmetric"), len(kernel)
+        )
+        mat = np.zeros((n, n))
+        np.add.at(mat, (np.arange(n)[:, None], taps), kernel)
+        mats.append(mat)
+    return image.with_voxels(_separable_apply(mats, image.voxels))
 
 
 def apply_bias_field(

@@ -25,7 +25,6 @@ __all__ = [
     "crop_to_content",
     "resample",
     "binarize",
-    "trilinear_sample",
     "nearest_sample",
     "require_same_grid",
 ]
@@ -160,29 +159,30 @@ def require_same_grid(a, b) -> None:
         )
 
 
-def trilinear_sample(values: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    """Trilinear interpolation of ``values`` at fractional voxel coordinates.
+def _linear_weights(n_src: int, positions: np.ndarray) -> np.ndarray:
+    """Linear-interpolation matrix of shape ``(len(positions), n_src)``.
 
-    ``coords`` has shape (..., 3) in index units. Corner samples that fall
-    outside the voxel-centre lattice read as 0.
+    Row t holds the two taps around source position ``positions[t]`` (index
+    units). Taps outside ``[0, n_src)`` are dropped, so they read as 0.
+    """
+    base = np.floor(positions)
+    frac = positions - base
+    base = base.astype(np.int64)
+    rows = np.arange(len(positions))
+    weights = np.zeros((len(positions), n_src))
+    for idx, w in ((base, 1.0 - frac), (base + 1, frac)):
+        inside = (idx >= 0) & (idx < n_src)
+        weights[rows[inside], idx[inside]] = w[inside]
+    return weights
+
+
+def _separable_apply(mats, values: np.ndarray) -> np.ndarray:
+    """Apply one ``(out_i, in_i)`` weight matrix along each axis i of ``values``.
+
+    The shared kernel behind linear resampling, lattice upsampling and blur.
     """
     values = np.asarray(values, dtype=np.float64)
-    coords = np.asarray(coords, dtype=np.float64)
-    base = np.floor(coords).astype(np.int64)
-    frac = coords - base
-    shape = np.asarray(values.shape, dtype=np.int64)
-    out = np.zeros(coords.shape[:-1], dtype=np.float64)
-    for corner in range(8):
-        offset = np.array([(corner >> 2) & 1, (corner >> 1) & 1, corner & 1])
-        idx = base + offset
-        weight = np.ones(coords.shape[:-1], dtype=np.float64)
-        for ax in range(3):
-            weight = weight * (frac[..., ax] if offset[ax] else 1.0 - frac[..., ax])
-        inside = np.all((idx >= 0) & (idx < shape), axis=-1)
-        clipped = np.clip(idx, 0, shape - 1)
-        sample = values[clipped[..., 0], clipped[..., 1], clipped[..., 2]]
-        out += weight * np.where(inside, sample, 0.0)
-    return out
+    return np.einsum("ia,jb,kc,abc->ijk", *mats, values, optimize=True)
 
 
 def nearest_sample(values: np.ndarray, coords: np.ndarray, fill=0) -> np.ndarray:
@@ -229,20 +229,6 @@ def crop_to_content(volume, margin: int = 0):
     return type(volume)(grid, cropped), (lo[0], lo[1], lo[2])
 
 
-def _resample_coords(src_shape, target_shape) -> np.ndarray:
-    """Source coordinates for each target voxel, preserving physical extent.
-
-    Target voxel t samples source position ``(t + 0.5) * (S/T) - 0.5``, the
-    centre-aligned mapping, so the first and last voxel extents line up.
-    """
-    axes = []
-    for s, t in zip(src_shape, target_shape):
-        k = s / t
-        axes.append((np.arange(t, dtype=np.float64) + 0.5) * k - 0.5)
-    gx, gy, gz = np.meshgrid(*axes, indexing="ij")
-    return np.stack([gx, gy, gz], axis=-1)
-
-
 def resample(volume, target_shape, mode: str = "trilinear"):
     """Resample to ``target_shape``, rescaling spacing to preserve extent.
 
@@ -261,10 +247,16 @@ def resample(volume, target_shape, mode: str = "trilinear"):
 
     src_shape = volume.grid.shape
     scale = np.array([s / t for s, t in zip(src_shape, target_shape)])
-    coords = _resample_coords(src_shape, target_shape)
+    # target voxel t samples source position (t + 0.5) * S/T - 0.5, the
+    # centre-aligned mapping, so the first and last voxel extents line up
+    positions = [
+        (np.arange(t, dtype=np.float64) + 0.5) * k - 0.5 for t, k in zip(target_shape, scale)
+    ]
     if mode == "trilinear":
-        data = trilinear_sample(volume.voxels, coords)
+        mats = [_linear_weights(s, p) for s, p in zip(src_shape, positions)]
+        data = _separable_apply(mats, volume.voxels)
     else:
+        coords = np.stack(np.meshgrid(*positions, indexing="ij"), axis=-1)
         data = nearest_sample(volume.voxels, coords)
 
     # index map t -> K t + (K - 1)/2 folded into the affine

@@ -24,7 +24,7 @@ from sulcikit.losses import (
 )
 from sulcikit.metrics import dice, hausdorff
 from sulcikit.nifti import read_nifti, write_nifti
-from sulcikit.postproc import connected_components, keep_two_largest, postprocess_cs
+from sulcikit.postproc import connected_components, postprocess_cs
 from sulcikit.presets import default_generator_config, default_priors, make_phantom
 from sulcikit.synth import (
     TissuePriors,
@@ -153,7 +153,7 @@ def test_postprocessing_criteria():
         blobs[1:6, 2:3, 2:4] = True
         blobs[12:17, 2:3, 2:3] = True
         blobs[25, 8, 8] = True
-        assert keep_two_largest(_mask(blobs)).count == 15
+        assert postprocess_cs(_mask(blobs)).count == 15
 
         rng = np.random.default_rng(4)
         for _ in range(50):

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -292,6 +293,24 @@ class TestEvaluate:
         assert doc["summary"] is None
         assert doc["pairs"][0]["dsc"] is None
         assert doc["pairs"][0]["hd_mm"] is None
+
+    @pytest.mark.parametrize(
+        "offset, payload",
+        [(42, struct.pack("<3h", -1, -1, 4)), (108, struct.pack("<f", float("nan")))],
+        ids=["two-negative-dims", "nan-vox-offset"],
+    )
+    def test_malformed_header_exits_2(self, tmp_path, capsys, offset, payload):
+        pred, gt = self._cohort(tmp_path)
+        data = np.zeros((4, 4, 4), dtype=bool)
+        data[1, 1, 1] = True
+        for directory in (pred, gt):
+            _write_mask(data, directory / "a.nii")
+        path = pred / "a.nii"
+        raw = bytearray(path.read_bytes())
+        raw[offset : offset + len(payload)] = payload
+        path.write_bytes(bytes(raw))
+        assert main(["evaluate", "--pred", str(pred), "--gt", str(gt)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestCheck:

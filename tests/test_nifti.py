@@ -13,7 +13,9 @@ from sulcikit.nifti import read_nifti, write_nifti
 from sulcikit.volume import BinaryMask, IntensityVolume, LabelVolume, VoxelGrid
 
 MAGIC_OFFSET = 344
+DIM_OFFSET = 40
 DATATYPE_OFFSET = 70
+VOX_OFFSET_OFFSET = 108
 SFORM_CODE_OFFSET = 254
 QFORM_CODE_OFFSET = 252
 
@@ -176,6 +178,23 @@ class TestHeaderValidation:
     def test_truncated_rejected(self, tmp_path):
         path = self._write_sample(tmp_path)
         path.write_bytes(path.read_bytes()[:360])
+        with pytest.raises(CorruptHeaderError):
+            read_nifti(path)
+
+    @pytest.mark.parametrize(
+        "offset, payload",
+        [
+            (DIM_OFFSET + 2, struct.pack("<3h", -1, -1, 4)),
+            (DIM_OFFSET + 2, struct.pack("<h", -3)),
+            (DIM_OFFSET + 2, struct.pack("<3h", 3, 0, 3)),
+            (VOX_OFFSET_OFFSET, struct.pack("<f", float("nan"))),
+            (VOX_OFFSET_OFFSET, struct.pack("<f", float("inf"))),
+        ],
+        ids=["two-negative-dims", "negative-dim", "zero-dim", "nan-vox-offset", "inf-vox-offset"],
+    )
+    def test_malformed_header_fields_rejected(self, tmp_path, offset, payload):
+        path = self._write_sample(tmp_path)
+        _patch(path, offset, payload)
         with pytest.raises(CorruptHeaderError):
             read_nifti(path)
 

@@ -7,7 +7,6 @@ from sulcikit.postproc import (
     PostprocConfig,
     connected_components,
     dilate,
-    keep_two_largest,
     postprocess_cs,
 )
 from sulcikit.volume import BinaryMask, VoxelGrid
@@ -162,10 +161,10 @@ class TestKeepTwoLargest:
         data = np.zeros((8, 8, 8), dtype=bool)
         data[2:5, 2:5, 2:5] = True
         mask = _mask(data)
-        assert np.array_equal(keep_two_largest(mask).voxels, data)
+        assert np.array_equal(postprocess_cs(mask).voxels, data)
 
     def test_three_blob_fixture_keeps_fifteen(self):
-        cleaned = keep_two_largest(three_blob_mask())
+        cleaned = postprocess_cs(three_blob_mask())
         assert cleaned.count == 15
         assert not cleaned.voxels[20:, :, :].any()
 
@@ -176,7 +175,7 @@ class TestKeepTwoLargest:
         noise = np.zeros_like(data)
         noise[10, 4, 4] = True
         mask = _mask(data | noise)
-        cleaned = keep_two_largest(mask, PostprocConfig(1, 26, 1))
+        cleaned = postprocess_cs(mask, PostprocConfig(1, 26, 1))
         # dilation bridges the gap, so both blobs survive as one component
         assert np.array_equal(cleaned.voxels, data)
 
@@ -184,7 +183,7 @@ class TestKeepTwoLargest:
         rng = np.random.default_rng(5)
         for _ in range(20):
             data = rng.random((14, 14, 14)) < 0.08
-            cleaned = keep_two_largest(_mask(data))
+            cleaned = postprocess_cs(_mask(data))
             assert not (cleaned.voxels & ~data).any()
 
 

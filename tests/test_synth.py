@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -82,20 +84,22 @@ class TestSampleElastic:
         sigma = rng.uniform(2.0, 2.0)
         control = rng.standard_normal(size=(2, 2, 2, 3)) * sigma
 
-        # direct trilinear evaluation at voxel (2, 3, 1): lattice coords x/4
-        t = np.array([2, 3, 1]) / 4.0
-        for c in range(3):
-            expected = 0.0
-            for dx in (0, 1):
-                for dy in (0, 1):
-                    for dz in (0, 1):
-                        w = (
-                            (t[0] if dx else 1 - t[0])
-                            * (t[1] if dy else 1 - t[1])
-                            * (t[2] if dz else 1 - t[2])
-                        )
-                        expected += w * control[dx, dy, dz, c]
-            assert field.displacement[2, 3, 1, c] == pytest.approx(expected, abs=1e-6)
+        # direct trilinear evaluation at every voxel: lattice coords x/4, so
+        # the last voxel sits exactly on lattice index 1
+        for x, y, z in np.ndindex(5, 5, 5):
+            t = np.array([x, y, z]) / 4.0
+            for c in range(3):
+                expected = 0.0
+                for dx in (0, 1):
+                    for dy in (0, 1):
+                        for dz in (0, 1):
+                            w = (
+                                (t[0] if dx else 1 - t[0])
+                                * (t[1] if dy else 1 - t[1])
+                                * (t[2] if dz else 1 - t[2])
+                            )
+                            expected += w * control[dx, dy, dz, c]
+                assert field.displacement[x, y, z, c] == pytest.approx(expected, abs=1e-6)
 
     def test_rejects_degenerate_lattice(self, unit_grid):
         config = default_generator_config(elastic_grid=(1, 4, 4))
@@ -217,6 +221,27 @@ class TestGaussianBlur:
             4 - radius : 4 + radius + 1,
         ] = kernel3
         assert np.allclose(out.voxels, expected, atol=1e-7)
+
+    def test_reflection_beyond_axis_length_matches_oracle(self, image_from):
+        sigma = 1.5  # radius 4: reaches past both ends of every axis
+        data = np.random.default_rng(24).random((3, 4, 5)).astype(np.float32)
+        out = gaussian_blur(image_from(data), sigma)
+
+        radius = int(3 * sigma)
+        offsets = np.arange(-radius, radius + 1)
+        k1 = np.exp(-(offsets.astype(float) ** 2) / (2 * sigma * sigma))
+        k1 /= k1.sum()
+
+        def reflect(i, n):
+            m = i % (2 * n)
+            return 2 * n - 1 - m if m >= n else m
+
+        expected = np.zeros(data.shape)
+        for x, y, z in np.ndindex(*data.shape):
+            for (ox, wx), (oy, wy), (oz, wz) in itertools.product(zip(offsets, k1), repeat=3):
+                src = (reflect(x + ox, 3), reflect(y + oy, 4), reflect(z + oz, 5))
+                expected[x, y, z] += wx * wy * wz * data[src]
+        assert np.allclose(out.voxels, expected, rtol=0.0, atol=1e-6)
 
     def test_mass_preserved_interior(self, image_from):
         data = np.zeros((11, 11, 11), dtype=np.float32)

@@ -152,17 +152,18 @@ class TestResample:
         with pytest.raises(ModeMismatchError):
             resample(vol, (8, 8, 8), mode="trilinear")
 
-    def test_upsample_matches_per_voxel_oracle(self, image_from):
-        ramp = np.broadcast_to(
-            np.arange(8, dtype=np.float32)[:, None, None], (8, 6, 5)
-        ).copy()
-        vol = image_from(ramp)
-        out = resample(vol, (16, 6, 5), mode="trilinear")
-        src = ramp.astype(np.float64)
-        for t in range(16):
-            coord = np.array([(t + 0.5) * 0.5 - 0.5, 2.0, 2.0])
-            expected = _trilinear_oracle(src, coord)
-            assert out.voxels[t, 2, 2] == pytest.approx(expected, abs=1e-6)
+    @pytest.mark.parametrize("target", [(16, 9, 7), (3, 4, 2)], ids=["upsample", "downsample"])
+    def test_matches_per_voxel_oracle(self, image_from, target):
+        src = np.random.default_rng(10).random((8, 6, 5)).astype(np.float32)
+        out = resample(image_from(src), target, mode="trilinear")
+        # every voxel, including boundary voxels whose outer tap falls outside
+        expected = np.zeros(target)
+        for t in np.ndindex(*target):
+            coord = np.array(
+                [(t[ax] + 0.5) * src.shape[ax] / target[ax] - 0.5 for ax in range(3)]
+            )
+            expected[t] = _trilinear_oracle(src, coord)
+        assert np.allclose(out.voxels, expected, rtol=0.0, atol=1e-6)
 
     def test_extent_preserved(self, image_from):
         vol = image_from(np.zeros((10, 10, 10), dtype=np.float32), spacing=(1.0, 1.0, 2.0))
