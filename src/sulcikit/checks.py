@@ -114,7 +114,11 @@ def _flood_fill_components(mask: np.ndarray, connectivity: int) -> np.ndarray:
     return remap[labels]
 
 
-def _brute_force_hausdorff(x: np.ndarray, y: np.ndarray, spacing) -> float:
+def brute_force_hausdorff(x: np.ndarray, y: np.ndarray, spacing) -> float:
+    """Exhaustive max-min distance over all foreground voxel pairs.
+
+    The one Hausdorff oracle, shared by the self-checks and the test suite.
+    """
     sp = np.asarray(spacing, dtype=np.float64)
     xs = np.argwhere(x).astype(np.float64)
     ys = np.argwhere(y).astype(np.float64)
@@ -278,7 +282,7 @@ def _check_hausdorff() -> CheckResult:
         if not a.any() or not b.any():
             continue
         ours = metrics.hausdorff(BinaryMask(grid, a), BinaryMask(grid, b))
-        worst = max(worst, abs(ours - _brute_force_hausdorff(a, b, (1.0, 1.0, 1.0))))
+        worst = max(worst, abs(ours - brute_force_hausdorff(a, b, (1.0, 1.0, 1.0))))
     fixture_grid = VoxelGrid.from_spacing((5, 6, 4))
     x = np.zeros((5, 6, 4), dtype=bool)
     y = np.zeros((5, 6, 4), dtype=bool)

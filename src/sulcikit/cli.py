@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import json
 import os
 import sys
@@ -188,6 +189,11 @@ def cmd_generate(args) -> int:
         except (ValueError, KeyError) as exc:
             _log(f"generate: ignoring unreadable manifest {manifest_path}: {exc}")
 
+    # a record made under another generator config or other priors is stale
+    config_sha256 = hashlib.sha256(json.dumps(
+        {"generator": run.generator.to_dict(), "priors": run.priors.to_entries()},
+        sort_keys=True,
+    ).encode()).hexdigest()
     records = []
     tasks = []
     cache: dict[str, LabelVolume] = {}
@@ -204,6 +210,7 @@ def cmd_generate(args) -> int:
                     "source": str(entry.label_map_path),
                     "image": f"{stem}_img.nii.gz",
                     "labels": f"{stem}_seg.nii.gz",
+                    "config_sha256": config_sha256,
                 }
                 img_path = out_dir / record["image"]
                 seg_path = out_dir / record["labels"]

@@ -84,11 +84,11 @@ def connected_components(mask: BinaryMask, connectivity: int = 26) -> ComponentL
     raw, n_raw = ndimage.label(mask.voxels, structure=_structure(connectivity))
     if n_raw > np.iinfo(np.uint16).max:
         raise ValueError(f"too many components for a uint16 label map: {n_raw}")
-    flat = raw.ravel()
-    ids, first_index = np.unique(flat, return_index=True)
-    foreground = ids != 0
-    ids, first_index = ids[foreground], first_index[foreground]
-    counts = np.bincount(flat)[ids]
+    fg = np.flatnonzero(raw)
+    fg_ids = raw.ravel()[fg]
+    ids, first = np.unique(fg_ids, return_index=True)
+    first_index = fg[first]
+    counts = np.bincount(fg_ids)[ids]
     order = np.lexsort((first_index, -counts))
 
     lut = np.zeros(n_raw + 1, dtype=np.uint16)

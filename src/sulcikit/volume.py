@@ -201,6 +201,21 @@ def nearest_sample(values: np.ndarray, coords: np.ndarray, fill=0) -> np.ndarray
     return np.where(inside, out, np.asarray(fill, dtype=values.dtype))
 
 
+def _bounding_box(nonzero: np.ndarray):
+    """Per-axis first and last index of the True voxels: ``(lo, hi)`` lists.
+
+    ``nonzero`` must hold at least one True voxel.
+    """
+    lo = []
+    hi = []
+    for ax in range(3):
+        axes = tuple(a for a in range(3) if a != ax)
+        present = np.flatnonzero(nonzero.any(axis=axes))
+        lo.append(int(present[0]))
+        hi.append(int(present[-1]))
+    return lo, hi
+
+
 def crop_to_content(volume, margin: int = 0):
     """Crop to the bounding box of nonzero voxels, expanded by ``margin``.
 
@@ -213,13 +228,9 @@ def crop_to_content(volume, margin: int = 0):
     nonzero = data != 0
     if not nonzero.any():
         raise EmptyVolumeError("cannot crop an all-zero volume")
-    lo = []
-    hi = []
-    for ax in range(3):
-        axes = tuple(a for a in range(3) if a != ax)
-        present = np.flatnonzero(nonzero.any(axis=axes))
-        lo.append(max(int(present[0]) - margin, 0))
-        hi.append(min(int(present[-1]) + margin, data.shape[ax] - 1))
+    lo, hi = _bounding_box(nonzero)
+    lo = [max(a - margin, 0) for a in lo]
+    hi = [min(b + margin, n - 1) for b, n in zip(hi, data.shape)]
     sl = tuple(slice(a, b + 1) for a, b in zip(lo, hi))
     cropped = data[sl]
     origin = volume.grid.affine @ np.array([lo[0], lo[1], lo[2], 1.0])
@@ -256,8 +267,11 @@ def resample(volume, target_shape, mode: str = "trilinear"):
         mats = [_linear_weights(s, p) for s, p in zip(src_shape, positions)]
         data = _separable_apply(mats, volume.voxels)
     else:
-        coords = np.stack(np.meshgrid(*positions, indexing="ij"), axis=-1)
-        data = nearest_sample(volume.voxels, coords)
+        # nearest_sample's floor(p + 0.5) rule, applied per axis
+        idx = [np.floor(p + 0.5).astype(np.int64) for p in positions]
+        inside = [(i >= 0) & (i < s) for i, s in zip(idx, src_shape)]
+        data = volume.voxels[np.ix_(*(np.clip(i, 0, s - 1) for i, s in zip(idx, src_shape)))]
+        data[~(inside[0][:, None, None] & inside[1][:, None] & inside[2])] = 0
 
     # index map t -> K t + (K - 1)/2 folded into the affine
     index_map = np.eye(4)

@@ -12,7 +12,9 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix, csgraph
 
+from sulcikit.checks import brute_force_hausdorff
 from sulcikit.cli import main
 from sulcikit.losses import (
     contrastive_loss,
@@ -35,8 +37,7 @@ from sulcikit.synth import (
 )
 from sulcikit.volume import BinaryMask, VoxelGrid
 
-from test_metrics import brute_force_hausdorff
-from test_postproc import flood_fill_oracle
+from test_postproc import _neighbour_offsets
 
 
 @contextmanager
@@ -135,15 +136,48 @@ def test_ssl_descent_demo():
         assert trajectory[-1].positive_similarity > trajectory[-1].negative_similarity
 
 
+def edge_list_oracle(mask, connectivity):
+    """Canonical component labeling from an explicit voxel adjacency graph.
+
+    Every pair of neighbouring foreground voxels becomes an edge; scipy's
+    sparse-graph components partition the voxels. Components are then ranked
+    by size descending, ties broken by their smallest linear voxel index.
+    """
+    shape = mask.shape
+    index = np.arange(mask.size).reshape(shape)
+    rows, cols = [], []
+    for offset in _neighbour_offsets(connectivity):
+        src = tuple(slice(max(0, -d), n - max(0, d)) for d, n in zip(offset, shape))
+        dst = tuple(slice(max(0, d), n - max(0, -d)) for d, n in zip(offset, shape))
+        both = mask[src] & mask[dst]
+        rows.append(index[src][both])
+        cols.append(index[dst][both])
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    graph = coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(mask.size, mask.size))
+    n, comp = csgraph.connected_components(graph, directed=False)
+
+    fg = np.flatnonzero(mask)
+    comp = comp[fg]
+    size = np.bincount(comp, minlength=n)
+    first = np.full(n, mask.size)
+    np.minimum.at(first, comp, fg)
+    ranked = np.lexsort((first, -size))[: np.count_nonzero(size)]
+    remap = np.zeros(n, dtype=np.int64)
+    remap[ranked] = np.arange(1, len(ranked) + 1)
+    labels = np.zeros(mask.size, dtype=np.int64)
+    labels[fg] = remap[comp]
+    return labels.reshape(shape)
+
+
 def test_connected_components_oracle():
-    with criterion("component partition matches flood fill on 100 random 32^3 masks x 3 connectivities"):
+    with criterion("component partition matches an edge-list graph oracle on 100 random 32^3 masks x 3 connectivities"):
         rng = np.random.default_rng(3)
         grid = VoxelGrid.from_spacing((32, 32, 32))
         for trial in range(100):
             data = rng.random((32, 32, 32)) < 0.25
             for connectivity in (6, 18, 26):
                 ours = connected_components(BinaryMask(grid, data), connectivity)
-                expected = flood_fill_oracle(data, connectivity)
+                expected = edge_list_oracle(data, connectivity)
                 assert np.array_equal(ours.labels.voxels.astype(np.int64), expected)
 
 

@@ -7,7 +7,7 @@ import pytest
 from sulcikit.cli import main
 from sulcikit.nifti import read_nifti, write_nifti
 from sulcikit.postproc import connected_components
-from sulcikit.presets import make_phantom
+from sulcikit.presets import default_generator_config, make_phantom
 from sulcikit.volume import BinaryMask, VoxelGrid
 
 PHANTOM_SHAPE = (20, 20, 16)
@@ -110,6 +110,43 @@ class TestGenerate:
         ) == 0
         for name in _volume_files(out_serial):
             assert (out_serial / name).read_bytes() == (out_parallel / name).read_bytes()
+
+    def test_changed_config_regenerates(self, dataset, tmp_path, capsys):
+        manifest_path, config_path = dataset
+        out = tmp_path / "out"
+        args = ["generate", "--manifest", str(manifest_path), "--config",
+                str(config_path), "--out", str(out)]
+        assert main(args) == 0
+        before = {name: (out / name).read_bytes() for name in _volume_files(out)}
+        old_hash = json.loads((out / "manifest.json").read_text())["samples"][0]["config_sha256"]
+
+        config = json.loads(config_path.read_text())
+        config["generator"] = default_generator_config().to_dict()
+        config["generator"]["blur_sigma_range"] = [2.0, 2.5]
+        config_path.write_text(json.dumps(config))
+        capsys.readouterr()
+        assert main(args) == 0
+        assert "(4 new)" in capsys.readouterr().err
+        listing = json.loads((out / "manifest.json").read_text())["samples"]
+        assert all(r["config_sha256"] != old_hash for r in listing)
+        for record in listing:
+            assert (out / record["image"]).read_bytes() != before[record["image"]]
+
+    def test_record_without_config_hash_regenerates(self, dataset, tmp_path, capsys):
+        manifest_path, config_path = dataset
+        out = tmp_path / "out"
+        args = ["generate", "--manifest", str(manifest_path), "--config",
+                str(config_path), "--out", str(out)]
+        assert main(args) == 0
+        written = (out / "manifest.json").read_bytes()
+        doc = json.loads(written)
+        for record in doc["samples"]:
+            del record["config_sha256"]
+        (out / "manifest.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(args) == 0
+        assert "(4 new)" in capsys.readouterr().err
+        assert (out / "manifest.json").read_bytes() == written
 
     def test_tissue_map_overlay(self, tmp_path):
         root = tmp_path / "d"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sulcikit.checks import brute_force_hausdorff
 from sulcikit.errors import (
     BothEmptyError,
     EmptySetError,
@@ -22,15 +23,6 @@ from sulcikit.volume import BinaryMask, VoxelGrid
 def _mask(array, spacing=(1.0, 1.0, 1.0)):
     array = np.asarray(array, dtype=bool)
     return BinaryMask(VoxelGrid.from_spacing(array.shape, spacing), array)
-
-
-def brute_force_hausdorff(x, y, spacing):
-    """Exhaustive max-min distance over all foreground voxel pairs."""
-    sp = np.asarray(spacing, dtype=np.float64)
-    xs = np.argwhere(x).astype(np.float64)
-    ys = np.argwhere(y).astype(np.float64)
-    d = np.sqrt((((xs[:, None, :] - ys[None, :, :]) * sp) ** 2).sum(axis=2))
-    return max(float(d.min(axis=1).max()), float(d.min(axis=0).max()))
 
 
 class TestDice:
@@ -136,6 +128,67 @@ class TestHausdorff:
             x, y, z = (_mask(m) for m in masks)
             assert hausdorff(x, z) <= hausdorff(x, y) + hausdorff(y, z) + 1e-9
 
+    @pytest.mark.parametrize("spacing", [(1.0, 1.0, 1.0), (0.7, 1.3, 2.1)], ids=["unit", "aniso"])
+    def test_masks_touching_faces_and_corners(self, spacing):
+        rng = np.random.default_rng(9)
+        shape = (9, 7, 8)
+        interior = np.zeros(shape, dtype=bool)
+        interior[3:6, 2:5, 3:5] = rng.random((3, 3, 2)) < 0.5
+        interior[4, 3, 4] = True
+        touching = []
+        for ax in range(3):
+            for end in (0, shape[ax] - 1):
+                face = np.zeros(shape, dtype=bool)
+                face[(slice(None),) * ax + (end,)] = rng.random(
+                    tuple(n for a, n in enumerate(shape) if a != ax)
+                ) < 0.2
+                face[(2,) * ax + (end,) + (2,) * (2 - ax)] = True
+                touching.append(face)
+        for corner in np.ndindex(2, 2, 2):
+            point = np.zeros(shape, dtype=bool)
+            point[tuple(c * (n - 1) for c, n in zip(corner, shape))] = True
+            touching.append(point)
+        for a in touching:
+            for b in (interior, touching[0], touching[-1]):
+                expected = brute_force_hausdorff(a, b, spacing)
+                assert hausdorff(_mask(a, spacing), _mask(b, spacing)) == expected
+
+    def test_far_apart_single_voxels(self):
+        shape = (40, 30, 20)
+        for p, q in (((0, 0, 0), (39, 29, 19)), ((2, 3, 4), (30, 5, 17))):
+            x = np.zeros(shape, dtype=bool)
+            y = np.zeros(shape, dtype=bool)
+            x[p] = y[q] = True
+            expected = float(np.sqrt(sum((a - b) ** 2 for a, b in zip(p, q))))
+            assert hausdorff(_mask(x), _mask(y)) == expected
+            assert hausdorff(_mask(x), _mask(y)) == brute_force_hausdorff(x, y, (1, 1, 1))
+
+    def test_shell_against_filled_ball(self):
+        # the maximum is from the ball's interior to the shell, inside both boxes
+        shape = (19, 17, 18)
+        grid = np.indices(shape) - np.array([9, 8, 9])[:, None, None, None]
+        ball = (grid**2).sum(axis=0) <= 36
+        shell = ball & ((grid**2).sum(axis=0) > 16)
+        for spacing in ((1.0, 1.0, 1.0), (1.1, 0.9, 1.6)):
+            expected = brute_force_hausdorff(shell, ball, spacing)
+            assert expected > 0.0
+            assert hausdorff(_mask(shell, spacing), _mask(ball, spacing)) == expected
+            assert hausdorff(_mask(ball, spacing), _mask(shell, spacing)) == expected
+
+    def test_anisotropic_equals_brute_force(self):
+        rng = np.random.default_rng(10)
+        trials = 0
+        while trials < 25:
+            shape = tuple(int(n) for n in rng.integers(3, 14, 3))
+            spacing = tuple(float(s) for s in rng.uniform(0.4, 2.5, 3))
+            a = rng.random(shape) < 0.05
+            b = rng.random(shape) < 0.05
+            if not a.any() or not b.any():
+                continue
+            trials += 1
+            ours = hausdorff(_mask(a, spacing), _mask(b, spacing))
+            assert ours == brute_force_hausdorff(a, b, spacing)
+
     def test_empty_side_raises(self):
         full = _mask(np.ones((3, 3, 3), dtype=bool))
         empty = _mask(np.zeros((3, 3, 3), dtype=bool))
@@ -190,6 +243,30 @@ class TestVoxelSurfaceArea:
         area = voxel_surface_area(_mask(data, (2.0, 1.0, 1.0)))
         # two x-faces of 1x1, four faces of 2x1
         assert area == pytest.approx(2 * 1.0 + 4 * 2.0)
+
+
+    @pytest.mark.parametrize("spacing", [(1.0, 1.0, 1.0), (0.7, 1.3, 2.1)], ids=["unit", "aniso"])
+    def test_masks_touching_every_face(self, spacing):
+        rng = np.random.default_rng(11)
+        data = rng.random((6, 5, 7)) < 0.35
+        for ax in range(3):
+            for end in (0, data.shape[ax] - 1):
+                data[(2,) * ax + (end,) + (2,) * (2 - ax)] = True
+        # exposed faces counted voxel by voxel, neighbour by neighbour
+        faces = [0, 0, 0]
+        for v in map(tuple, np.argwhere(data)):
+            for ax in range(3):
+                for step in (-1, 1):
+                    n = list(v)
+                    n[ax] += step
+                    if not 0 <= n[ax] < data.shape[ax] or not data[tuple(n)]:
+                        faces[ax] += 1
+        sp = spacing
+        expected = faces[0] * sp[1] * sp[2] + faces[1] * sp[0] * sp[2] + faces[2] * sp[0] * sp[1]
+        assert voxel_surface_area(_mask(data, spacing)) == pytest.approx(expected, rel=1e-12)
+
+    def test_full_volume(self):
+        assert voxel_surface_area(_mask(np.ones((3, 4, 5), dtype=bool))) == 2 * (12 + 15 + 20)
 
 
 class TestEvaluatePair:

@@ -137,6 +137,33 @@ class TestConnectedComponents:
             expected = flood_fill_oracle(data, connectivity)
             assert np.array_equal(ours.labels.voxels.astype(np.int64), expected)
 
+    @pytest.mark.parametrize("connectivity", [6, 18, 26])
+    def test_components_at_first_and_last_linear_index(self, connectivity):
+        data = np.zeros((5, 4, 6), dtype=bool)
+        data[0, 0, 0] = True  # linear index 0
+        data[4, 3, 5] = True  # last linear index
+        data[2, 1:3, 2:4] = True  # 4 voxels
+        labeling = connected_components(_mask(data), connectivity)
+        labels = labeling.labels.voxels
+        assert labeling.sizes == {1: 4, 2: 1, 3: 1}
+        assert labels[2, 1, 2] == 1
+        assert labels[0, 0, 0] == 2  # ties break by the smaller linear index
+        assert labels[4, 3, 5] == 3
+        assert np.array_equal(labels.astype(np.int64), flood_fill_oracle(data, connectivity))
+
+        # the same corners as the two largest components
+        data[0:2, 0, 0] = True
+        data[3:5, 3, 5] = True
+        data[2, 1:3, 2:4] = False
+        data[2, 1, 2] = True
+        labeling = connected_components(_mask(data), connectivity)
+        assert labeling.sizes == {1: 2, 2: 2, 3: 1}
+        assert labeling.labels.voxels[0, 0, 0] == 1
+        assert labeling.labels.voxels[4, 3, 5] == 2
+        assert np.array_equal(
+            labeling.labels.voxels.astype(np.int64), flood_fill_oracle(data, connectivity)
+        )
+
     def test_sizes_are_sorted_and_sum_to_foreground(self):
         rng = np.random.default_rng(4)
         data = rng.random((12, 12, 12)) < 0.25

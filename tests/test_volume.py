@@ -9,6 +9,7 @@ from sulcikit.volume import (
     VoxelGrid,
     binarize,
     crop_to_content,
+    nearest_sample,
     resample,
 )
 
@@ -146,6 +147,20 @@ class TestResample:
         data = rng.choice([0, 3, 7], size=(8, 8, 8)).astype(np.uint16)
         out = resample(labels_from(data), (13, 5, 9), mode="nearest")
         assert set(np.unique(out.voxels)) <= {0, 3, 7}
+
+    @pytest.mark.parametrize(
+        "target", [(16, 9, 7), (3, 4, 2), (13, 2, 9)], ids=["upsample", "downsample", "mixed"]
+    )
+    def test_nearest_matches_nearest_sample(self, labels_from, target):
+        src = np.random.default_rng(11).integers(0, 50, (8, 6, 5), dtype=np.uint16)
+        out = resample(labels_from(src), target, mode="nearest")
+        positions = [
+            (np.arange(t) + 0.5) * s / t - 0.5 for s, t in zip(src.shape, target)
+        ]
+        coords = np.stack(np.meshgrid(*positions, indexing="ij"), axis=-1)
+        expected = nearest_sample(src, coords)
+        assert out.voxels.dtype == np.uint16
+        assert np.array_equal(out.voxels, expected)
 
     def test_trilinear_on_labels_rejected(self, labels_from):
         vol = labels_from(np.zeros((4, 4, 4), dtype=np.uint16))
