@@ -1,21 +1,29 @@
 """Self-check suite behind ``sulcikit check``.
 
 Every check compares a library result against an independent reference
-computation (brute-force loops, finite differences, flood fill) or a known
-closed-form value, and reports the observed error against its tolerance.
-``inject_fault`` deliberately corrupts one named check so harnesses can
-verify that failures are detected and reported.
+computation from ``sulcikit.oracles`` (brute-force loops, finite differences,
+flood fill) or a known closed-form value, and reports the observed error
+against its tolerance. ``inject_fault`` deliberately corrupts one of the
+gradient checks so harnesses can verify that failures are detected and
+reported.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import losses, metrics, postproc, synth
+from .oracles import (
+    brute_force_contrastive,
+    brute_force_hausdorff,
+    central_difference,
+    flood_fill_components,
+    max_rel_error,
+)
 from .presets import PHANTOM_SUBSTITUTIONS, default_generator_config, default_priors, make_phantom
 from .volume import BinaryMask, VoxelGrid
 
@@ -45,115 +53,13 @@ class CheckResult:
 
 
 # ---------------------------------------------------------------------------
-# independent reference computations
-
-
-def _brute_force_contrastive(rows: np.ndarray, temperature: float) -> float:
-    """Direct loop evaluation of the paired contrastive loss."""
-    rows = np.asarray(rows, dtype=np.float64)
-    n_pairs = rows.shape[0] // 2
-
-    def sim(a, b):
-        return float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
-
-    def pair_term(i, j):
-        num = math.exp(sim(rows[i], rows[j]) / temperature)
-        den = sum(
-            math.exp(sim(rows[i], rows[k]) / temperature)
-            for k in range(rows.shape[0])
-            if k != i
-        )
-        return -math.log(num / den)
-
-    total = 0.0
-    for k in range(n_pairs):
-        total += pair_term(2 * k, 2 * k + 1) + pair_term(2 * k + 1, 2 * k)
-    return total / (2 * n_pairs)
-
-
-def _flood_fill_components(mask: np.ndarray, connectivity: int) -> np.ndarray:
-    """Breadth-first flood fill with the same canonical id ordering."""
-    offsets = []
-    for dx in (-1, 0, 1):
-        for dy in (-1, 0, 1):
-            for dz in (-1, 0, 1):
-                manhattan = abs(dx) + abs(dy) + abs(dz)
-                if manhattan == 0:
-                    continue
-                if connectivity == 6 and manhattan > 1:
-                    continue
-                if connectivity == 18 and manhattan > 2:
-                    continue
-                offsets.append((dx, dy, dz))
-    shape = mask.shape
-    labels = np.zeros(shape, dtype=np.int64)
-    components = []
-    next_id = 0
-    for start in map(tuple, np.argwhere(mask)):
-        if labels[start]:
-            continue
-        next_id += 1
-        labels[start] = next_id
-        size = 1
-        queue = deque([start])
-        while queue:
-            cx, cy, cz = queue.popleft()
-            for dx, dy, dz in offsets:
-                nx, ny, nz = cx + dx, cy + dy, cz + dz
-                if 0 <= nx < shape[0] and 0 <= ny < shape[1] and 0 <= nz < shape[2]:
-                    if mask[nx, ny, nz] and not labels[nx, ny, nz]:
-                        labels[nx, ny, nz] = next_id
-                        size += 1
-                        queue.append((nx, ny, nz))
-        first = int(np.ravel_multi_index(start, shape))
-        components.append((next_id, size, first))
-    components.sort(key=lambda c: (-c[1], c[2]))
-    remap = np.zeros(next_id + 1, dtype=np.int64)
-    for rank, (raw_id, _, _) in enumerate(components, start=1):
-        remap[raw_id] = rank
-    return remap[labels]
-
-
-def brute_force_hausdorff(x: np.ndarray, y: np.ndarray, spacing) -> float:
-    """Exhaustive max-min distance over all foreground voxel pairs.
-
-    The one Hausdorff oracle, shared by the self-checks and the test suite.
-    """
-    sp = np.asarray(spacing, dtype=np.float64)
-    xs = np.argwhere(x).astype(np.float64)
-    ys = np.argwhere(y).astype(np.float64)
-    d = np.sqrt((((xs[:, None, :] - ys[None, :, :]) * sp) ** 2).sum(axis=2))
-    return max(float(d.min(axis=1).max()), float(d.min(axis=0).max()))
-
-
-def _central_difference(func, x: np.ndarray, eps: float) -> np.ndarray:
-    grad = np.zeros_like(x)
-    flat_g = grad.reshape(-1)
-    flat_x = x.reshape(-1)
-    for k in range(flat_x.size):
-        orig = flat_x[k]
-        flat_x[k] = orig + eps
-        f_plus = func(x)
-        flat_x[k] = orig - eps
-        f_minus = func(x)
-        flat_x[k] = orig
-        flat_g[k] = (f_plus - f_minus) / (2 * eps)
-    return grad
-
-
-def _max_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
-    return float((np.abs(analytic - numeric) / denom).max())
-
-
-# ---------------------------------------------------------------------------
 # individual checks
 
 
 def _check_nt_xent_fixture() -> CheckResult:
     rows = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
     observed = losses.contrastive_loss(rows, temperature=1.0)
-    brute = _brute_force_contrastive(rows, 1.0)
+    brute = brute_force_contrastive(rows, 1.0)
     expected = math.log(1.0 + 2.0 / math.e)
     err = max(abs(observed - brute), abs(observed - expected))
     return CheckResult(
@@ -178,9 +84,14 @@ def _check_degenerate_batch() -> CheckResult:
     )
 
 
-def _grad_check(name: str, loss_id: str, n_seeds: int, fault: bool) -> CheckResult:
+def _grad_check(loss_id: str, fault: bool = False) -> CheckResult:
+    """Analytic gradient vs central differences over 20 seeded inputs.
+
+    With ``fault`` the analytic gradient is shifted by 1e-3 before the
+    comparison, so the check must fail.
+    """
     worst = 0.0
-    for seed in range(n_seeds):
+    for seed in range(20):
         rng = np.random.default_rng(1000 + seed)
         if loss_id == "contrastive":
             x = rng.standard_normal((8, 8))
@@ -190,23 +101,14 @@ def _grad_check(name: str, loss_id: str, n_seeds: int, fault: bool) -> CheckResu
             target = (rng.random((4, 4, 4)) < 0.4).astype(float)
             point = {"pred": x, "target": target, "smooth": 1.0, "alpha": 0.3, "beta": 0.7}
         if fault:
-            if loss_id == "contrastive":
-                analytic = losses.contrastive_loss_grad(x, 0.5)
-                func = lambda a: losses.contrastive_loss(a, 0.5)
-            else:
-                analytic = losses.seg_loss_grad(loss_id, x, point["target"], 0.3, 0.7, 1.0)
-                if loss_id == "dice":
-                    func = lambda a, t=point["target"]: losses.soft_dice_loss(a, t, smooth=1.0)
-                else:
-                    func = lambda a, t=point["target"]: losses.tversky_loss(a, t, 0.3, 0.7, 1.0)
-            numeric = _central_difference(func, x.copy(), 1e-4)
-            err = _max_rel_error(analytic + 1e-3, numeric)
+            func, x, analytic = losses._loss_and_gradient(loss_id, point)
+            err = max_rel_error(analytic + 1e-3, central_difference(func, x, 1e-4))
         else:
             err = losses.finite_difference_check(loss_id, point, eps=1e-4)
         worst = max(worst, err)
     return CheckResult(
-        name, worst < 1e-5, 1e-5, worst, None,
-        f"max relative error vs central differences over {n_seeds} seeded inputs",
+        f"{loss_id}-gradient", worst < 1e-5, 1e-5, worst, None,
+        "max relative error vs central differences over 20 seeded inputs",
     )
 
 
@@ -263,7 +165,7 @@ def _check_connected_components() -> CheckResult:
             rng = np.random.default_rng(3000 + seed)
             mask = rng.random((20, 20, 20)) < 0.25
             ours = postproc.connected_components(BinaryMask(grid, mask), connectivity)
-            reference = _flood_fill_components(mask, connectivity)
+            reference = flood_fill_components(mask, connectivity)
             if not np.array_equal(ours.labels.voxels.astype(np.int64), reference):
                 mismatches += 1
     return CheckResult(
@@ -368,38 +270,46 @@ def _check_postproc_fixture() -> CheckResult:
 
 
 _CHECK_BUILDERS = {
-    "nt-xent-fixture": lambda fault: _check_nt_xent_fixture(),
-    "contrastive-degenerate": lambda fault: _check_degenerate_batch(),
-    "contrastive-gradient": lambda fault: _grad_check(
-        "contrastive-gradient", "contrastive", 20, fault
-    ),
-    "dice-gradient": lambda fault: _grad_check("dice-gradient", "dice", 20, fault),
-    "tversky-gradient": lambda fault: _grad_check("tversky-gradient", "tversky", 20, fault),
-    "tversky-dice-identity": lambda fault: _check_tversky_dice_identity(),
-    "contrastive-invariance": lambda fault: _check_contrastive_invariance(),
-    "descent-demo": lambda fault: _check_descent_demo(),
-    "connected-components-oracle": lambda fault: _check_connected_components(),
-    "hausdorff-oracle": lambda fault: _check_hausdorff(),
-    "generator-determinism": lambda fault: _check_generator_determinism(),
-    "generator-closure": lambda fault: _check_generator_closure(),
-    "generator-identity": lambda fault: _check_generator_identity(),
-    "postproc-fixture": lambda fault: _check_postproc_fixture(),
+    "nt-xent-fixture": _check_nt_xent_fixture,
+    "contrastive-degenerate": _check_degenerate_batch,
+    "contrastive-gradient": partial(_grad_check, "contrastive"),
+    "dice-gradient": partial(_grad_check, "dice"),
+    "tversky-gradient": partial(_grad_check, "tversky"),
+    "tversky-dice-identity": _check_tversky_dice_identity,
+    "contrastive-invariance": _check_contrastive_invariance,
+    "descent-demo": _check_descent_demo,
+    "connected-components-oracle": _check_connected_components,
+    "hausdorff-oracle": _check_hausdorff,
+    "generator-determinism": _check_generator_determinism,
+    "generator-closure": _check_generator_closure,
+    "generator-identity": _check_generator_identity,
+    "postproc-fixture": _check_postproc_fixture,
 }
 
 CHECK_NAMES = tuple(_CHECK_BUILDERS)
+
+# checks whose builder accepts ``fault=True``
+_FAULT_MODES = ("contrastive-gradient", "dice-gradient", "tversky-gradient")
 
 
 def run_checks(name_filter: str | None = None, inject_fault: str | None = None) -> list[CheckResult]:
     """Run the self-check suite, optionally filtered by substring.
 
-    ``inject_fault`` names a check whose analytic input is deliberately
-    corrupted, to verify failures are surfaced.
+    ``inject_fault`` names a check to corrupt deliberately, to verify that
+    failures are surfaced. Only the three gradient checks have a fault mode
+    (their analytic gradient is shifted); any other name, or one the filter
+    excludes, raises ValueError.
     """
-    if inject_fault is not None and inject_fault not in _CHECK_BUILDERS:
-        raise ValueError(f"unknown check {inject_fault!r}")
+    if inject_fault is not None and inject_fault not in _FAULT_MODES:
+        raise ValueError(
+            f"check {inject_fault!r} has no fault mode;"
+            f" choose one of {', '.join(_FAULT_MODES)}"
+        )
+    if inject_fault is not None and name_filter and name_filter not in inject_fault:
+        raise ValueError(f"filter {name_filter!r} excludes the faulted check {inject_fault!r}")
     results = []
     for name, builder in _CHECK_BUILDERS.items():
         if name_filter and name_filter not in name:
             continue
-        results.append(builder(inject_fault == name))
+        results.append(builder(fault=True) if name == inject_fault else builder())
     return results

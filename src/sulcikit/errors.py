@@ -14,7 +14,7 @@ class UnsupportedDatatypeError(SulcikitError):
 
 
 class NonIntegerLabelsError(SulcikitError):
-    """Floating-point file holds non-integer values but labels were requested."""
+    """Labels were requested but the file holds non-integer, negative or above-uint16 values."""
 
 
 class EmptyVolumeError(SulcikitError):

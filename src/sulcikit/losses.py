@@ -22,6 +22,7 @@ from .errors import (
     NonFiniteError,
     ZeroVectorError,
 )
+from .oracles import central_difference, max_rel_error
 from .volume import VoxelGrid, require_same_grid
 
 __all__ = [
@@ -269,19 +270,27 @@ def multitask_loss(seg: float, contrastive: float) -> float:
     return float(seg) + float(contrastive)
 
 
-def _central_difference(func, x: np.ndarray, eps: float) -> np.ndarray:
-    grad = np.zeros_like(x, dtype=np.float64)
-    flat = grad.reshape(-1)
-    xf = x.reshape(-1)
-    for k in range(xf.size):
-        orig = xf[k]
-        xf[k] = orig + eps
-        f_plus = func(x)
-        xf[k] = orig - eps
-        f_minus = func(x)
-        xf[k] = orig
-        flat[k] = (f_plus - f_minus) / (2.0 * eps)
-    return grad
+def _loss_and_gradient(loss_id: str, point: dict):
+    """The loss as a function of its first input, that input, and the analytic gradient.
+
+    ``point`` is read as documented in finite_difference_check. The input is
+    a fresh float64 copy, so callers may perturb it in place.
+    """
+    if loss_id == "contrastive":
+        x = np.array(point["batch"], dtype=np.float64)
+        tau = float(point.get("temperature", DEFAULT_TEMPERATURE))
+        return (lambda a: contrastive_loss(a, tau)), x, contrastive_loss_grad(x, tau)
+    if loss_id in ("dice", "tversky"):
+        x = np.array(point["pred"], dtype=np.float64)
+        target = np.asarray(point["target"], dtype=np.float64)
+        smooth = float(point.get("smooth", DEFAULT_SMOOTH))
+        alpha = float(point.get("alpha", 0.5))
+        beta = float(point.get("beta", 0.5))
+        analytic = seg_loss_grad(loss_id, x, target, alpha, beta, smooth)
+        if loss_id == "dice":
+            return (lambda a: soft_dice_loss(a, target, smooth)), x, analytic
+        return (lambda a: tversky_loss(a, target, alpha, beta, smooth)), x, analytic
+    raise ValueError(f"unknown loss_id {loss_id!r}")
 
 
 def finite_difference_check(loss_id: str, point: dict, eps: float = 1e-4) -> float:
@@ -295,27 +304,8 @@ def finite_difference_check(loss_id: str, point: dict, eps: float = 1e-4) -> flo
     """
     if eps <= 0:
         raise ValueError(f"eps must be > 0, got {eps}")
-    if loss_id == "contrastive":
-        x = np.array(point["batch"], dtype=np.float64)
-        tau = float(point.get("temperature", DEFAULT_TEMPERATURE))
-        analytic = contrastive_loss_grad(x, tau)
-        numeric = _central_difference(lambda a: contrastive_loss(a, tau), x, eps)
-    elif loss_id in ("dice", "tversky"):
-        x = np.array(point["pred"], dtype=np.float64)
-        target = np.asarray(point["target"], dtype=np.float64)
-        smooth = float(point.get("smooth", DEFAULT_SMOOTH))
-        alpha = float(point.get("alpha", 0.5))
-        beta = float(point.get("beta", 0.5))
-        analytic = seg_loss_grad(loss_id, x, target, alpha, beta, smooth)
-        if loss_id == "dice":
-            func = lambda a: soft_dice_loss(a, target, smooth)
-        else:
-            func = lambda a: tversky_loss(a, target, alpha, beta, smooth)
-        numeric = _central_difference(func, x, eps)
-    else:
-        raise ValueError(f"unknown loss_id {loss_id!r}")
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
-    return float((np.abs(analytic - numeric) / denom).max())
+    func, x, analytic = _loss_and_gradient(loss_id, point)
+    return max_rel_error(analytic, central_difference(func, x, eps))
 
 
 class DescentRecord(NamedTuple):

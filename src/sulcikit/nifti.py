@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import gzip
 import io
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ __all__ = ["read_nifti", "write_nifti"]
 _HEADER_SIZE = 348
 _NIFTI2_HEADER_SIZE = 540
 _VOX_OFFSET = 352
+_MAX_LABEL = np.iinfo(np.uint16).max
 
 _HEADER_FIELDS = [
     ("sizeof_hdr", "i4"),
@@ -100,7 +102,10 @@ _DATATYPES = {
 def _read_bytes(path: Path) -> bytes:
     raw = path.read_bytes()
     if raw[:2] == b"\x1f\x8b":
-        raw = gzip.decompress(raw)
+        try:
+            raw = gzip.decompress(raw)
+        except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
+            raise CorruptHeaderError(f"{path}: gzip stream corrupt or truncated ({exc})") from exc
     return raw
 
 
@@ -156,7 +161,9 @@ def read_nifti(path, kind: str = "intensity"):
 
     ``kind`` selects the returned type: ``"intensity"`` (IntensityVolume,
     float32) or ``"labels"`` (LabelVolume, uint16, raising
-    NonIntegerLabelsError when the stored values are not integers).
+    NonIntegerLabelsError when the stored values are not integers in
+    0..65535). A malformed header or a truncated file raises
+    CorruptHeaderError.
     """
     if kind not in ("intensity", "labels"):
         raise ValueError(f"kind must be 'intensity' or 'labels', got {kind!r}")
@@ -172,6 +179,11 @@ def read_nifti(path, kind: str = "intensity"):
     if code not in _DATATYPES:
         raise UnsupportedDatatypeError(f"NIfTI datatype code {code} is not supported")
     dtype = _DATATYPES[code].newbyteorder(order)
+    if int(hdr["bitpix"]) != 8 * dtype.itemsize:
+        raise CorruptHeaderError(
+            f"bitpix {int(hdr['bitpix'])} disagrees with datatype {code}"
+            f" ({8 * dtype.itemsize} bits)"
+        )
 
     dim = np.asarray(hdr["dim"], dtype=np.int64)
     ndim = int(dim[0])
@@ -196,6 +208,8 @@ def read_nifti(path, kind: str = "intensity"):
 
     slope = float(hdr["scl_slope"])
     inter = float(hdr["scl_inter"])
+    if not (np.isfinite(slope) and np.isfinite(inter)):
+        raise CorruptHeaderError(f"scl_slope {slope} or scl_inter {inter} is not finite")
     if slope not in (0.0, 1.0) or inter != 0.0:
         data = data.astype(np.float64) * slope + inter
 
@@ -210,8 +224,8 @@ def read_nifti(path, kind: str = "intensity"):
             if not np.array_equal(data, np.round(data)):
                 raise NonIntegerLabelsError(f"{path}: voxel values are not integers")
             data = data.astype(np.int64)
-        if data.size and int(data.min()) < 0:
-            raise NonIntegerLabelsError(f"{path}: negative values cannot be labels")
+        if data.size and (int(data.min()) < 0 or int(data.max()) > _MAX_LABEL):
+            raise NonIntegerLabelsError(f"{path}: values outside 0..{_MAX_LABEL} cannot be labels")
         return LabelVolume(grid, data)
     return IntensityVolume(grid, data.astype(np.float32))
 

@@ -1,6 +1,10 @@
+import gzip
+import struct
+
 import numpy as np
 import pytest
 
+from sulcikit.errors import CorruptHeaderError, NonIntegerLabelsError
 from sulcikit.volume import BinaryMask, IntensityVolume, LabelVolume, VoxelGrid
 
 
@@ -37,3 +41,72 @@ def image_from(unit_grid):
         return IntensityVolume(unit_grid(array.shape, spacing), array)
 
     return make
+
+
+@pytest.fixture
+def trilinear_oracle():
+    def oracle(src, coord):
+        """Direct evaluation of the 8-corner interpolation with zero padding."""
+        out = 0.0
+        base = np.floor(coord).astype(int)
+        frac = coord - base
+        for dx in (0, 1):
+            for dy in (0, 1):
+                for dz in (0, 1):
+                    idx = base + (dx, dy, dz)
+                    w = 1.0
+                    for ax, d in enumerate((dx, dy, dz)):
+                        w *= frac[ax] if d else 1.0 - frac[ax]
+                    if all(0 <= idx[ax] < src.shape[ax] for ax in range(3)):
+                        out += w * src[tuple(idx)]
+        return out
+
+    return oracle
+
+
+def _overwrite(offset, payload):
+    def mutate(raw):
+        return raw[:offset] + payload + raw[offset + len(payload) :]
+
+    return mutate
+
+
+def _int32_above_uint16(raw):
+    """Re-encode the voxels as int32 (datatype 8, bitpix 32), one of them 70000."""
+    count = int(np.prod(struct.unpack_from("<3h", raw, 42)))
+    values = np.ones(count, dtype="<i4")
+    values[0] = 70000
+    return _overwrite(70, struct.pack("<2h", 8, 32))(raw[:352]) + values.tobytes()
+
+
+def _truncated_gzip(raw):
+    packed = gzip.compress(raw, mtime=0)
+    return packed[: len(packed) // 2]
+
+
+_NAN = struct.pack("<f", float("nan"))
+
+# id -> (mutation, read_nifti kind, error); header offsets: dim 40, datatype 70,
+# bitpix 72, vox_offset 108, scl_slope 112
+_MALFORMED_NIFTI = {
+    "two-negative-dims": (
+        _overwrite(42, struct.pack("<3h", -1, -1, 4)), "intensity", CorruptHeaderError
+    ),
+    "negative-dim": (_overwrite(42, struct.pack("<h", -3)), "intensity", CorruptHeaderError),
+    "zero-dim": (_overwrite(42, struct.pack("<3h", 3, 0, 3)), "intensity", CorruptHeaderError),
+    "nan-vox-offset": (_overwrite(108, _NAN), "intensity", CorruptHeaderError),
+    "inf-vox-offset": (
+        _overwrite(108, struct.pack("<f", float("inf"))), "intensity", CorruptHeaderError
+    ),
+    "int32-label-above-uint16": (_int32_above_uint16, "labels", NonIntegerLabelsError),
+    "truncated-gzip": (_truncated_gzip, "intensity", CorruptHeaderError),
+    "nan-scl-slope": (_overwrite(112, _NAN), "intensity", CorruptHeaderError),
+    "bitpix-mismatch": (_overwrite(72, struct.pack("<h", 64)), "intensity", CorruptHeaderError),
+}
+
+
+@pytest.fixture(params=list(_MALFORMED_NIFTI.values()), ids=list(_MALFORMED_NIFTI))
+def malformed_nifti(request):
+    """``(mutate, kind, error)``: ``mutate`` corrupts the bytes of a .nii written
+    by ``write_nifti``; reading the result as ``kind`` must raise ``error``."""
+    return request.param

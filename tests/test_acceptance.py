@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 from scipy.sparse import coo_matrix, csgraph
 
-from sulcikit.checks import brute_force_hausdorff
 from sulcikit.cli import main
 from sulcikit.losses import (
     contrastive_loss,
@@ -26,6 +25,7 @@ from sulcikit.losses import (
 )
 from sulcikit.metrics import dice, hausdorff
 from sulcikit.nifti import read_nifti, write_nifti
+from sulcikit.oracles import brute_force_hausdorff, neighbour_offsets
 from sulcikit.postproc import connected_components, postprocess_cs
 from sulcikit.presets import default_generator_config, default_priors, make_phantom
 from sulcikit.synth import (
@@ -36,8 +36,6 @@ from sulcikit.synth import (
     substitute_sulci,
 )
 from sulcikit.volume import BinaryMask, VoxelGrid
-
-from test_postproc import _neighbour_offsets
 
 
 @contextmanager
@@ -146,7 +144,7 @@ def edge_list_oracle(mask, connectivity):
     shape = mask.shape
     index = np.arange(mask.size).reshape(shape)
     rows, cols = [], []
-    for offset in _neighbour_offsets(connectivity):
+    for offset in neighbour_offsets(connectivity):
         src = tuple(slice(max(0, -d), n - max(0, d)) for d, n in zip(offset, shape))
         dst = tuple(slice(max(0, d), n - max(0, -d)) for d, n in zip(offset, shape))
         both = mask[src] & mask[dst]

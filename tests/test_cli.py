@@ -1,9 +1,9 @@
 import json
-import struct
 
 import numpy as np
 import pytest
 
+from sulcikit.checks import CHECK_NAMES
 from sulcikit.cli import main
 from sulcikit.nifti import read_nifti, write_nifti
 from sulcikit.postproc import connected_components
@@ -331,21 +331,15 @@ class TestEvaluate:
         assert doc["pairs"][0]["dsc"] is None
         assert doc["pairs"][0]["hd_mm"] is None
 
-    @pytest.mark.parametrize(
-        "offset, payload",
-        [(42, struct.pack("<3h", -1, -1, 4)), (108, struct.pack("<f", float("nan")))],
-        ids=["two-negative-dims", "nan-vox-offset"],
-    )
-    def test_malformed_header_exits_2(self, tmp_path, capsys, offset, payload):
+    def test_malformed_header_exits_2(self, tmp_path, capsys, malformed_nifti):
+        mutate, _, _ = malformed_nifti
         pred, gt = self._cohort(tmp_path)
         data = np.zeros((4, 4, 4), dtype=bool)
         data[1, 1, 1] = True
         for directory in (pred, gt):
             _write_mask(data, directory / "a.nii")
         path = pred / "a.nii"
-        raw = bytearray(path.read_bytes())
-        raw[offset : offset + len(payload)] = payload
-        path.write_bytes(bytes(raw))
+        path.write_bytes(mutate(path.read_bytes()))
         assert main(["evaluate", "--pred", str(pred), "--gt", str(gt)]) == 2
         assert "Traceback" not in capsys.readouterr().err
 
@@ -358,13 +352,34 @@ class TestCheck:
         fixture = [c for c in doc["checks"] if c["name"] == "nt-xent-fixture"][0]
         assert fixture["observed"] == pytest.approx(0.551445, abs=1e-6)
 
-    def test_fault_injection_fails_named_check(self, capsys):
-        code = main(["check", "--filter", "dice-gradient",
-                     "--inject-fault", "dice-gradient"])
+    @pytest.mark.parametrize("name", ["contrastive-gradient", "dice-gradient", "tversky-gradient"])
+    def test_fault_injection_fails_named_check(self, capsys, name):
+        code = main(["check", "--filter", "gradient", "--inject-fault", name])
         assert code == 4
         doc = json.loads(capsys.readouterr().out)
         failing = [c for c in doc["checks"] if not c["passed"]]
-        assert [c["name"] for c in failing] == ["dice-gradient"]
+        assert [c["name"] for c in failing] == [name]
+
+    @pytest.mark.parametrize(
+        "selected, faulted, message",
+        [
+            ("hausdorff", "hausdorff-oracle", "has no fault mode"),
+            ("nt-xent", "dice-gradient", "excludes the faulted check"),
+        ],
+        ids=["no-fault-mode", "filtered-out"],
+    )
+    def test_fault_that_cannot_apply_is_config_error(self, capsys, selected, faulted, message):
+        assert main(["check", "--filter", selected, "--inject-fault", faulted]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+    def test_full_suite_passes(self, capsys):
+        assert main(["check"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [c["name"] for c in doc["checks"]] == list(CHECK_NAMES)
+        assert len(CHECK_NAMES) == 14
+        assert all(c["passed"] is True for c in doc["checks"])
 
     def test_unknown_filter_is_config_error(self):
         assert main(["check", "--filter", "no-such-check"]) == 1

@@ -21,30 +21,9 @@ from sulcikit.losses import (
     soft_dice_loss,
     tversky_loss,
 )
+from sulcikit.oracles import brute_force_contrastive, brute_force_pair_term
 
 FOUR_ROW_BATCH = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
-
-
-def brute_force_pair_term(rows, i, j, tau):
-    """Independent loop evaluation of the pairwise contrastive term."""
-
-    def sim(a, b):
-        return np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))
-
-    num = math.exp(sim(rows[i], rows[j]) / tau)
-    den = sum(
-        math.exp(sim(rows[i], rows[k]) / tau) for k in range(len(rows)) if k != i
-    )
-    return -math.log(num / den)
-
-
-def brute_force_total(rows, tau):
-    n_pairs = len(rows) // 2
-    total = 0.0
-    for k in range(n_pairs):
-        total += brute_force_pair_term(rows, 2 * k, 2 * k + 1, tau)
-        total += brute_force_pair_term(rows, 2 * k + 1, 2 * k, tau)
-    return total / (2 * n_pairs)
 
 
 class TestCosineSimilarity:
@@ -109,7 +88,7 @@ class TestContrastiveLoss:
     def test_four_row_fixture(self):
         value = contrastive_loss(FOUR_ROW_BATCH, 1.0)
         assert value == pytest.approx(math.log(1.0 + 2.0 / math.e), abs=1e-12)
-        assert value == pytest.approx(brute_force_total(FOUR_ROW_BATCH, 1.0), abs=1e-12)
+        assert value == pytest.approx(brute_force_contrastive(FOUR_ROW_BATCH, 1.0), abs=1e-12)
 
     def test_matches_brute_force_random(self):
         rng = np.random.default_rng(4)
@@ -117,7 +96,7 @@ class TestContrastiveLoss:
             rows = rng.standard_normal((8, 6))
             value = contrastive_loss(rows, 0.5)
             assert value >= 0.0
-            assert value == pytest.approx(brute_force_total(rows, 0.5), abs=1e-10)
+            assert value == pytest.approx(brute_force_contrastive(rows, 0.5), abs=1e-10)
 
     def test_row_scale_invariance(self):
         rng = np.random.default_rng(5)

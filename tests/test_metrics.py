@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from sulcikit.checks import brute_force_hausdorff
 from sulcikit.errors import (
     BothEmptyError,
     EmptySetError,
@@ -17,6 +16,7 @@ from sulcikit.metrics import (
     voxel_surface_area,
     voxel_volume,
 )
+from sulcikit.oracles import brute_force_hausdorff
 from sulcikit.volume import BinaryMask, VoxelGrid
 
 

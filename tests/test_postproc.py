@@ -1,8 +1,7 @@
-from collections import deque
-
 import numpy as np
 import pytest
 
+from sulcikit.oracles import flood_fill_components
 from sulcikit.postproc import (
     PostprocConfig,
     connected_components,
@@ -10,53 +9,6 @@ from sulcikit.postproc import (
     postprocess_cs,
 )
 from sulcikit.volume import BinaryMask, VoxelGrid
-
-
-def _neighbour_offsets(connectivity):
-    offsets = []
-    for dx in (-1, 0, 1):
-        for dy in (-1, 0, 1):
-            for dz in (-1, 0, 1):
-                manhattan = abs(dx) + abs(dy) + abs(dz)
-                if manhattan == 0:
-                    continue
-                if connectivity == 6 and manhattan > 1:
-                    continue
-                if connectivity == 18 and manhattan > 2:
-                    continue
-                offsets.append((dx, dy, dz))
-    return offsets
-
-
-def flood_fill_oracle(mask, connectivity):
-    """Canonical component labeling by breadth-first flood fill."""
-    offsets = _neighbour_offsets(connectivity)
-    shape = mask.shape
-    labels = np.zeros(shape, dtype=np.int64)
-    found = []
-    raw_id = 0
-    for seed in map(tuple, np.argwhere(mask)):
-        if labels[seed]:
-            continue
-        raw_id += 1
-        labels[seed] = raw_id
-        size = 1
-        queue = deque([seed])
-        while queue:
-            x, y, z = queue.popleft()
-            for dx, dy, dz in offsets:
-                n = (x + dx, y + dy, z + dz)
-                if all(0 <= n[a] < shape[a] for a in range(3)):
-                    if mask[n] and not labels[n]:
-                        labels[n] = raw_id
-                        size += 1
-                        queue.append(n)
-        found.append((raw_id, size, int(np.ravel_multi_index(seed, shape))))
-    found.sort(key=lambda item: (-item[1], item[2]))
-    remap = np.zeros(raw_id + 1, dtype=np.int64)
-    for rank, (rid, _, _) in enumerate(found, start=1):
-        remap[rid] = rank
-    return remap[labels]
 
 
 def _mask(array):
@@ -134,7 +86,7 @@ class TestConnectedComponents:
         for _ in range(10):
             data = rng.random((16, 16, 16)) < 0.3
             ours = connected_components(_mask(data), connectivity)
-            expected = flood_fill_oracle(data, connectivity)
+            expected = flood_fill_components(data, connectivity)
             assert np.array_equal(ours.labels.voxels.astype(np.int64), expected)
 
     @pytest.mark.parametrize("connectivity", [6, 18, 26])
@@ -149,7 +101,7 @@ class TestConnectedComponents:
         assert labels[2, 1, 2] == 1
         assert labels[0, 0, 0] == 2  # ties break by the smaller linear index
         assert labels[4, 3, 5] == 3
-        assert np.array_equal(labels.astype(np.int64), flood_fill_oracle(data, connectivity))
+        assert np.array_equal(labels.astype(np.int64), flood_fill_components(data, connectivity))
 
         # the same corners as the two largest components
         data[0:2, 0, 0] = True
@@ -161,7 +113,7 @@ class TestConnectedComponents:
         assert labeling.labels.voxels[0, 0, 0] == 1
         assert labeling.labels.voxels[4, 3, 5] == 2
         assert np.array_equal(
-            labeling.labels.voxels.astype(np.int64), flood_fill_oracle(data, connectivity)
+            labeling.labels.voxels.astype(np.int64), flood_fill_components(data, connectivity)
         )
 
     def test_sizes_are_sorted_and_sum_to_foreground(self):

@@ -74,7 +74,7 @@ class TestSampleElastic:
         b = sample_elastic(config, unit_grid((6, 6, 6)), 7)
         assert np.array_equal(a.displacement, b.displacement)
 
-    def test_interior_matches_trilinear_oracle(self, unit_grid):
+    def test_interior_matches_trilinear_oracle(self, unit_grid, trilinear_oracle):
         config = default_generator_config(elastic_grid=(2, 2, 2), elastic_std_range=(2.0, 2.0))
         grid = unit_grid((5, 5, 5))
         field = sample_elastic(config, grid, rng_seed=3)
@@ -89,16 +89,7 @@ class TestSampleElastic:
         for x, y, z in np.ndindex(5, 5, 5):
             t = np.array([x, y, z]) / 4.0
             for c in range(3):
-                expected = 0.0
-                for dx in (0, 1):
-                    for dy in (0, 1):
-                        for dz in (0, 1):
-                            w = (
-                                (t[0] if dx else 1 - t[0])
-                                * (t[1] if dy else 1 - t[1])
-                                * (t[2] if dz else 1 - t[2])
-                            )
-                            expected += w * control[dx, dy, dz, c]
+                expected = trilinear_oracle(control[..., c], t)
                 assert field.displacement[x, y, z, c] == pytest.approx(expected, abs=1e-6)
 
     def test_rejects_degenerate_lattice(self, unit_grid):

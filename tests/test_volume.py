@@ -112,23 +112,6 @@ class TestCropToContent:
         assert np.allclose(world[:3], offset)
 
 
-def _trilinear_oracle(src, coord):
-    """Direct evaluation of the 8-corner interpolation with zero padding."""
-    out = 0.0
-    base = np.floor(coord).astype(int)
-    frac = coord - base
-    for dx in (0, 1):
-        for dy in (0, 1):
-            for dz in (0, 1):
-                idx = base + (dx, dy, dz)
-                w = 1.0
-                for ax, d in enumerate((dx, dy, dz)):
-                    w *= frac[ax] if d else 1.0 - frac[ax]
-                if all(0 <= idx[ax] < src.shape[ax] for ax in range(3)):
-                    out += w * src[tuple(idx)]
-    return out
-
-
 class TestResample:
     def test_identity_trilinear_bitwise(self, image_from):
         rng = np.random.default_rng(5)
@@ -168,7 +151,7 @@ class TestResample:
             resample(vol, (8, 8, 8), mode="trilinear")
 
     @pytest.mark.parametrize("target", [(16, 9, 7), (3, 4, 2)], ids=["upsample", "downsample"])
-    def test_matches_per_voxel_oracle(self, image_from, target):
+    def test_matches_per_voxel_oracle(self, image_from, trilinear_oracle, target):
         src = np.random.default_rng(10).random((8, 6, 5)).astype(np.float32)
         out = resample(image_from(src), target, mode="trilinear")
         # every voxel, including boundary voxels whose outer tap falls outside
@@ -177,7 +160,7 @@ class TestResample:
             coord = np.array(
                 [(t[ax] + 0.5) * src.shape[ax] / target[ax] - 0.5 for ax in range(3)]
             )
-            expected[t] = _trilinear_oracle(src, coord)
+            expected[t] = trilinear_oracle(src, coord)
         assert np.allclose(out.voxels, expected, rtol=0.0, atol=1e-6)
 
     def test_extent_preserved(self, image_from):
