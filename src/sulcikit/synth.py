@@ -318,9 +318,18 @@ def deform_labels(labels: LabelVolume, affine: np.ndarray, field_: DeformationFi
     affine = np.asarray(affine, dtype=np.float64)
     shape = labels.grid.shape
     centre = (np.asarray(shape, dtype=np.float64) - 1.0) / 2.0
-    grids = np.meshgrid(*(np.arange(s, dtype=np.float64) for s in shape), indexing="ij")
-    pos = np.stack(grids, axis=-1) + field_.displacement
-    src = (pos - centre) @ affine[:3, :3].T + affine[:3, 3] + centre
+    # x + u(x) - centre, one axis at a time into a single (*shape, 3) array
+    pos = np.empty(shape + (3,), dtype=np.float64)
+    for axis, size in enumerate(shape):
+        along = np.arange(size, dtype=np.float64).reshape((-1,) + (1,) * (2 - axis))
+        np.add(along, field_.displacement[..., axis], out=pos[..., axis])
+    pos -= centre
+    # the 3x3 product stays one matmul: an element-wise rewrite sums in
+    # another order and moves coordinates by an ulp
+    src = pos @ affine[:3, :3].T
+    del pos
+    src += affine[:3, 3]
+    src += centre
     return labels.with_voxels(nearest_sample(labels.voxels, src, fill=0))
 
 

@@ -7,6 +7,7 @@ marked read-only, so instances are safe to share across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -193,12 +194,19 @@ def nearest_sample(values: np.ndarray, coords: np.ndarray, fill=0) -> np.ndarray
     """
     values = np.asarray(values)
     coords = np.asarray(coords, dtype=np.float64)
-    idx = np.floor(coords + 0.5).astype(np.int64)
-    shape = np.asarray(values.shape, dtype=np.int64)
-    inside = np.all((idx >= 0) & (idx < shape), axis=-1)
-    clipped = np.clip(idx, 0, shape - 1)
-    out = values[clipped[..., 0], clipped[..., 1], clipped[..., 2]]
-    return np.where(inside, out, np.asarray(fill, dtype=values.dtype))
+    # one axis at a time into a flat C-order index: no (N, 3) temporaries
+    flat = np.zeros(coords.shape[:-1], dtype=np.int64)
+    inside = np.ones(coords.shape[:-1], dtype=bool)
+    for axis, size in enumerate(values.shape):
+        idx = np.floor(coords[..., axis] + 0.5).astype(np.int64)
+        inside &= idx >= 0
+        inside &= idx < size
+        np.clip(idx, 0, size - 1, out=idx)
+        idx *= math.prod(values.shape[axis + 1 :])
+        flat += idx
+    out = values.ravel()[flat]
+    out[~inside] = np.asarray(fill, dtype=values.dtype)
+    return out
 
 
 def _bounding_box(nonzero: np.ndarray):

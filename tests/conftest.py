@@ -1,5 +1,6 @@
 import gzip
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -62,6 +63,44 @@ def trilinear_oracle():
         return out
 
     return oracle
+
+
+@pytest.fixture
+def deform_oracle():
+    def oracle(labels, affine, displacement):
+        """Per voxel: read the label nearest ``centre + A @ (x + u(x) - centre)``.
+
+        Ties round up (``floor(p + 0.5)``); reads outside the volume give 0.
+        """
+        shape = labels.shape
+        centre = [(s - 1) / 2.0 for s in shape]
+        out = np.zeros(shape, dtype=labels.dtype)
+        for x in np.ndindex(*shape):
+            d = [x[i] + float(displacement[x][i]) - centre[i] for i in range(3)]
+            p = [centre[i] + sum(affine[i][j] * d[j] for j in range(3)) + affine[i][3]
+                 for i in range(3)]
+            idx = tuple(int(np.floor(c + 0.5)) for c in p)
+            if all(0 <= idx[i] < shape[i] for i in range(3)):
+                out[x] = labels[idx]
+        return out
+
+    return oracle
+
+
+@pytest.fixture
+def fail_mid_write(monkeypatch):
+    """``arm(error)``: from then on ``Path.write_bytes`` stores half its bytes and
+    raises ``error``; ``monkeypatch.undo()`` restores it."""
+
+    def arm(error):
+        def write_half(self, data):
+            with open(self, "wb") as fh:
+                fh.write(data[: len(data) // 2])
+            raise error("interrupted mid-write")
+
+        monkeypatch.setattr(Path, "write_bytes", write_half)
+
+    return arm
 
 
 def _overwrite(offset, payload):

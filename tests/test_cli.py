@@ -148,6 +148,33 @@ class TestGenerate:
         assert "(4 new)" in capsys.readouterr().err
         assert (out / "manifest.json").read_bytes() == written
 
+    def test_rerun_after_killed_write_serves_intact_files(
+        self, dataset, tmp_path, monkeypatch, fail_mid_write
+    ):
+        manifest_path, config_path = dataset
+        out = tmp_path / "out"
+        args = ["generate", "--manifest", str(manifest_path), "--config",
+                str(config_path), "--out", str(out)]
+        assert main(args) == 0
+        before = {name: (out / name).read_bytes() for name in _volume_files(out)}
+
+        # a run under another config dies in its first sample's image write,
+        # leaving the first run's manifest in place
+        config = json.loads(config_path.read_text())
+        other = dict(config, generator=dict(default_generator_config().to_dict(),
+                                            blur_sigma_range=[2.0, 2.5]))
+        config_path.write_text(json.dumps(other))
+        fail_mid_write(KeyboardInterrupt)
+        with pytest.raises(KeyboardInterrupt):
+            main(args)
+        monkeypatch.undo()
+
+        config_path.write_text(json.dumps(config))
+        assert main(args) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted([*before, "manifest.json"])
+        for name, data in before.items():
+            assert (out / name).read_bytes() == data
+
     def test_tissue_map_overlay(self, tmp_path):
         root = tmp_path / "d"
         root.mkdir()

@@ -10,7 +10,7 @@ from sulcikit.errors import (
     UnsupportedDatatypeError,
 )
 from sulcikit.nifti import read_nifti, write_nifti
-from sulcikit.volume import BinaryMask, IntensityVolume, LabelVolume, VoxelGrid
+from sulcikit.volume import IntensityVolume, LabelVolume, VoxelGrid
 
 MAGIC_OFFSET = 344
 DATATYPE_OFFSET = 70
@@ -82,6 +82,19 @@ class TestRoundTrip:
         write_nifti(vol, b)
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("kind", ["intensity", "labels", "mask"])
+    def test_gz_is_gzip_of_the_nii_bytes(self, tmp_path, kind, image_from, labels_from, mask_from):
+        rng = np.random.default_rng(4)
+        vol = {
+            "intensity": lambda: image_from(rng.random((5, 6, 7))),
+            "labels": lambda: labels_from(rng.integers(0, 999, (5, 6, 7), dtype=np.uint16)),
+            "mask": lambda: mask_from(rng.random((5, 6, 7)) < 0.5),
+        }[kind]()
+        write_nifti(vol, tmp_path / "v.nii")
+        write_nifti(vol, tmp_path / "v.nii.gz")
+        packed = (tmp_path / "v.nii.gz").read_bytes()
+        assert gzip.decompress(packed) == (tmp_path / "v.nii").read_bytes()
+
     def _external_dtype_file(self, tmp_path, code, dtype, values):
         # exercise read-only datatypes the writer never produces
         vol = IntensityVolume(
@@ -144,6 +157,22 @@ class TestRoundTrip:
         )
         back = read_nifti(path, kind="labels")
         assert np.array_equal(back.voxels, data)
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("error", [OSError, KeyboardInterrupt])
+    def test_failed_write_keeps_earlier_file(
+        self, tmp_path, monkeypatch, fail_mid_write, image_from, error
+    ):
+        path = tmp_path / "vol.nii.gz"
+        write_nifti(image_from(np.zeros((4, 5, 6))), path)
+        before = path.read_bytes()
+        fail_mid_write(error)
+        with pytest.raises(error):
+            write_nifti(image_from(np.ones((4, 5, 6))), path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["vol.nii.gz"]
 
 
 class TestHeaderValidation:

@@ -21,7 +21,6 @@ from sulcikit.synth import (
     sample_intensities,
     substitute_sulci,
 )
-from sulcikit.volume import IntensityVolume, LabelVolume, VoxelGrid
 
 
 def identity_config(**overrides):
@@ -127,6 +126,41 @@ class TestDeformLabels:
         expected = np.zeros_like(data)
         expected[:-1] = data[1:]
         assert np.array_equal(out.voxels, expected)
+
+    @pytest.mark.parametrize("shape", [(9, 7, 5), (5, 11, 4)])
+    def test_matches_per_voxel_oracle(self, labels_from, deform_oracle, shape):
+        # labels 1..9, so a 0 in the output is a read outside the volume
+        seed = sum(shape)
+        data = np.random.default_rng(seed).integers(1, 10, shape, dtype=np.uint16)
+        vol = labels_from(data)
+        config = GeneratorConfig(
+            rotation_range=(-30.0, 30.0), translation_range=(-1.5, 1.5),
+            elastic_grid=(3, 3, 3), elastic_std_range=(0.5, 1.5),
+        )
+        affine = sample_affine(config, seed)
+        field = sample_elastic(config, vol.grid, seed + 1)
+        out = deform_labels(vol, affine, field)
+        expected = deform_oracle(data, affine, field.displacement)
+        assert 0 < np.count_nonzero(expected == 0) < expected.size
+        assert np.array_equal(out.voxels, expected)
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("u", [0.5, -0.5])
+    def test_ties_round_up(self, labels_from, deform_oracle, axis, u):
+        # x + 0.5 reads x + 1 and x - 0.5 reads x, under the identity affine
+        shape = (9, 7, 5)
+        data = np.random.default_rng(14).integers(1, 10, shape, dtype=np.uint16)
+        vol = labels_from(data)
+        displacement = np.zeros(shape + (3,), dtype=np.float32)
+        displacement[..., axis] = u
+        field = DeformationField(vol.grid, displacement)
+        out = deform_labels(vol, np.eye(4), field)
+        expected = data
+        if u > 0:
+            expected = np.roll(data, -1, axis=axis)
+            np.moveaxis(expected, axis, 0)[-1] = 0  # the last slice reads outside
+        assert np.array_equal(out.voxels, expected)
+        assert np.array_equal(deform_oracle(data, np.eye(4), displacement), expected)
 
 
 class TestSubstituteSulci:

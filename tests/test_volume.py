@@ -3,7 +3,6 @@ import pytest
 
 from sulcikit.errors import EmptyVolumeError, ModeMismatchError
 from sulcikit.volume import (
-    BinaryMask,
     IntensityVolume,
     LabelVolume,
     VoxelGrid,
