@@ -2,10 +2,10 @@
 
 Every check compares a library result against an independent reference
 computation from ``sulcikit.oracles`` (brute-force loops, finite differences,
-flood fill) or a known closed-form value, and reports the observed error
-against its tolerance. ``inject_fault`` deliberately corrupts one of the
-gradient checks so harnesses can verify that failures are detected and
-reported.
+voxel-by-voxel dilation, flood fill) or a known closed-form value, and
+reports the observed error against its tolerance. ``inject_fault``
+deliberately corrupts one of the gradient checks so harnesses can verify
+that failures are detected and reported.
 """
 
 from __future__ import annotations
@@ -22,7 +22,9 @@ from .oracles import (
     brute_force_hausdorff,
     central_difference,
     flood_fill_components,
+    grow_by_neighbours,
     max_rel_error,
+    postprocess_by_flood_fill,
 )
 from .presets import PHANTOM_SUBSTITUTIONS, default_generator_config, default_priors, make_phantom
 from .volume import BinaryMask, VoxelGrid
@@ -269,6 +271,33 @@ def _check_postproc_fixture() -> CheckResult:
     )
 
 
+def _check_postproc_oracle() -> CheckResult:
+    shape = (14, 12, 10)
+    grid = VoxelGrid.from_spacing(shape)
+    ties = np.zeros(shape, dtype=bool)
+    ties[[1, 5, 9], 6, 5] = True  # three equal components; keep 2 cuts between them
+    masks = [np.random.default_rng(5000 + seed).random(shape) < 0.04 for seed in range(4)]
+    masks.append(ties)
+    mismatches = 0
+    for connectivity in (6, 18, 26):
+        for index, data in enumerate(masks):
+            mask = BinaryMask(grid, data)
+            config = postproc.PostprocConfig(1 + index % 2, connectivity, 1 + index % 3)
+            radius = config.dilation_radius
+            grown = postproc.dilate(mask, radius, connectivity)
+            if not np.array_equal(grown.voxels, grow_by_neighbours(data, connectivity, radius)):
+                mismatches += 1
+            cleaned = postproc.postprocess_cs(mask, config)
+            expected = postprocess_by_flood_fill(data, connectivity, radius, config.keep)
+            if not np.array_equal(cleaned.voxels, expected):
+                mismatches += 1
+    return CheckResult(
+        "postproc-oracle", mismatches == 0, 0.0, float(mismatches), 0.0,
+        "dilation and clean-up vs voxel-by-voxel growth and flood fill,"
+        " 4 random masks and an equal-size tie x 3 connectivities",
+    )
+
+
 _CHECK_BUILDERS = {
     "nt-xent-fixture": _check_nt_xent_fixture,
     "contrastive-degenerate": _check_degenerate_batch,
@@ -284,6 +313,7 @@ _CHECK_BUILDERS = {
     "generator-closure": _check_generator_closure,
     "generator-identity": _check_generator_identity,
     "postproc-fixture": _check_postproc_fixture,
+    "postproc-oracle": _check_postproc_oracle,
 }
 
 CHECK_NAMES = tuple(_CHECK_BUILDERS)

@@ -30,7 +30,7 @@ from .errors import (
     SulcikitError,
 )
 from .metrics import aggregate, evaluate_pair
-from .nifti import read_nifti, write_nifti
+from .nifti import read_nifti, write_atomic, write_nifti
 from .postproc import PostprocConfig, postprocess_cs
 from .presets import default_generator_config, default_priors
 from .synth import GeneratorConfig, TissuePriors, generate_sample, mix_seed
@@ -232,29 +232,36 @@ def cmd_generate(args) -> int:
             write_nifti(seg, seg_path)
             return record
 
+        def finish(record):
+            records.append(record)
+            _write_manifest(manifest_path, records)
+
+        # The manifest never lists a file that may be rewritten: it drops every
+        # record not reused before the first write, and lists a new sample
+        # only once both of its files are in place, in task order.
+        _write_manifest(manifest_path, records)
         if jobs <= 1 or len(tasks) <= 1:
             for task in tasks:
-                records.append(produce(task))
+                finish(produce(task))
         else:
             with ThreadPoolExecutor(max_workers=jobs) as pool:
-                records.extend(pool.map(produce, tasks))
+                for record in pool.map(produce, tasks):
+                    finish(record)
     except (MissingPriorError, MissingSubstitutionError) as exc:
-        _write_manifest(manifest_path, records)
         _log(f"generate: configuration error: {exc}")
         return EXIT_CONFIG
     except (SulcikitError, ValueError, OSError) as exc:
-        _write_manifest(manifest_path, records)
         _log(f"generate: {exc}")
         return EXIT_IO
 
-    _write_manifest(manifest_path, records)
     _log(f"generate: {len(records)} samples listed in {manifest_path} ({len(tasks)} new)")
     return EXIT_OK
 
 
 def _write_manifest(path: Path, records: list[dict]) -> None:
     records = sorted(records, key=lambda r: (r["id"], r["sample"]))
-    path.write_text(json.dumps({"samples": records}, indent=2, sort_keys=True) + "\n")
+    text = json.dumps({"samples": records}, indent=2, sort_keys=True) + "\n"
+    write_atomic(path, text.encode())
 
 
 def cmd_postprocess(args) -> int:

@@ -108,7 +108,7 @@ def dice(x: BinaryMask, y: BinaryMask) -> float:
     ny = y.count
     if nx + ny == 0:
         raise BothEmptyError("Dice undefined: both masks are empty")
-    overlap = int((x.voxels & y.voxels).sum())
+    overlap = int(np.count_nonzero(x.voxels & y.voxels))
     return 2.0 * overlap / (nx + ny)
 
 

@@ -287,6 +287,14 @@ def write_nifti(volume, path) -> None:
         with gzip.GzipFile(fileobj=buf, mode="wb", compresslevel=_GZIP_LEVEL, mtime=0) as gz:
             gz.write(payload)
         payload = buf.getvalue()
+    write_atomic(path, payload)
+
+
+def write_atomic(path, payload: bytes) -> None:
+    """Write ``payload`` to a hidden sibling ``.{name}.tmp``, then rename it
+    over ``path``, so ``path`` only ever holds complete contents. On failure
+    the temp file is removed and the error re-raised."""
+    path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp")
     try:
         tmp.write_bytes(payload)

@@ -1,10 +1,11 @@
 """Independent reference computations shared by ``sulcikit check`` and the tests.
 
-Each oracle computes its answer the slow, obvious way: breadth-first flood
-fill, exhaustive pairwise distances, explicit loops over a contrastive batch,
-one-coordinate-at-a-time central differences. This module imports only the
-standard library and numpy, never another sulcikit module, so a reference
-can never quietly become the code it is meant to check.
+Each oracle computes its answer the slow, obvious way: voxel-by-voxel
+neighbour growth, breadth-first flood fill, exhaustive pairwise distances,
+explicit loops over a contrastive batch, one-coordinate-at-a-time central
+differences. This module imports only the standard library and numpy,
+never another sulcikit module, so a reference can never quietly become the
+code it is meant to check.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ import numpy as np
 
 __all__ = [
     "neighbour_offsets",
+    "grow_by_neighbours",
     "flood_fill_components",
+    "postprocess_by_flood_fill",
     "brute_force_hausdorff",
     "brute_force_pair_term",
     "brute_force_contrastive",
@@ -40,6 +43,26 @@ def neighbour_offsets(connectivity: int) -> list[tuple[int, int, int]]:
                     continue
                 offsets.append((dx, dy, dz))
     return offsets
+
+
+def grow_by_neighbours(mask: np.ndarray, connectivity: int, radius: int) -> np.ndarray:
+    """Binary dilation one voxel at a time, ``radius`` times.
+
+    Each step switches on every in-volume neighbour of every foreground
+    voxel; nothing outside the volume is kept between steps.
+    """
+    offsets = neighbour_offsets(connectivity)
+    shape = mask.shape
+    grown = np.array(mask, dtype=bool)
+    for _ in range(radius):
+        step = grown.copy()
+        for cx, cy, cz in np.argwhere(grown):
+            for dx, dy, dz in offsets:
+                nx, ny, nz = cx + dx, cy + dy, cz + dz
+                if 0 <= nx < shape[0] and 0 <= ny < shape[1] and 0 <= nz < shape[2]:
+                    step[nx, ny, nz] = True
+        grown = step
+    return grown
 
 
 def flood_fill_components(mask: np.ndarray, connectivity: int) -> np.ndarray:
@@ -76,6 +99,18 @@ def flood_fill_components(mask: np.ndarray, connectivity: int) -> np.ndarray:
     for rank, (raw_id, _, _) in enumerate(components, start=1):
         remap[raw_id] = rank
     return remap[labels]
+
+
+def postprocess_by_flood_fill(
+    mask: np.ndarray, connectivity: int, radius: int, keep: int
+) -> np.ndarray:
+    """Prediction clean-up from the oracles: grow, flood fill, keep.
+
+    The input voxels whose grown component ranks within ``keep``.
+    """
+    grown = grow_by_neighbours(mask, connectivity, radius)
+    components = flood_fill_components(grown, connectivity)
+    return np.asarray(mask, dtype=bool) & (components > 0) & (components <= keep)
 
 
 def brute_force_hausdorff(x: np.ndarray, y: np.ndarray, spacing) -> float:

@@ -149,7 +149,7 @@ class BinaryMask:
 
     @property
     def count(self) -> int:
-        return int(self.voxels.sum())
+        return int(np.count_nonzero(self.voxels))
 
 
 def require_same_grid(a, b) -> None:

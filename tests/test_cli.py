@@ -108,7 +108,10 @@ class TestGenerate:
             ["generate", "--manifest", str(manifest_path), "--config",
              str(config_path), "--out", str(out_parallel), "--jobs", "1"]
         ) == 0
-        for name in _volume_files(out_serial):
+        names = sorted(p.name for p in out_serial.iterdir())
+        assert names == sorted(p.name for p in out_parallel.iterdir())
+        assert "manifest.json" in names
+        for name in names:
             assert (out_serial / name).read_bytes() == (out_parallel / name).read_bytes()
 
     def test_changed_config_regenerates(self, dataset, tmp_path, capsys):
@@ -172,6 +175,42 @@ class TestGenerate:
         config_path.write_text(json.dumps(config))
         assert main(args) == 0
         assert sorted(p.name for p in out.iterdir()) == sorted([*before, "manifest.json"])
+        for name, data in before.items():
+            assert (out / name).read_bytes() == data
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_rerun_after_interrupted_other_config_regenerates(
+        self, dataset, tmp_path, monkeypatch, jobs
+    ):
+        manifest_path, config_path = dataset
+        out = tmp_path / "out"
+        args = ["generate", "--manifest", str(manifest_path), "--config",
+                str(config_path), "--out", str(out), "--jobs", jobs]
+        assert main(args) == 0
+        before = {name: (out / name).read_bytes() for name in _volume_files(out)}
+
+        # a run under another config is interrupted at its third volume write,
+        # after replacing files the first run's manifest listed
+        config = json.loads(config_path.read_text())
+        other = dict(config, generator=dict(default_generator_config().to_dict(),
+                                            blur_sigma_range=[2.0, 2.5]))
+        config_path.write_text(json.dumps(other))
+        writes = []
+
+        def interrupt_third_write(volume, path):
+            writes.append(path)
+            if len(writes) == 3:
+                raise KeyboardInterrupt
+            write_nifti(volume, path)
+
+        with monkeypatch.context() as patch:
+            patch.setattr("sulcikit.cli.write_nifti", interrupt_third_write)
+            with pytest.raises(KeyboardInterrupt):
+                main(args)
+        assert any((out / name).read_bytes() != data for name, data in before.items())
+
+        config_path.write_text(json.dumps(config))
+        assert main(args) == 0
         for name, data in before.items():
             assert (out / name).read_bytes() == data
 
@@ -405,7 +444,7 @@ class TestCheck:
         assert main(["check"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert [c["name"] for c in doc["checks"]] == list(CHECK_NAMES)
-        assert len(CHECK_NAMES) == 14
+        assert len(CHECK_NAMES) == 15
         assert all(c["passed"] is True for c in doc["checks"])
 
     def test_unknown_filter_is_config_error(self):

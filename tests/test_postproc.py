@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
-from sulcikit.oracles import flood_fill_components
+from sulcikit.oracles import flood_fill_components, grow_by_neighbours, postprocess_by_flood_fill
 from sulcikit.postproc import (
     PostprocConfig,
     connected_components,
@@ -16,7 +17,33 @@ def _mask(array):
     return BinaryMask(VoxelGrid.from_spacing(array.shape), array)
 
 
+def _dilation_cases():
+    """Seeded random masks plus foreground on every face, edge and corner."""
+    rng = np.random.default_rng(7)
+    cases = [rng.random((9, 7, 5)) < 0.08, rng.random((4, 11, 6)) < 0.15]
+    rim = np.zeros((8, 6, 5), dtype=bool)
+    for x in (0, 3, 7):
+        for y in (0, 2, 5):
+            for z in (0, 2, 4):
+                rim[x, y, z] = (x, y, z) != (3, 2, 2)
+    cases.append(rim)
+    cases.append(np.ones((1, 3, 2), dtype=bool))
+    return cases
+
+
 class TestDilate:
+    @pytest.mark.parametrize("radius", [0, 1, 2, 3])
+    @pytest.mark.parametrize("connectivity", [6, 18, 26])
+    def test_matches_scipy_and_oracle(self, connectivity, radius):
+        structure = ndimage.generate_binary_structure(3, {6: 1, 18: 2, 26: 3}[connectivity])
+        for data in _dilation_cases():
+            ours = dilate(_mask(data), radius, connectivity).voxels
+            scipy_grown = (
+                ndimage.binary_dilation(data, structure, iterations=radius) if radius else data
+            )
+            assert np.array_equal(ours, scipy_grown)
+            assert np.array_equal(ours, grow_by_neighbours(data, connectivity, radius))
+
     def test_radius_zero_is_identity(self):
         rng = np.random.default_rng(0)
         mask = _mask(rng.random((8, 8, 8)) < 0.3)
@@ -193,6 +220,23 @@ class TestPostprocessCs:
             once = postprocess_cs(_mask(data))
             twice = postprocess_cs(once)
             assert np.array_equal(once.voxels, twice.voxels)
+
+    @pytest.mark.parametrize("connectivity", [6, 18, 26])
+    def test_matches_oracle_composition(self, connectivity):
+        rng = np.random.default_rng(8)
+        masks = [rng.random((12, 10, 9)) < 0.05 for _ in range(2)]
+        # four equal single voxels, ranked by linear index at every keep
+        ties = np.zeros((15, 6, 6), dtype=bool)
+        ties[[1, 5, 9, 13], 3, 3] = True
+        masks.append(ties)
+        for data in masks:
+            for radius in (0, 1, 2):
+                for keep in (1, 2, 3):
+                    ours = postprocess_cs(_mask(data), PostprocConfig(radius, connectivity, keep))
+                    expected = postprocess_by_flood_fill(data, connectivity, radius, keep)
+                    assert np.array_equal(ours.voxels, expected)
+        kept = postprocess_cs(_mask(ties), PostprocConfig(1, connectivity, 2)).voxels
+        assert np.array_equal(np.flatnonzero(kept[:, 3, 3]), [1, 5])
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
