@@ -16,6 +16,7 @@ import hashlib
 import json
 import os
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -45,6 +46,8 @@ EXIT_NO_PAIRS = 3
 EXIT_CHECK_FAILED = 4
 
 _NIFTI_SUFFIXES = (".nii.gz", ".nii")
+# shortest time between two manifest rewrites during a generate run
+_MANIFEST_INTERVAL_S = 1.0
 
 
 def _log(message: str) -> None:
@@ -233,20 +236,30 @@ def cmd_generate(args) -> int:
             return record
 
         def finish(record):
+            nonlocal listed, last_write
             records.append(record)
-            _write_manifest(manifest_path, records)
+            now = time.monotonic()
+            if now - last_write >= _MANIFEST_INTERVAL_S:
+                _write_manifest(manifest_path, records)
+                listed, last_write = len(records), now
 
         # The manifest never lists a file that may be rewritten: it drops every
         # record not reused before the first write, and lists a new sample
-        # only once both of its files are in place, in task order.
+        # only once both of its files are in place, in task order. Rewrites
+        # are throttled, and the last one runs however the loop ends.
         _write_manifest(manifest_path, records)
-        if jobs <= 1 or len(tasks) <= 1:
-            for task in tasks:
-                finish(produce(task))
-        else:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                for record in pool.map(produce, tasks):
-                    finish(record)
+        listed, last_write = len(records), time.monotonic()
+        try:
+            if jobs <= 1 or len(tasks) <= 1:
+                for task in tasks:
+                    finish(produce(task))
+            else:
+                with ThreadPoolExecutor(max_workers=jobs) as pool:
+                    for record in pool.map(produce, tasks):
+                        finish(record)
+        finally:
+            if len(records) > listed:
+                _write_manifest(manifest_path, records)
     except (MissingPriorError, MissingSubstitutionError) as exc:
         _log(f"generate: configuration error: {exc}")
         return EXIT_CONFIG

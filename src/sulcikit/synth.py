@@ -53,6 +53,9 @@ DEFAULT_SULCUS_LABEL_START = 48
 
 _MASK64 = (1 << 64) - 1
 
+# rows along axis 0 that deform_labels warps at a time
+_SLAB_ROWS = 16
+
 
 def mix_seed(seed: int, index: int) -> int:
     """Derive an independent child seed from (seed, index), splitmix64-style."""
@@ -300,9 +303,11 @@ def sample_elastic(config: GeneratorConfig, grid: VoxelGrid, rng_seed: int) -> D
     rng = np.random.default_rng(rng_seed)
     sigma = rng.uniform(*config.elastic_std_range)
     control = rng.standard_normal(size=config.elastic_grid + (3,)) * sigma
-    disp = np.stack(
-        [_upsample_lattice(control[..., c], grid.shape) for c in range(3)], axis=-1
-    )
+    # each component is cast straight into its float32 slot, the cast that
+    # DeformationField would otherwise make of a stacked float64 copy
+    disp = np.empty(grid.shape + (3,), dtype=np.float32)
+    for c in range(3):
+        disp[..., c] = _upsample_lattice(control[..., c], grid.shape)
     return DeformationField(grid, disp)
 
 
@@ -313,24 +318,35 @@ def deform_labels(labels: LabelVolume, affine: np.ndarray, field_: DeformationFi
     ``centre + A @ (x + u(x) - centre)``: the displacement field applies
     first, then the affine acts about the volume centre. Reads outside the
     volume give background 0; output geometry equals the input geometry.
+
+    The output is filled in fixed slabs of ``_SLAB_ROWS`` rows along axis 0,
+    so the working memory beyond the output does not grow with axis 0.
     """
     require_same_grid(labels, field_)
     affine = np.asarray(affine, dtype=np.float64)
     shape = labels.grid.shape
     centre = (np.asarray(shape, dtype=np.float64) - 1.0) / 2.0
-    # x + u(x) - centre, one axis at a time into a single (*shape, 3) array
-    pos = np.empty(shape + (3,), dtype=np.float64)
-    for axis, size in enumerate(shape):
-        along = np.arange(size, dtype=np.float64).reshape((-1,) + (1,) * (2 - axis))
-        np.add(along, field_.displacement[..., axis], out=pos[..., axis])
-    pos -= centre
-    # the 3x3 product stays one matmul: an element-wise rewrite sums in
-    # another order and moves coordinates by an ulp
-    src = pos @ affine[:3, :3].T
-    del pos
-    src += affine[:3, 3]
-    src += centre
-    return labels.with_voxels(nearest_sample(labels.voxels, src, fill=0))
+    out = np.empty(shape, dtype=labels.voxels.dtype)
+    for x0 in range(0, shape[0], _SLAB_ROWS):
+        x1 = min(x0 + _SLAB_ROWS, shape[0])
+        disp = field_.displacement[x0:x1]
+        # x + u(x) - centre into a single (rows, ny, nz, 3) array; the offsets
+        # are added one axis at a time, a scalar per strided pass, since a
+        # broadcast over the length-3 last axis runs one tiny loop per voxel
+        pos = np.empty(disp.shape, dtype=np.float64)
+        for axis, (lo, hi) in enumerate(((x0, x1), (0, shape[1]), (0, shape[2]))):
+            along = np.arange(lo, hi, dtype=np.float64).reshape((-1,) + (1,) * (2 - axis))
+            np.add(along, disp[..., axis], out=pos[..., axis])
+            pos[..., axis] -= centre[axis]
+        # the 3x3 product stays one matmul: an element-wise rewrite sums in
+        # another order and moves coordinates by an ulp
+        src = pos @ affine[:3, :3].T
+        del pos
+        for axis in range(3):
+            src[..., axis] += affine[axis, 3]
+            src[..., axis] += centre[axis]
+        out[x0:x1] = nearest_sample(labels.voxels, src, fill=0)
+    return labels.with_voxels(out)
 
 
 def substitute_sulci(
@@ -344,11 +360,10 @@ def substitute_sulci(
     pass through untouched. Used on a synthesis-only copy, never on the
     emitted segmentation.
     """
-    present = np.unique(labels.voxels)
     table = {int(k): int(v) for k, v in substitution_table.items()}
-    for label in present:
-        if label >= sulcus_label_start and int(label) not in table:
-            raise MissingSubstitutionError(int(label))
+    for label in labels.labels_present():
+        if label >= sulcus_label_start and label not in table:
+            raise MissingSubstitutionError(label)
     lut = np.arange(65536, dtype=np.uint16)
     for src, dst in table.items():
         lut[src] = dst
@@ -429,8 +444,11 @@ def apply_bias_field(
     rng = np.random.default_rng(rng_seed)
     sigma = rng.uniform(*config.bias_std_range)
     control = rng.standard_normal(size=config.bias_grid) * sigma
-    log_field = _upsample_lattice(control, image.grid.shape)
-    return image.with_voxels(image.voxels * np.exp(log_field))
+    # exponentiate and multiply in the upsampled buffer: no full temporaries
+    bias = _upsample_lattice(control, image.grid.shape)
+    np.exp(bias, out=bias)
+    bias *= image.voxels
+    return image.with_voxels(bias)
 
 
 def normalize_intensity(image: IntensityVolume) -> IntensityVolume:
@@ -457,8 +475,14 @@ def generate_sample(
     affine = sample_affine(config, mix_seed(seed, 1))
     field_ = sample_elastic(config, labels.grid, mix_seed(seed, 2))
     deformed = deform_labels(labels, affine, field_)
-    synth_map = substitute_sulci(deformed, config.substitution_table, config.sulcus_label_start)
-    image = sample_intensities(synth_map, priors, mix_seed(seed, 3))
+    # the field and the synthesis-only map are dropped once used, so neither is
+    # held through the full-volume blur and bias stages
+    del field_
+    image = sample_intensities(
+        substitute_sulci(deformed, config.substitution_table, config.sulcus_label_start),
+        priors,
+        mix_seed(seed, 3),
+    )
     blur_sigma = np.random.default_rng(mix_seed(seed, 4)).uniform(*config.blur_sigma_range)
     image = gaussian_blur(image, blur_sigma)
     image = apply_bias_field(image, config, mix_seed(seed, 5))

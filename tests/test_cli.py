@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from sulcikit import cli
 from sulcikit.checks import CHECK_NAMES
 from sulcikit.cli import main
 from sulcikit.nifti import read_nifti, write_nifti
@@ -213,6 +214,71 @@ class TestGenerate:
         assert main(args) == 0
         for name, data in before.items():
             assert (out / name).read_bytes() == data
+
+    def test_manifest_rewrites_are_throttled(self, tmp_path, monkeypatch):
+        root = tmp_path / "data"
+        root.mkdir()
+        write_nifti(make_phantom(shape=(10, 10, 8)), root / "s_labels.nii.gz")
+        manifest_path = root / "manifest.json"
+        manifest_path.write_text(json.dumps(
+            {"root": ".", "entries": [{"id": "s", "label_map_path": "s_labels.nii.gz"}]}
+        ))
+        config_path = root / "config.json"
+        config_path.write_text(json.dumps({"samples_per_subject": 30, "master_seed": 3}))
+        ticks = iter(range(10**6))
+        monkeypatch.setattr(cli.time, "monotonic", lambda: next(ticks) * 0.25)
+        write_manifest = cli._write_manifest
+        writes = []
+
+        def counting_write(path, records):
+            writes.append(len(records))
+            write_manifest(path, records)
+
+        monkeypatch.setattr(cli, "_write_manifest", counting_write)
+        manifests = {}
+        counts = {}
+        for interval in (cli._MANIFEST_INTERVAL_S, 0.0):
+            monkeypatch.setattr(cli, "_MANIFEST_INTERVAL_S", interval)
+            writes.clear()
+            out = tmp_path / f"out{interval}"
+            assert main(["generate", "--manifest", str(manifest_path), "--config",
+                         str(config_path), "--out", str(out)]) == 0
+            manifests[interval] = (out / "manifest.json").read_bytes()
+            counts[interval] = len(writes)
+            # the first write lists no records, the last one all 30
+            assert writes[0] == 0 and writes[-1] == 30
+            assert writes == sorted(set(writes))
+        # a clock tick of 0.25 s per sample: a write every fourth sample,
+        # against one per sample when unthrottled
+        assert counts == {1.0: 9, 0.0: 31}
+        assert manifests[1.0] == manifests[0.0]
+        assert len(json.loads(manifests[1.0])["samples"]) == 30
+
+    @pytest.mark.parametrize("error", [KeyboardInterrupt, OSError])
+    def test_samples_finished_before_a_failure_are_listed(
+        self, dataset, tmp_path, monkeypatch, error
+    ):
+        manifest_path, config_path = dataset
+        out = tmp_path / "out"
+        monkeypatch.setattr(cli.time, "monotonic", lambda: 0.0)  # no throttled rewrite
+        writes = []
+
+        def fail_fifth_write(volume, path):
+            writes.append(path)
+            if len(writes) == 5:
+                raise error("interrupted")
+            write_nifti(volume, path)
+
+        monkeypatch.setattr("sulcikit.cli.write_nifti", fail_fifth_write)
+        args = ["generate", "--manifest", str(manifest_path), "--config",
+                str(config_path), "--out", str(out)]
+        if error is KeyboardInterrupt:
+            with pytest.raises(KeyboardInterrupt):
+                main(args)
+        else:
+            assert main(args) == 2
+        listing = json.loads((out / "manifest.json").read_text())["samples"]
+        assert [(r["id"], r["sample"]) for r in listing] == [("s1", 0), ("s1", 1)]
 
     def test_tissue_map_overlay(self, tmp_path):
         root = tmp_path / "d"

@@ -21,6 +21,7 @@ from sulcikit.synth import (
     sample_intensities,
     substitute_sulci,
 )
+from sulcikit.synth import _upsample_lattice
 
 
 def identity_config(**overrides):
@@ -91,6 +92,21 @@ class TestSampleElastic:
                 expected = trilinear_oracle(control[..., c], t)
                 assert field.displacement[x, y, z, c] == pytest.approx(expected, abs=1e-6)
 
+    def test_field_equals_stacked_components(self, unit_grid):
+        config = default_generator_config(elastic_grid=(3, 4, 3))
+        grid = unit_grid((9, 7, 5))
+        field = sample_elastic(config, grid, rng_seed=6)
+
+        rng = np.random.default_rng(6)
+        sigma = rng.uniform(*config.elastic_std_range)
+        control = rng.standard_normal(size=(3, 4, 3, 3)) * sigma
+        expected = np.stack(
+            [_upsample_lattice(control[..., c], grid.shape) for c in range(3)], axis=-1
+        ).astype(np.float32)
+        assert field.displacement.dtype == np.float32
+        assert field.displacement.flags.c_contiguous
+        assert np.array_equal(field.displacement, expected)
+
     def test_rejects_degenerate_lattice(self, unit_grid):
         config = default_generator_config(elastic_grid=(1, 4, 4))
         with pytest.raises(ValueError):
@@ -127,7 +143,10 @@ class TestDeformLabels:
         expected[:-1] = data[1:]
         assert np.array_equal(out.voxels, expected)
 
-    @pytest.mark.parametrize("shape", [(9, 7, 5), (5, 11, 4)])
+    # axis-0 sizes 1 to 33 cover one slab, a partial slab and slab boundaries
+    @pytest.mark.parametrize(
+        "shape", [(9, 7, 5), (5, 11, 4), (1, 5, 4), (15, 5, 4), (16, 5, 4), (17, 5, 4), (33, 5, 4)]
+    )
     def test_matches_per_voxel_oracle(self, labels_from, deform_oracle, shape):
         # labels 1..9, so a 0 in the output is a read outside the volume
         seed = sum(shape)
@@ -183,6 +202,14 @@ class TestSubstituteSulci:
         with pytest.raises(MissingSubstitutionError) as err:
             substitute_sulci(labels_from(data), {48: 2})
         assert err.value.label == 49
+
+    def test_unmapped_label_among_mapped_raises(self, labels_from):
+        data = np.full((5, 4, 3), 48, dtype=np.uint16)
+        data[1] = 2
+        data[-1, -1, -1] = 300
+        with pytest.raises(MissingSubstitutionError) as err:
+            substitute_sulci(labels_from(data), {48: 2, 49: 2})
+        assert err.value.label == 300
 
     def test_threshold_is_configurable(self, labels_from):
         data = np.full((2, 2, 2), 30, dtype=np.uint16)

@@ -58,6 +58,19 @@ class TestVolumeTypes:
         with pytest.raises(ValueError):
             vol.voxels[0, 0, 0] = 3
 
+    @pytest.mark.parametrize("high", [2, 70, 65536])
+    def test_labels_present_matches_unique(self, labels_from, high):
+        data = np.random.default_rng(high).integers(0, high, (7, 6, 5), dtype=np.uint16)
+        assert labels_from(data).labels_present() == np.unique(data).tolist()
+
+    def test_labels_present_all_zero(self, labels_from):
+        assert labels_from(np.zeros((3, 4, 2), dtype=np.uint16)).labels_present() == [0]
+
+    def test_labels_present_top_label(self, labels_from):
+        data = np.full((3, 3, 3), 7, dtype=np.uint16)
+        data[2, 2, 2] = 65535
+        assert labels_from(data).labels_present() == [7, 65535]
+
 
 class TestCropToContent:
     def test_single_voxel(self, labels_from):
