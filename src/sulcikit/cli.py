@@ -2,10 +2,10 @@
 
 Machine-readable output (JSON, CSV) goes to stdout or files; human messages
 go to stderr. Exit codes are stable: 0 success, 1 configuration error, 2 I/O
-or data error, 3 empty pairing, 4 failed self-check. Every command is
-deterministic given its inputs, flags and master seed, including under the
-thread-level parallelism selected with --jobs (the SULCIKIT_JOBS environment
-variable overrides the flag).
+or data error, 3 empty pairing, 4 failed self-check. Commands raise, and
+``main`` alone maps an error to its exit code, through ``_EXIT_CODES``.
+Every command is deterministic given its inputs, flags and master seed,
+including under the thread-level parallelism selected with --jobs.
 """
 
 from __future__ import annotations
@@ -14,10 +14,10 @@ import argparse
 import csv
 import hashlib
 import json
-import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,6 +25,7 @@ import numpy as np
 
 from . import checks as checks_mod
 from .errors import (
+    ConfigError,
     MissingPriorError,
     MissingSubstitutionError,
     NoValidEntriesError,
@@ -35,7 +36,7 @@ from .nifti import read_nifti, write_atomic, write_nifti
 from .postproc import PostprocConfig, postprocess_cs
 from .presets import default_generator_config, default_priors
 from .synth import GeneratorConfig, TissuePriors, generate_sample, mix_seed
-from .volume import BinaryMask, LabelVolume
+from .volume import BinaryMask, LabelVolume, require_same_grid
 
 __all__ = ["main", "entrypoint", "DatasetManifest", "ManifestEntry", "RunConfig"]
 
@@ -45,6 +46,16 @@ EXIT_IO = 2
 EXIT_NO_PAIRS = 3
 EXIT_CHECK_FAILED = 4
 
+# error type -> exit code; the first entry the error is an instance of wins
+_EXIT_CODES = {
+    ConfigError: EXIT_CONFIG,
+    MissingPriorError: EXIT_CONFIG,
+    MissingSubstitutionError: EXIT_CONFIG,
+    SulcikitError: EXIT_IO,
+    OSError: EXIT_IO,
+    ValueError: EXIT_IO,
+}
+
 _NIFTI_SUFFIXES = (".nii.gz", ".nii")
 # shortest time between two manifest rewrites during a generate run
 _MANIFEST_INTERVAL_S = 1.0
@@ -52,6 +63,15 @@ _MANIFEST_INTERVAL_S = 1.0
 
 def _log(message: str) -> None:
     print(message, file=sys.stderr)
+
+
+@contextmanager
+def _configuration():
+    """Mark a command's configuration step: what fails in it is a ConfigError."""
+    try:
+        yield
+    except (KeyError, ValueError, TypeError, OSError) as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -114,6 +134,8 @@ class RunConfig:
     @classmethod
     def from_json(cls, path) -> "RunConfig":
         data = json.loads(Path(path).read_text())
+        if not isinstance(data, dict):
+            raise ValueError(f"run config must be a JSON object, got {type(data).__name__}")
         generator = (
             GeneratorConfig.from_dict(data["generator"])
             if "generator" in data
@@ -154,42 +176,28 @@ def _load_subject_labels(entry: ManifestEntry) -> LabelVolume:
     if entry.tissue_map_path is None:
         return labels
     tissue = read_nifti(entry.tissue_map_path, kind="labels")
-    if not tissue.grid.same_geometry(labels.grid):
-        raise ValueError(
-            f"tissue and label maps disagree on geometry for subject {entry.id!r}"
-        )
+    require_same_grid(tissue, labels)
     combined = np.where(labels.voxels != 0, labels.voxels, tissue.voxels)
     return LabelVolume(labels.grid, combined)
 
 
-def _resolve_jobs(args) -> int:
-    env = os.environ.get("SULCIKIT_JOBS")
-    if env is not None:
-        return max(1, int(env))
-    return max(1, args.jobs)
-
-
 def cmd_generate(args) -> int:
-    try:
+    with _configuration():
         manifest = DatasetManifest.from_json(args.manifest)
         run = RunConfig.from_json(args.config) if args.config else RunConfig.defaults()
         master_seed = run.master_seed if args.seed is None else args.seed
         out_dir = Path(args.out) if args.out else run.output_dir
         if out_dir is None:
             raise ValueError("no output directory: pass --out or set output_dir in the config")
-        jobs = _resolve_jobs(args)
-    except (KeyError, ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
-        _log(f"generate: configuration error: {exc}")
-        return EXIT_CONFIG
+        out_dir.mkdir(parents=True, exist_ok=True)
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     manifest_path = out_dir / "manifest.json"
     previous = {}
     if manifest_path.exists():
         try:
             for rec in json.loads(manifest_path.read_text())["samples"]:
                 previous[(rec["id"], rec["sample"])] = rec
-        except (ValueError, KeyError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             _log(f"generate: ignoring unreadable manifest {manifest_path}: {exc}")
 
     # a record made under another generator config or other priors is stale
@@ -200,72 +208,65 @@ def cmd_generate(args) -> int:
     records = []
     tasks = []
     cache: dict[str, LabelVolume] = {}
+    for idx, entry in enumerate(manifest.entries):
+        subject_seed = mix_seed(master_seed, idx)
+        for sample in range(run.samples_per_subject):
+            seed = mix_seed(subject_seed, sample)
+            stem = f"{entry.id}_{sample:03d}"
+            record = {
+                "id": entry.id,
+                "sample": sample,
+                "seed": seed,
+                "source": str(entry.label_map_path),
+                "image": f"{stem}_img.nii.gz",
+                "labels": f"{stem}_seg.nii.gz",
+                "config_sha256": config_sha256,
+            }
+            img_path = out_dir / record["image"]
+            seg_path = out_dir / record["labels"]
+            if (
+                previous.get((entry.id, sample)) == record
+                and img_path.exists()
+                and seg_path.exists()
+            ):
+                records.append(record)
+                continue
+            if entry.id not in cache:
+                cache[entry.id] = _load_subject_labels(entry)
+            tasks.append((cache[entry.id], seed, img_path, seg_path, record))
+
+    def produce(task):
+        labels, seed, img_path, seg_path, record = task
+        image, seg = generate_sample(labels, run.priors, run.generator, seed)
+        write_nifti(image, img_path)
+        write_nifti(seg, seg_path)
+        return record
+
+    def finish(record):
+        nonlocal listed, last_write
+        records.append(record)
+        now = time.monotonic()
+        if now - last_write >= _MANIFEST_INTERVAL_S:
+            _write_manifest(manifest_path, records)
+            listed, last_write = len(records), now
+
+    # The manifest never lists a file that may be rewritten: it drops every
+    # record not reused before the first write, and lists a new sample
+    # only once both of its files are in place, in task order. Rewrites
+    # are throttled, and the last one runs however the loop ends.
+    _write_manifest(manifest_path, records)
+    listed, last_write = len(records), time.monotonic()
     try:
-        for idx, entry in enumerate(manifest.entries):
-            subject_seed = mix_seed(master_seed, idx)
-            for sample in range(run.samples_per_subject):
-                seed = mix_seed(subject_seed, sample)
-                stem = f"{entry.id}_{sample:03d}"
-                record = {
-                    "id": entry.id,
-                    "sample": sample,
-                    "seed": seed,
-                    "source": str(entry.label_map_path),
-                    "image": f"{stem}_img.nii.gz",
-                    "labels": f"{stem}_seg.nii.gz",
-                    "config_sha256": config_sha256,
-                }
-                img_path = out_dir / record["image"]
-                seg_path = out_dir / record["labels"]
-                if (
-                    previous.get((entry.id, sample)) == record
-                    and img_path.exists()
-                    and seg_path.exists()
-                ):
-                    records.append(record)
-                    continue
-                if entry.id not in cache:
-                    cache[entry.id] = _load_subject_labels(entry)
-                tasks.append((cache[entry.id], seed, img_path, seg_path, record))
-
-        def produce(task):
-            labels, seed, img_path, seg_path, record = task
-            image, seg = generate_sample(labels, run.priors, run.generator, seed)
-            write_nifti(image, img_path)
-            write_nifti(seg, seg_path)
-            return record
-
-        def finish(record):
-            nonlocal listed, last_write
-            records.append(record)
-            now = time.monotonic()
-            if now - last_write >= _MANIFEST_INTERVAL_S:
-                _write_manifest(manifest_path, records)
-                listed, last_write = len(records), now
-
-        # The manifest never lists a file that may be rewritten: it drops every
-        # record not reused before the first write, and lists a new sample
-        # only once both of its files are in place, in task order. Rewrites
-        # are throttled, and the last one runs however the loop ends.
-        _write_manifest(manifest_path, records)
-        listed, last_write = len(records), time.monotonic()
-        try:
-            if jobs <= 1 or len(tasks) <= 1:
-                for task in tasks:
-                    finish(produce(task))
-            else:
-                with ThreadPoolExecutor(max_workers=jobs) as pool:
-                    for record in pool.map(produce, tasks):
-                        finish(record)
-        finally:
-            if len(records) > listed:
-                _write_manifest(manifest_path, records)
-    except (MissingPriorError, MissingSubstitutionError) as exc:
-        _log(f"generate: configuration error: {exc}")
-        return EXIT_CONFIG
-    except (SulcikitError, ValueError, OSError) as exc:
-        _log(f"generate: {exc}")
-        return EXIT_IO
+        if args.jobs <= 1 or len(tasks) <= 1:
+            for task in tasks:
+                finish(produce(task))
+        else:
+            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+                for record in pool.map(produce, tasks):
+                    finish(record)
+    finally:
+        if len(records) > listed:
+            _write_manifest(manifest_path, records)
 
     _log(f"generate: {len(records)} samples listed in {manifest_path} ({len(tasks)} new)")
     return EXIT_OK
@@ -278,30 +279,20 @@ def _write_manifest(path: Path, records: list[dict]) -> None:
 
 
 def cmd_postprocess(args) -> int:
-    try:
+    with _configuration():
         config = PostprocConfig(args.radius, args.connectivity, args.keep)
-    except ValueError as exc:
-        _log(f"postprocess: configuration error: {exc}")
-        return EXIT_CONFIG
     paths = [Path(p) for p in args.inputs]
-    for path in paths:
+    stems = [_strip_nifti_suffix(path.name) for path in paths]
+    for path, stem in zip(paths, stems):
         if not path.exists():
-            _log(f"postprocess: no such file: {path}")
-            return EXIT_IO
-    try:
-        for path in paths:
-            stem = _strip_nifti_suffix(path.name)
-            if stem is None:
-                _log(f"postprocess: not a NIfTI path: {path}")
-                return EXIT_IO
-            mask = _read_mask(path)
-            cleaned = postprocess_cs(mask, config)
-            out_path = path.with_name(path.name.replace(stem, stem + "_pp", 1))
-            write_nifti(cleaned, out_path)
-            _log(f"postprocess: {path} -> {out_path} ({cleaned.count} voxels kept)")
-    except (SulcikitError, OSError) as exc:
-        _log(f"postprocess: {exc}")
-        return EXIT_IO
+            raise FileNotFoundError(f"no such file: {path}")
+        if stem is None:
+            raise ValueError(f"not a NIfTI path: {path}")
+    for path, stem in zip(paths, stems):
+        cleaned = postprocess_cs(_read_mask(path), config)
+        out_path = path.with_name(path.name.replace(stem, stem + "_pp", 1))
+        write_nifti(cleaned, out_path)
+        _log(f"postprocess: {path} -> {out_path} ({cleaned.count} voxels kept)")
     return EXIT_OK
 
 
@@ -318,8 +309,7 @@ def cmd_evaluate(args) -> int:
     pred_dir = Path(args.pred)
     gt_dir = Path(args.gt)
     if not pred_dir.is_dir() or not gt_dir.is_dir():
-        _log("evaluate: prediction and ground-truth directories must exist")
-        return EXIT_IO
+        raise NotADirectoryError("prediction and ground-truth directories must exist")
     pred = _nifti_stems(pred_dir)
     gt = _nifti_stems(gt_dir)
     matched = sorted(set(pred) & set(gt))
@@ -331,14 +321,10 @@ def cmd_evaluate(args) -> int:
         _log("evaluate: no matching prediction/ground-truth pairs")
         return EXIT_NO_PAIRS
 
-    try:
-        reports = [
-            evaluate_pair(_read_mask(pred[stem]), _read_mask(gt[stem]), identifier=stem)
-            for stem in matched
-        ]
-    except (SulcikitError, OSError) as exc:
-        _log(f"evaluate: {exc}")
-        return EXIT_IO
+    reports = [
+        evaluate_pair(_read_mask(pred[stem]), _read_mask(gt[stem]), identifier=stem)
+        for stem in matched
+    ]
 
     try:
         summary = aggregate(reports).to_dict()
@@ -375,14 +361,10 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_check(args) -> int:
-    try:
+    with _configuration():
         results = checks_mod.run_checks(args.filter, args.inject_fault)
-    except ValueError as exc:
-        _log(f"check: {exc}")
-        return EXIT_CONFIG
     if not results:
-        _log(f"check: no checks match filter {args.filter!r}")
-        return EXIT_CONFIG
+        raise ConfigError(f"no checks match filter {args.filter!r}")
     for result in results:
         status = "pass" if result.passed else "FAIL"
         _log(f"check: [{status}] {result.name} (observed {result.observed:.3g},"
@@ -433,7 +415,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except tuple(_EXIT_CODES) as exc:
+        code = next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
+        prefix = "configuration error: " if code == EXIT_CONFIG else ""
+        _log(f"{args.command}: {prefix}{exc}")
+        return code
 
 
 def entrypoint() -> None:

@@ -5,6 +5,10 @@ class SulcikitError(Exception):
     """Base class for all errors raised by sulcikit."""
 
 
+class ConfigError(SulcikitError):
+    """A run's manifest, config file, output directory or flags are unusable."""
+
+
 class CorruptHeaderError(SulcikitError):
     """File is not a readable single-file NIfTI-1 image."""
 

@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import (
     CorruptHeaderError,
+    NonFiniteError,
     NonIntegerLabelsError,
     UnsupportedDatatypeError,
 )
@@ -167,8 +168,9 @@ def read_nifti(path, kind: str = "intensity"):
     ``kind`` selects the returned type: ``"intensity"`` (IntensityVolume,
     float32) or ``"labels"`` (LabelVolume, uint16, raising
     NonIntegerLabelsError when the stored values are not integers in
-    0..65535). A malformed header or a truncated file raises
-    CorruptHeaderError.
+    0..65535). Intensities that are not finite as float32 raise
+    NonFiniteError. A malformed header (a non-finite affine included) or a
+    truncated file raises CorruptHeaderError.
     """
     if kind not in ("intensity", "labels"):
         raise ValueError(f"kind must be 'intensity' or 'labels', got {kind!r}")
@@ -216,7 +218,8 @@ def read_nifti(path, kind: str = "intensity"):
     if not (np.isfinite(slope) and np.isfinite(inter)):
         raise CorruptHeaderError(f"scl_slope {slope} or scl_inter {inter} is not finite")
     if slope not in (0.0, 1.0) or inter != 0.0:
-        data = data.astype(np.float64) * slope + inter
+        with np.errstate(over="ignore", invalid="ignore"):
+            data = data.astype(np.float64) * slope + inter
 
     affine = _resolve_affine(hdr)
     try:
@@ -226,13 +229,17 @@ def read_nifti(path, kind: str = "intensity"):
 
     if kind == "labels":
         if np.issubdtype(data.dtype, np.floating):
-            if not np.array_equal(data, np.round(data)):
-                raise NonIntegerLabelsError(f"{path}: voxel values are not integers")
+            if not (np.isfinite(data).all() and np.array_equal(data, np.round(data))):
+                raise NonIntegerLabelsError(f"{path}: voxel values are not finite integers")
             data = data.astype(np.int64)
         if data.size and (int(data.min()) < 0 or int(data.max()) > _MAX_LABEL):
             raise NonIntegerLabelsError(f"{path}: values outside 0..{_MAX_LABEL} cannot be labels")
         return LabelVolume(grid, data)
-    return IntensityVolume(grid, data.astype(np.float32))
+    with np.errstate(over="ignore"):
+        data = data.astype(np.float32)
+    if not np.isfinite(data).all():
+        raise NonFiniteError(f"{path}: voxel values are not finite in float32")
+    return IntensityVolume(grid, data)
 
 
 def _build_header(volume, datatype: int, bitpix: int) -> bytes:

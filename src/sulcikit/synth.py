@@ -87,6 +87,14 @@ def _axis_pairs(value, name: str):
     raise ValueError(f"{name} must be (low, high) or three such pairs")
 
 
+def _lattice(value, name: str) -> tuple[int, int, int]:
+    """A control lattice: three node counts, each at least 2."""
+    lattice = tuple(int(g) for g in value)
+    if len(lattice) != 3 or any(g < 2 for g in lattice):
+        raise ValueError(f"{name} must be three entries >= 2, got {lattice}")
+    return lattice
+
+
 @dataclass(frozen=True)
 class TissuePriors:
     """Per-label Gaussian hyper-ranges: label -> (mean_range, std_range)."""
@@ -161,8 +169,8 @@ class GeneratorConfig:
         object.__setattr__(
             self, "translation_range", _axis_pairs(self.translation_range, "translation_range")
         )
-        object.__setattr__(self, "elastic_grid", tuple(int(g) for g in self.elastic_grid))
-        object.__setattr__(self, "bias_grid", tuple(int(g) for g in self.bias_grid))
+        object.__setattr__(self, "elastic_grid", _lattice(self.elastic_grid, "elastic_grid"))
+        object.__setattr__(self, "bias_grid", _lattice(self.bias_grid, "bias_grid"))
         object.__setattr__(
             self, "elastic_std_range", _pair(self.elastic_std_range, "elastic_std_range", 0.0)
         )
@@ -298,8 +306,6 @@ def sample_elastic(config: GeneratorConfig, grid: VoxelGrid, rng_seed: int) -> D
     sigma ~ U(elastic_std_range), then upsampled trilinearly to the full
     grid (control lattice corner-aligned with the volume).
     """
-    if any(g < 2 for g in config.elastic_grid):
-        raise ValueError(f"elastic_grid entries must be >= 2, got {config.elastic_grid}")
     rng = np.random.default_rng(rng_seed)
     sigma = rng.uniform(*config.elastic_std_range)
     control = rng.standard_normal(size=config.elastic_grid + (3,)) * sigma
@@ -439,8 +445,6 @@ def apply_bias_field(
     with sigma_b ~ U(bias_std_range), upsampled trilinearly, exponentiated
     and applied voxel-wise.
     """
-    if any(g < 2 for g in config.bias_grid):
-        raise ValueError(f"bias_grid entries must be >= 2, got {config.bias_grid}")
     rng = np.random.default_rng(rng_seed)
     sigma = rng.uniform(*config.bias_std_range)
     control = rng.standard_normal(size=config.bias_grid) * sigma

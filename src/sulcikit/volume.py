@@ -37,7 +37,7 @@ _SPACING_RTOL = 1e-5
 class VoxelGrid:
     """Geometry of a 3D volume: shape (voxels), spacing (mm) and world affine.
 
-    The affine is a 4x4 matrix mapping voxel indices to world millimetres;
+    The affine is a finite 4x4 matrix mapping voxel indices to world millimetres;
     the norm of each of its first three columns must match the spacing.
     """
 
@@ -55,6 +55,8 @@ class VoxelGrid:
             raise ValueError(f"spacing must be 3 positive reals, got {spacing}")
         if affine.shape != (4, 4):
             raise ValueError("affine must be a 4x4 matrix")
+        if not np.isfinite(affine).all():
+            raise ValueError("affine contains NaN or Inf")
         norms = np.linalg.norm(affine[:3, :3], axis=0)
         if not np.allclose(norms, spacing, rtol=_SPACING_RTOL, atol=0.0):
             raise ValueError(

@@ -89,16 +89,25 @@ def deform_oracle():
 
 @pytest.fixture
 def fail_mid_write(monkeypatch):
-    """``arm(error)``: from then on ``Path.write_bytes`` stores half its bytes and
-    raises ``error``; ``monkeypatch.undo()`` restores it."""
+    """``arm(error, when)``: from then on ``Path.write_bytes`` to a file whose
+    name satisfies ``when`` stores half its bytes and raises ``error``; other
+    writes go through. ``arm`` returns the list of names it failed on;
+    ``monkeypatch.undo()`` restores ``write_bytes``."""
 
-    def arm(error):
+    def arm(error, when=lambda name: True):
+        write_bytes = Path.write_bytes
+        failed = []
+
         def write_half(self, data):
+            if not when(self.name):
+                return write_bytes(self, data)
+            failed.append(self.name)
             with open(self, "wb") as fh:
                 fh.write(data[: len(data) // 2])
             raise error("interrupted mid-write")
 
         monkeypatch.setattr(Path, "write_bytes", write_half)
+        return failed
 
     return arm
 
@@ -126,8 +135,8 @@ def _truncated_gzip(raw):
 _NAN = struct.pack("<f", float("nan"))
 
 # id -> (mutation, read_nifti kind, error); header offsets: dim 40, datatype 70,
-# bitpix 72, vox_offset 108, scl_slope 112
-_MALFORMED_NIFTI = {
+# bitpix 72, vox_offset 108, scl_slope 112, srow_x 280
+MALFORMED_NIFTI = {
     "two-negative-dims": (
         _overwrite(42, struct.pack("<3h", -1, -1, 4)), "intensity", CorruptHeaderError
     ),
@@ -141,10 +150,13 @@ _MALFORMED_NIFTI = {
     "truncated-gzip": (_truncated_gzip, "intensity", CorruptHeaderError),
     "nan-scl-slope": (_overwrite(112, _NAN), "intensity", CorruptHeaderError),
     "bitpix-mismatch": (_overwrite(72, struct.pack("<h", 64)), "intensity", CorruptHeaderError),
+    "inf-srow": (
+        _overwrite(280, struct.pack("<f", float("inf"))), "intensity", CorruptHeaderError
+    ),
 }
 
 
-@pytest.fixture(params=list(_MALFORMED_NIFTI.values()), ids=list(_MALFORMED_NIFTI))
+@pytest.fixture(params=list(MALFORMED_NIFTI.values()), ids=list(MALFORMED_NIFTI))
 def malformed_nifti(request):
     """``(mutate, kind, error)``: ``mutate`` corrupts the bytes of a .nii written
     by ``write_nifti``; reading the result as ``kind`` must raise ``error``."""

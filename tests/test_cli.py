@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +9,12 @@ import pytest
 from sulcikit import cli
 from sulcikit.checks import CHECK_NAMES
 from sulcikit.cli import main
+from sulcikit.errors import (
+    ConfigError,
+    MissingPriorError,
+    MissingSubstitutionError,
+    SulcikitError,
+)
 from sulcikit.nifti import read_nifti, write_nifti
 from sulcikit.postproc import connected_components
 from sulcikit.presets import default_generator_config, make_phantom
@@ -96,7 +105,7 @@ class TestGenerate:
         name = _volume_files(out_a)[0]
         assert (out_a / name).read_bytes() != (out_b / name).read_bytes()
 
-    def test_parallel_jobs_identical(self, dataset, tmp_path, monkeypatch):
+    def test_parallel_jobs_identical(self, dataset, tmp_path):
         manifest_path, config_path = dataset
         out_serial = tmp_path / "serial"
         out_parallel = tmp_path / "parallel"
@@ -104,10 +113,9 @@ class TestGenerate:
             ["generate", "--manifest", str(manifest_path), "--config",
              str(config_path), "--out", str(out_serial)]
         ) == 0
-        monkeypatch.setenv("SULCIKIT_JOBS", "4")
         assert main(
             ["generate", "--manifest", str(manifest_path), "--config",
-             str(config_path), "--out", str(out_parallel), "--jobs", "1"]
+             str(config_path), "--out", str(out_parallel), "--jobs", "4"]
         ) == 0
         names = sorted(p.name for p in out_serial.iterdir())
         assert names == sorted(p.name for p in out_parallel.iterdir())
@@ -168,10 +176,11 @@ class TestGenerate:
         other = dict(config, generator=dict(default_generator_config().to_dict(),
                                             blur_sigma_range=[2.0, 2.5]))
         config_path.write_text(json.dumps(other))
-        fail_mid_write(KeyboardInterrupt)
+        failed = fail_mid_write(KeyboardInterrupt, lambda name: name.endswith("_img.nii.gz.tmp"))
         with pytest.raises(KeyboardInterrupt):
             main(args)
         monkeypatch.undo()
+        assert failed == [".s1_000_img.nii.gz.tmp"]
 
         config_path.write_text(json.dumps(config))
         assert main(args) == 0
@@ -515,3 +524,197 @@ class TestCheck:
 
     def test_unknown_filter_is_config_error(self):
         assert main(["check", "--filter", "no-such-check"]) == 1
+
+
+def _inf_srow(path):
+    """Overwrite srow_x[0] of the .nii at ``path`` with +inf."""
+    raw = bytearray(path.read_bytes())
+    raw[280:284] = np.float32(np.inf).tobytes()
+    path.write_bytes(bytes(raw))
+
+
+def _mask_pair(tmp_path):
+    """A pred/ and a gt/ directory holding one identical mask ``a.nii``."""
+    pred, gt = tmp_path / "pred", tmp_path / "gt"
+    data = np.zeros((6, 6, 6), dtype=bool)
+    data[2:4, 2:4, 2:4] = True
+    for directory in (pred, gt):
+        directory.mkdir()
+        _write_mask(data, directory / "a.nii")
+    return pred, gt
+
+
+def _generate(manifest_path, config_path, out):
+    return ["generate", "--manifest", str(manifest_path), "--config", str(config_path),
+            "--out", str(out)]
+
+
+def _probe_evaluate_out_in_missing_dir(tmp_path, dataset):
+    pred, gt = _mask_pair(tmp_path)
+    out = tmp_path / "nodir" / "r.json"
+    return ["evaluate", "--pred", str(pred), "--gt", str(gt), "--out", str(out)], 2
+
+
+def _probe_evaluate_csv_in_missing_dir(tmp_path, dataset):
+    pred, gt = _mask_pair(tmp_path)
+    out = tmp_path / "nodir" / "r.csv"
+    return ["evaluate", "--pred", str(pred), "--gt", str(gt), "--csv", str(out)], 2
+
+
+def _probe_generate_out_is_a_file(tmp_path, dataset):
+    out = tmp_path / "taken"
+    out.write_text("")
+    return _generate(*dataset, out), 1
+
+
+def _probe_run_config_is_a_list(tmp_path, dataset):
+    manifest_path, config_path = dataset
+    config_path.write_text("[1]")
+    return _generate(manifest_path, config_path, tmp_path / "out"), 1
+
+
+def _probe_manifest_samples_not_records(tmp_path, dataset):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "manifest.json").write_text(json.dumps({"samples": [1]}))
+    return _generate(*dataset, out), 0
+
+
+def _probe_manifest_is_a_list(tmp_path, dataset):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "manifest.json").write_text("[1]")
+    return _generate(*dataset, out), 0
+
+
+def _probe_degenerate_lattice(tmp_path, dataset):
+    manifest_path, config_path = dataset
+    config_path.write_text(json.dumps({"generator": {"elastic_grid": [1, 1, 1]}}))
+    return _generate(manifest_path, config_path, tmp_path / "out"), 1
+
+
+def _probe_inf_srow_evaluate(tmp_path, dataset):
+    pred, gt = _mask_pair(tmp_path)
+    _inf_srow(pred / "a.nii")
+    _inf_srow(gt / "a.nii")  # equal grids: no GridMismatchError to hide behind
+    return ["evaluate", "--pred", str(pred), "--gt", str(gt)], 2
+
+
+def _probe_inf_srow_postprocess(tmp_path, dataset):
+    pred, _ = _mask_pair(tmp_path)
+    _inf_srow(pred / "a.nii")
+    return ["postprocess", "--in", str(pred / "a.nii")], 2
+
+
+def _probe_inf_srow_generate(tmp_path, dataset):
+    manifest_path, config_path = dataset
+    path = manifest_path.parent / "s1.nii"
+    write_nifti(make_phantom(shape=PHANTOM_SHAPE), path)
+    _inf_srow(path)
+    manifest_path.write_text(json.dumps({"entries": [{"id": "s1", "label_map_path": "s1.nii"}]}))
+    return _generate(manifest_path, config_path, tmp_path / "out"), 2
+
+
+def _probe_negative_radius(tmp_path, dataset):
+    pred, _ = _mask_pair(tmp_path)
+    return ["postprocess", "--in", str(pred / "a.nii"), "--radius", "-1"], 1
+
+
+def _probe_evaluate_missing_dir(tmp_path, dataset):
+    return ["evaluate", "--pred", str(tmp_path / "p"), "--gt", str(tmp_path / "g")], 2
+
+
+def _probe_check_unknown_fault(tmp_path, dataset):
+    return ["check", "--inject-fault", "no-such-check"], 1
+
+
+_PROBES = (
+    _probe_evaluate_out_in_missing_dir,
+    _probe_evaluate_csv_in_missing_dir,
+    _probe_generate_out_is_a_file,
+    _probe_run_config_is_a_list,
+    _probe_manifest_samples_not_records,
+    _probe_manifest_is_a_list,
+    _probe_degenerate_lattice,
+    _probe_inf_srow_evaluate,
+    _probe_inf_srow_postprocess,
+    _probe_inf_srow_generate,
+    _probe_negative_radius,
+    _probe_evaluate_missing_dir,
+    _probe_check_unknown_fault,
+)
+
+
+def _all_subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _all_subclasses(sub)
+
+
+_SULCIKIT_ERRORS = [SulcikitError, *_all_subclasses(SulcikitError)]
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("probe", _PROBES, ids=lambda p: p.__name__[len("_probe_"):])
+    def test_malformed_input_ends_in_documented_code(self, dataset, tmp_path, capsys, probe):
+        argv, expected = probe(tmp_path, dataset)
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == expected
+        assert "Traceback" not in err
+        if code:
+            assert err.startswith(f"{argv[0]}: ")
+
+    def test_degenerate_lattice_fails_before_any_sample(self, dataset, tmp_path, capsys):
+        argv, _ = _probe_degenerate_lattice(tmp_path, dataset)
+        assert main(argv) == 1
+        assert "configuration error: elastic_grid" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_unreadable_output_manifest_regenerates_cleanly(self, dataset, tmp_path):
+        argv, _ = _probe_manifest_is_a_list(tmp_path, dataset)
+        assert main(argv) == 0
+        fresh = tmp_path / "fresh"
+        assert main(_generate(*dataset, fresh)) == 0
+        names = sorted(p.name for p in fresh.iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "out").iterdir())
+        for name in names:
+            assert (fresh / name).read_bytes() == (tmp_path / "out" / name).read_bytes()
+
+    @pytest.mark.parametrize("error", _SULCIKIT_ERRORS, ids=lambda e: e.__name__)
+    def test_every_sulcikit_error_maps_to_1_or_2(
+        self, dataset, tmp_path, monkeypatch, capsys, error
+    ):
+        def fail(*args, **kwargs):
+            # BaseException.__new__ sets args without running a custom __init__
+            raise error.__new__(error, "injected")
+
+        pred, gt = _mask_pair(tmp_path)
+        # (what each command calls, that command's argv)
+        commands = [
+            ("generate_sample", _generate(*dataset, tmp_path / "out")),
+            ("postprocess_cs", ["postprocess", "--in", str(pred / "a.nii")]),
+            ("evaluate_pair", ["evaluate", "--pred", str(pred), "--gt", str(gt)]),
+            ("checks_mod.run_checks", ["check"]),
+        ]
+        expected = 1 if issubclass(
+            error, (ConfigError, MissingPriorError, MissingSubstitutionError)
+        ) else 2
+        for target, argv in commands:
+            with monkeypatch.context() as patch:
+                patch.setattr(f"sulcikit.cli.{target}", fail)
+                assert main(argv) == expected
+            err = capsys.readouterr().err
+            assert err.startswith(f"{argv[0]}: ") and err.rstrip().endswith("injected")
+
+    def test_entrypoint_prints_no_traceback(self, tmp_path):
+        pred, gt = _mask_pair(tmp_path)
+        out = tmp_path / "nodir" / "r.json"
+        src = Path(cli.__file__).parents[1]  # ``python -m`` puts its cwd on sys.path
+        done = subprocess.run(
+            [sys.executable, "-m", "sulcikit.cli", "evaluate", "--pred", str(pred),
+             "--gt", str(gt), "--out", str(out)],
+            cwd=src, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 2
+        assert done.stderr.startswith("evaluate: ") and "Traceback" not in done.stderr

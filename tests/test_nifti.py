@@ -1,12 +1,18 @@
 import gzip
 import struct
+import warnings
 
 import numpy as np
 import pytest
+from conftest import MALFORMED_NIFTI
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sulcikit.errors import (
     CorruptHeaderError,
+    NonFiniteError,
     NonIntegerLabelsError,
+    SulcikitError,
     UnsupportedDatatypeError,
 )
 from sulcikit.nifti import read_nifti, write_nifti
@@ -241,6 +247,34 @@ class TestHeaderValidation:
         labels = read_nifti(path, kind="labels")
         assert set(labels.labels_present()) == {3}
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_infinite_float_labels_rejected_before_cast(self, tmp_path, value):
+        vol = IntensityVolume(VoxelGrid.from_spacing((2, 2, 2)), np.ones((2, 2, 2), np.float32))
+        path = tmp_path / "inf.nii"
+        write_nifti(vol, path)
+        _patch(path, 352, struct.pack("<f", value))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no "invalid value encountered in cast"
+            with pytest.raises(NonIntegerLabelsError, match="not finite"):
+                read_nifti(path, kind="labels")
+
+    @pytest.mark.parametrize(
+        "offset, value",
+        [(352, float("inf")), (352, float("nan")), (112, 3e38)],
+        ids=["inf-voxel", "nan-voxel", "slope-overflows-float32"],
+    )
+    def test_non_finite_intensities_rejected(self, tmp_path, offset, value):
+        vol = IntensityVolume(
+            VoxelGrid.from_spacing((2, 2, 2)), np.full((2, 2, 2), 10.0, np.float32)
+        )
+        path = tmp_path / "nf.nii"
+        write_nifti(vol, path)
+        _patch(path, offset, struct.pack("<f", value))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError):
+                read_nifti(path)
+
 
 class TestAffinePrecedence:
     def _base_file(self, tmp_path):
@@ -295,3 +329,63 @@ class TestAffinePrecedence:
         path.write_bytes(bytes(raw))
         back = read_nifti(path)
         assert np.allclose(back.voxels, 12.0)
+
+
+_SPECIAL_FLOATS = [struct.pack("<f", v) for v in (np.inf, -np.inf, np.nan, 3e38, -1.0, 0.0)]
+# what one header edit writes: random bytes, or a float32 that breaks arithmetic
+_HEADER_PAYLOADS = st.binary(min_size=1, max_size=4) | st.sampled_from(_SPECIAL_FLOATS)
+
+
+@pytest.fixture(scope="module")
+def fuzz_paths(tmp_path_factory):
+    """``(raw, path)``: the bytes of a small label .nii, and where to put mutants."""
+    directory = tmp_path_factory.mktemp("fuzz")
+    vol = LabelVolume(
+        VoxelGrid.from_spacing((3, 3, 3)), np.ones((3, 3, 3), dtype=np.uint16)
+    )
+    write_nifti(vol, directory / "v.nii")
+    return (directory / "v.nii").read_bytes(), directory / "mutant.nii"
+
+
+def _with_malformed_examples(test):
+    for name, (_, kind, _) in MALFORMED_NIFTI.items():
+        test = example(case=name, edits=[], gz_edits=[], gzipped=False, cut=None, kind=kind)(test)
+    return test
+
+
+class TestReadFuzz:
+    """Byte-mutated headers and gzip streams: ``read_nifti`` returns a volume
+    with a finite affine or raises a SulcikitError, never anything else."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(
+        case=st.sampled_from([None, *MALFORMED_NIFTI]),
+        edits=st.lists(st.tuples(st.integers(0, 351), _HEADER_PAYLOADS), max_size=6),
+        gzipped=st.booleans(),
+        gz_edits=st.lists(st.tuples(st.integers(0, 10**4), st.integers(0, 255)), max_size=3),
+        cut=st.none() | st.integers(0, 10**4),
+        kind=st.sampled_from(["intensity", "labels"]),
+    )
+    @_with_malformed_examples
+    def test_read_returns_valid_volume_or_raises_typed_error(
+        self, fuzz_paths, case, edits, gzipped, gz_edits, cut, kind
+    ):
+        raw, path = fuzz_paths
+        if case is not None:
+            raw = MALFORMED_NIFTI[case][0](raw)
+        raw = bytearray(raw)
+        for offset, payload in edits:
+            raw[offset : offset + len(payload)] = payload
+        if gzipped:
+            raw = bytearray(gzip.compress(bytes(raw), mtime=0))
+            for offset, byte in gz_edits:
+                raw[offset % len(raw)] = byte
+        if cut is not None:
+            raw = raw[: cut % (len(raw) + 1)]
+        path.write_bytes(bytes(raw))
+        try:
+            volume = read_nifti(path, kind=kind)
+        except SulcikitError:
+            return
+        assert np.isfinite(volume.grid.affine).all()
+        assert volume.voxels.shape == volume.grid.shape

@@ -107,10 +107,11 @@ class TestSampleElastic:
         assert field.displacement.flags.c_contiguous
         assert np.array_equal(field.displacement, expected)
 
-    def test_rejects_degenerate_lattice(self, unit_grid):
-        config = default_generator_config(elastic_grid=(1, 4, 4))
-        with pytest.raises(ValueError):
-            sample_elastic(config, unit_grid((4, 4, 4)), 0)
+    def test_rejects_degenerate_lattice(self):
+        for field in ("elastic_grid", "bias_grid"):
+            for lattice in ((1, 4, 4), (4, 4), (2, 2, 2, 2)):
+                with pytest.raises(ValueError, match=field):
+                    default_generator_config(**{field: lattice})
 
 
 class TestDeformLabels:

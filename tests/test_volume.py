@@ -27,6 +27,13 @@ class TestVoxelGrid:
         with pytest.raises(ValueError):
             VoxelGrid((4, 4, 4), (1.0, 1.0, 1.0), affine)
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_affine(self, value):
+        affine = np.eye(4)
+        affine[0, 0] = value
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            VoxelGrid((4, 4, 4), (np.inf, 1.0, 1.0), affine)
+
     def test_column_norms_match_spacing(self):
         grid = VoxelGrid.from_spacing((4, 4, 4), (1.0, 1.0, 1.25))
         norms = np.linalg.norm(grid.affine[:3, :3], axis=0)
