@@ -26,6 +26,7 @@ import numpy as np
 from . import checks as checks_mod
 from .errors import (
     ConfigError,
+    GridMismatchError,
     MissingPriorError,
     MissingSubstitutionError,
     NoValidEntriesError,
@@ -74,6 +75,16 @@ def _configuration():
         raise ConfigError(str(exc)) from exc
 
 
+@contextmanager
+def _fields_of(path: Path):
+    """Mark the parse of the JSON read from ``path``: a missing key in it is a
+    ValueError that names the file and the field."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing field {exc.args[0]!r}") from exc
+
+
 @dataclass(frozen=True)
 class ManifestEntry:
     """One subject: id, label map path, optional separate tissue map."""
@@ -97,21 +108,21 @@ class DatasetManifest:
         root = Path(data.get("root", ".")) if isinstance(data, dict) else Path(".")
         if not root.is_absolute():
             root = path.parent / root
-        raw_entries = data["entries"] if isinstance(data, dict) else data
         entries = []
         seen = set()
-        for raw in raw_entries:
-            sid = str(raw["id"])
-            if sid in seen:
-                raise ValueError(f"duplicate manifest id {sid!r}")
-            seen.add(sid)
-            label_path = root / raw["label_map_path"]
-            tissue = raw.get("tissue_map_path")
-            tissue_path = root / tissue if tissue else None
-            for p in filter(None, (label_path, tissue_path)):
-                if not p.exists():
-                    raise ValueError(f"manifest path does not exist: {p}")
-            entries.append(ManifestEntry(sid, label_path, tissue_path))
+        with _fields_of(path):
+            for raw in data["entries"] if isinstance(data, dict) else data:
+                sid = str(raw["id"])
+                if sid in seen:
+                    raise ValueError(f"duplicate manifest id {sid!r}")
+                seen.add(sid)
+                label_path = root / raw["label_map_path"]
+                tissue = raw.get("tissue_map_path")
+                tissue_path = root / tissue if tissue else None
+                for p in filter(None, (label_path, tissue_path)):
+                    if not p.exists():
+                        raise ValueError(f"manifest path does not exist: {p}")
+                entries.append(ManifestEntry(sid, label_path, tissue_path))
         if not entries:
             raise ValueError("manifest has no entries")
         return cls(root, tuple(entries))
@@ -141,9 +152,10 @@ class RunConfig:
             if "generator" in data
             else default_generator_config()
         )
-        priors = (
-            TissuePriors.from_entries(data["priors"]) if "priors" in data else default_priors()
-        )
+        with _fields_of(path):
+            priors = (
+                TissuePriors.from_entries(data["priors"]) if "priors" in data else default_priors()
+            )
         out = data.get("output_dir")
         return cls(
             generator=generator,
@@ -176,7 +188,13 @@ def _load_subject_labels(entry: ManifestEntry) -> LabelVolume:
     if entry.tissue_map_path is None:
         return labels
     tissue = read_nifti(entry.tissue_map_path, kind="labels")
-    require_same_grid(tissue, labels)
+    try:
+        require_same_grid(tissue, labels)
+    except GridMismatchError as exc:
+        raise GridMismatchError(
+            f"subject {entry.id!r}: tissue map {entry.tissue_map_path} and label map"
+            f" {entry.label_map_path}: {exc}"
+        ) from exc
     combined = np.where(labels.voxels != 0, labels.voxels, tissue.voxels)
     return LabelVolume(labels.grid, combined)
 

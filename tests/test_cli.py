@@ -334,7 +334,7 @@ class TestGenerate:
         assert main(["generate", "--manifest", str(manifest_path), "--config",
                      str(config), "--out", str(tmp_path / "o")]) == 1
 
-    def test_geometry_mismatch_is_io_error(self, tmp_path):
+    def test_geometry_mismatch_is_io_error(self, tmp_path, capsys):
         root = tmp_path / "d"
         root.mkdir()
         write_nifti(make_phantom(shape=(20, 20, 16)), root / "sulci.nii.gz")
@@ -345,6 +345,35 @@ class TestGenerate:
         }))
         assert main(["generate", "--manifest", str(root / "m.json"),
                      "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "subject 's'" in err
+        assert str(root / "sulci.nii.gz") in err and str(root / "tissue.nii.gz") in err
+
+    @pytest.mark.parametrize(
+        "manifest, field",
+        [({}, "entries"), ({"entries": [{"id": "a"}]}, "label_map_path")],
+        ids=["empty-object", "entry-without-label-map"],
+    )
+    def test_manifest_missing_field_names_file_and_field(
+        self, tmp_path, capsys, manifest, field
+    ):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(manifest))
+        assert main(["generate", "--manifest", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("generate: configuration error: ")
+        assert str(path) in err and repr(field) in err
+
+    def test_run_config_prior_missing_field_names_file_and_field(
+        self, dataset, tmp_path, capsys
+    ):
+        manifest_path, _ = dataset
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"priors": [{"label": 1, "mean_range": [0, 1]}]}))
+        assert main(["generate", "--manifest", str(manifest_path), "--config", str(config),
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert str(config) in err and "'std_range'" in err
 
 
 def _write_mask(data, path):
@@ -478,11 +507,13 @@ class TestEvaluate:
         data = np.zeros((4, 4, 4), dtype=bool)
         data[1, 1, 1] = True
         for directory in (pred, gt):
-            _write_mask(data, directory / "a.nii")
-        path = pred / "a.nii"
-        path.write_bytes(mutate(path.read_bytes()))
+            # both files corrupted alike: the grids agree, so the read itself must fail
+            path = directory / "a.nii"
+            _write_mask(data, path)
+            path.write_bytes(mutate(path.read_bytes()))
         assert main(["evaluate", "--pred", str(pred), "--gt", str(gt)]) == 2
-        assert "Traceback" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "grids differ" not in err
 
 
 class TestCheck:

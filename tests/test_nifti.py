@@ -1,6 +1,7 @@
 import gzip
 import struct
 import warnings
+import zlib
 
 import numpy as np
 import pytest
@@ -22,6 +23,18 @@ MAGIC_OFFSET = 344
 DATATYPE_OFFSET = 70
 SFORM_CODE_OFFSET = 254
 QFORM_CODE_OFFSET = 252
+
+
+@pytest.fixture(params=["intensity", "labels", "mask"])
+def written_volume(request, image_from, labels_from, mask_from):
+    """A small random volume of each kind ``write_nifti`` writes."""
+    rng = np.random.default_rng(4)
+    make = {
+        "intensity": lambda: image_from(rng.random((5, 6, 7))),
+        "labels": lambda: labels_from(rng.integers(0, 999, (5, 6, 7), dtype=np.uint16)),
+        "mask": lambda: mask_from(rng.random((5, 6, 7)) < 0.5),
+    }
+    return make[request.param]()
 
 
 def _patch(path, offset, payload):
@@ -79,27 +92,44 @@ class TestRoundTrip:
         write_nifti(vol, path)
         assert path.read_bytes()[:2] == b"\x1f\x8b"
 
-    def test_write_is_deterministic(self, tmp_path, image_from):
-        rng = np.random.default_rng(3)
-        vol = image_from(rng.random((4, 4, 4)).astype(np.float32))
+    def test_write_is_deterministic(self, tmp_path, written_volume):
+        vol = written_volume
         a = tmp_path / "a.nii.gz"
         b = tmp_path / "b.nii.gz"
         write_nifti(vol, a)
         write_nifti(vol, b)
         assert a.read_bytes() == b.read_bytes()
 
-    @pytest.mark.parametrize("kind", ["intensity", "labels", "mask"])
-    def test_gz_is_gzip_of_the_nii_bytes(self, tmp_path, kind, image_from, labels_from, mask_from):
-        rng = np.random.default_rng(4)
-        vol = {
-            "intensity": lambda: image_from(rng.random((5, 6, 7))),
-            "labels": lambda: labels_from(rng.integers(0, 999, (5, 6, 7), dtype=np.uint16)),
-            "mask": lambda: mask_from(rng.random((5, 6, 7)) < 0.5),
-        }[kind]()
+    def test_gz_is_gzip_of_the_nii_bytes(self, tmp_path, written_volume):
+        vol = written_volume
         write_nifti(vol, tmp_path / "v.nii")
         write_nifti(vol, tmp_path / "v.nii.gz")
         packed = (tmp_path / "v.nii.gz").read_bytes()
         assert gzip.decompress(packed) == (tmp_path / "v.nii").read_bytes()
+
+    def test_gzip_header_fields(self, tmp_path, written_volume):
+        vol = written_volume
+        path = tmp_path / "v.nii.gz"
+        write_nifti(vol, path)
+        raw = path.read_bytes()
+        magic, cm, flg, mtime, _, os_byte = struct.unpack_from("<2sBBLBB", raw)
+        assert (magic, cm, flg, mtime, os_byte) == (b"\x1f\x8b", 8, 0, 0, 255)
+        member = zlib.decompressobj(16 + zlib.MAX_WBITS)  # one gzip member, no more
+        payload = member.decompress(raw)
+        assert member.eof and member.unused_data == b""
+        assert struct.unpack("<LL", raw[-8:]) == (zlib.crc32(payload), len(payload))
+
+    def test_multi_block_round_trip(self, tmp_path, image_from):
+        # a mostly-zero 64^3 float volume: 1 MiB of payload, and 46 KB of noise,
+        # more literals than one deflate block holds
+        data = np.zeros((64, 64, 64), dtype=np.float32)
+        data[20:44, 8:56, 30:40] = np.random.default_rng(5).random((24, 48, 10))
+        vol = image_from(data)
+        write_nifti(vol, tmp_path / "v.nii")
+        write_nifti(vol, tmp_path / "v.nii.gz")
+        packed = (tmp_path / "v.nii.gz").read_bytes()
+        assert gzip.decompress(packed) == (tmp_path / "v.nii").read_bytes()
+        assert np.array_equal(read_nifti(tmp_path / "v.nii.gz").voxels, data)
 
     def _external_dtype_file(self, tmp_path, code, dtype, values):
         # exercise read-only datatypes the writer never produces
