@@ -7,14 +7,18 @@ parent commit:
         --workload generate-headcrop:41-50 --workload evaluate-headcrop:41-46
 
 The parent's files are extracted with ``git archive`` into a temporary
-directory, so the working tree is left alone. For each workload, pair k runs
-``perfbench/run.py --trace 0`` once in each checkout on seed k, the parent
-first in odd pairs and the change first in even ones. Each side runs its own
-``perfbench/``. The summary gives each end-to-end metric's median and
+directory beside the checkout, so the working tree is left alone and both
+sides import their code and write perfbench's work files on the same
+filesystem. For each workload, pair k runs ``perfbench/run.py --trace 0``
+once in each checkout on seed k, for BENCHMARK.json's ``run_seconds``, the
+parent first in odd pairs and the change first in even ones. Each side runs
+its own ``perfbench/``. The summary gives each end-to-end metric's median and
 quartiles per side and how many pairs the change won (ties count for
 neither side); the direction of "better" comes from BENCHMARK.json.
 ``--trace-seed S`` adds one traced run per side and workload on seed S,
-whose per-layer metrics land under ``layers``.
+whose per-layer metrics land under ``layers``. If a run fails, the file is
+still written, with every run made so far and the failed one under
+``failed``, and the exit status is 1.
 """
 
 from __future__ import annotations
@@ -33,11 +37,12 @@ from pathlib import Path
 
 
 def workload_seeds(spec: str) -> tuple[str, list[int]]:
-    """``name:first-last`` -> (name, seeds first..last)."""
+    """``name:first-last`` -> (name, seeds first..last); quartiles need two pairs."""
     name, _, seeds = spec.partition(":")
     first, _, last = seeds.partition("-")
-    if not (name and first.isdigit() and last.isdigit() and int(first) <= int(last)):
-        raise argparse.ArgumentTypeError(f"expected NAME:FIRST-LAST, got {spec!r}")
+    if not (name and first.isdigit() and last.isdigit() and int(first) < int(last)):
+        raise argparse.ArgumentTypeError(
+            f"expected NAME:FIRST-LAST with FIRST < LAST, got {spec!r}")
     return name, list(range(int(first), int(last) + 1))
 
 
@@ -53,16 +58,22 @@ def extract(rev: str, into: Path) -> str:
     return commit
 
 
-def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One perfbench run in ``checkout``; its final stdout line, parsed."""
+class RunFailed(Exception):
+    """A perfbench run exited non-zero; ``args[0]`` is its record."""
+
+
+def run(sides: dict[str, Path], side: str, workload: str, seed: int, seconds: float,
+        trace: int) -> dict:
+    """One perfbench run in ``sides[side]``; its final stdout line, parsed."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=checkout, capture_output=True, text=True,
+        cwd=sides[side], capture_output=True, text=True,
     )
     if done.returncode != 0:
         sys.stderr.write(done.stderr)
-        raise SystemExit(f"bench_pairs: {workload} seed {seed} failed in {checkout}")
+        raise RunFailed({"workload": workload, "side": side, "seed": seed, "trace": trace,
+                         "returncode": done.returncode})
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
@@ -93,56 +104,60 @@ def main(argv=None) -> int:
     parser.add_argument("--name", required=True, help="writes BENCH_<name>.json")
     parser.add_argument("--workload", action="append", required=True, type=workload_seeds,
                         metavar="NAME:FIRST-LAST", help="a workload and its pair seeds")
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="run length (default: run_seconds in BENCHMARK.json)")
     parser.add_argument("--trace-seed", type=int, default=None,
                         help="also record one traced run per side and workload")
     args = parser.parse_args(argv)
 
     change = Path.cwd()
     bench = json.loads((change / "BENCHMARK.json").read_text())
-    seconds = args.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"]
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
-    with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
-        commit = extract(args.parent, Path(tmp))
-        sides = {"parent": Path(tmp) / "tree", "change": change}
-        workloads = {}
-        for name, seeds in args.workload:
-            runs = []
-            for k, seed in enumerate(seeds, start=1):
-                order = ("parent", "change") if k % 2 else ("change", "parent")
-                for side in order:
-                    out = run(sides[side], name, seed, seconds, 0)
-                    runs.append({"side": side, "seed": seed, "attempted": out["attempted"],
-                                 "failed": out["failed"],
-                                 **{m: out["metrics"][m]["value"] for m in better}})
-                    print(f"{name} seed {seed} {side}: "
-                          + " ".join(f"{m}={runs[-1][m]:.4f}" for m in better), flush=True)
-            workloads[name] = {"summary": summarize(runs, better), "runs": runs}
-            if args.trace_seed is not None:
-                workloads[name]["layers"] = {
-                    side: {m: v["value"] for m, v in
-                           run(sides[side], name, args.trace_seed, seconds, 1)["metrics"].items()}
-                    for side in ("parent", "change")
-                }
     described = ", ".join(f"seeds {s[0]}-{s[-1]} ({n})" for n, s in args.workload)
     doc = {
         "what": f"perfbench/run.py --seconds {seconds:g} --trace 0, alternating parent and"
                 f" change runs (odd pairs parent first), {described}"
                 + ("" if args.trace_seed is None else
                    f"; layers: one --trace 1 run per side on seed {args.trace_seed}"),
-        "parent": commit[:7],
+        "parent": None,
         "host": f"{os.cpu_count()}-vCPU {platform.system()}, CPython"
                 f" {platform.python_version()}, numpy {metadata.version('numpy')}, scipy"
                 f" {metadata.version('scipy')}, native thread pools pinned to 1 thread by"
                 " perfbench",
-        "workloads": workloads,
+        "workloads": {},
     }
+    with tempfile.TemporaryDirectory(dir=change.parent, prefix="bench_pairs-") as tmp:
+        doc["parent"] = extract(args.parent, Path(tmp))[:7]
+        sides = {"parent": Path(tmp) / "tree", "change": change}
+        try:
+            for name, seeds in args.workload:
+                runs = []
+                doc["workloads"][name] = {"runs": runs}
+                for k, seed in enumerate(seeds, start=1):
+                    order = ("parent", "change") if k % 2 else ("change", "parent")
+                    for side in order:
+                        out = run(sides, side, name, seed, seconds, 0)
+                        runs.append({"side": side, "seed": seed, "attempted": out["attempted"],
+                                     "failed": out["failed"],
+                                     **{m: out["metrics"][m]["value"] for m in better}})
+                        print(f"{name} seed {seed} {side}: "
+                              + " ".join(f"{m}={runs[-1][m]:.4f}" for m in better), flush=True)
+                doc["workloads"][name] = {"summary": summarize(runs, better), "runs": runs}
+                if args.trace_seed is not None:
+                    doc["workloads"][name]["layers"] = {
+                        side: {m: v["value"] for m, v in
+                               run(sides, side, name, args.trace_seed, seconds, 1)
+                               ["metrics"].items()}
+                        for side in ("parent", "change")
+                    }
+        except RunFailed as failure:
+            doc["failed"] = failure.args[0]
     out = change / f"BENCH_{args.name}.json"
     out.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {out}")
+    if "failed" in doc:
+        print(f"bench_pairs: run failed: {doc['failed']}", file=sys.stderr)
+        return 1
     return 0
-
 
 if __name__ == "__main__":
     sys.exit(main())
