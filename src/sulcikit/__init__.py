@@ -30,7 +30,6 @@ from .synth import (
 )
 from .losses import (
     EmbeddingBatch,
-    ContrastiveConfig,
     ProbabilityVolume,
     cosine_similarity,
     nt_xent_pair,
@@ -70,7 +69,7 @@ __all__ = [
     "TissuePriors", "GeneratorConfig", "DeformationField", "mix_seed", "sample_affine",
     "sample_elastic", "deform_labels", "substitute_sulci", "sample_intensities",
     "gaussian_blur", "apply_bias_field", "normalize_intensity", "generate_sample",
-    "generate_views", "EmbeddingBatch", "ContrastiveConfig", "ProbabilityVolume",
+    "generate_views", "EmbeddingBatch", "ProbabilityVolume",
     "cosine_similarity", "nt_xent_pair", "contrastive_loss", "contrastive_loss_grad",
     "soft_dice_loss", "tversky_loss", "seg_loss_grad", "multitask_loss",
     "finite_difference_check", "optimize_embeddings_demo", "ComponentLabeling",

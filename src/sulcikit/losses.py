@@ -2,12 +2,15 @@
 
 The contrastive part follows the paired-view convention: a batch holds 2N
 embedding rows where rows (2k, 2k+1) (0-indexed) are the two views of input
-k. The pairwise term is the normalized temperature-scaled cross entropy over
-cosine similarities; the total loss averages the two ordered terms of every
-pair. Segmentation losses (soft Dice and Tversky) share one
-true-positive/false-negative/false-positive reduction, which makes
-Tversky(alpha=beta=0.5) bitwise equal to Dice at smooth=0. Everything is a
-pure function; repeated calls give bitwise-identical results.
+k. Every contrastive term reads one row-wise log-softmax of cosine
+similarities over temperature (max-subtracted, self-similarity excluded):
+the pairwise term is its negative at the positive, the total loss averages
+the two ordered terms of every pair, and the gradient exponentiates it. Segmentation losses share one
+Tversky ratio over a true-positive/false-negative/false-positive reduction,
+``(k*tp + s) / (k*tp + a*fn + b*fp + s)``: Tversky weighs ``(1, alpha,
+beta)`` and soft Dice ``(2, 1, 1)``, which makes Tversky(alpha=beta=0.5)
+bitwise equal to Dice at smooth=0, gradients included. Everything is a pure
+function; repeated calls give bitwise-identical results.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from .volume import VoxelGrid, require_same_grid
 
 __all__ = [
     "EmbeddingBatch",
-    "ContrastiveConfig",
     "ProbabilityVolume",
     "DescentRecord",
     "cosine_similarity",
@@ -55,28 +57,14 @@ class EmbeddingBatch:
     rows: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=np.float64)
-        if rows.ndim != 2 or rows.shape[0] < 2 or rows.shape[0] % 2:
-            raise ValueError(f"batch must be 2N x D with N >= 1, got shape {rows.shape}")
-        if not (np.linalg.norm(rows, axis=1) > 0).all():
-            raise ZeroVectorError("every embedding row must have nonzero norm")
+        rows = _rows(self.rows)
+        _unit_rows(rows)  # raises on a zero row
         rows.flags.writeable = False
         object.__setattr__(self, "rows", rows)
 
     @property
     def n_pairs(self) -> int:
         return self.rows.shape[0] // 2
-
-
-@dataclass(frozen=True)
-class ContrastiveConfig:
-    """Temperature of the contrastive softmax."""
-
-    temperature: float = DEFAULT_TEMPERATURE
-
-    def __post_init__(self):
-        if self.temperature <= 0:
-            raise ValueError(f"temperature must be > 0, got {self.temperature}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,19 +109,27 @@ def cosine_similarity(z_i, z_j) -> float:
     return float(np.clip(np.dot(z_i, z_j) / (ni * nj), -1.0, 1.0))
 
 
-def _logits(rows: np.ndarray, temperature: float) -> np.ndarray:
-    """Similarity matrix over temperature with the diagonal masked out."""
+def _neg_log_softmax(rows: np.ndarray, temperature: float) -> np.ndarray:
+    """Row-wise -log softmax of cosine similarity over temperature.
+
+    Entry (i, j) is the contrastive term of anchor i and candidate j. Each
+    row excludes its own similarity (+inf on the diagonal) and subtracts its
+    maximum before the log-sum-exp, so tiny temperatures stay finite.
+    """
+    if temperature <= 0:
+        raise ValueError(f"temperature must be > 0, got {temperature}")
     unit, _ = _unit_rows(rows)
     logits = (unit @ unit.T) / temperature
     np.fill_diagonal(logits, -np.inf)
-    return logits
+    m = logits.max(axis=1, keepdims=True)
+    return (np.log(np.exp(logits - m).sum(axis=1, keepdims=True)) + m) - logits
 
 
 def nt_xent_pair(batch, i: int, j: int, temperature: float = DEFAULT_TEMPERATURE) -> float:
     """Pairwise contrastive term for anchor row i and positive row j.
 
-    -log of the softmax (with max subtraction) that row i assigns to row j
-    over all rows except i itself. Indices are 0-based.
+    -log of the softmax that row i assigns to row j over all rows except i
+    itself. Indices are 0-based.
     """
     rows = _rows(batch)
     n = rows.shape[0]
@@ -141,11 +137,7 @@ def nt_xent_pair(batch, i: int, j: int, temperature: float = DEFAULT_TEMPERATURE
         raise IndexOutOfRangeError(f"indices ({i}, {j}) outside batch of {n} rows")
     if i == j:
         raise IndexOutOfRangeError("anchor and positive must differ")
-    if temperature <= 0:
-        raise ValueError(f"temperature must be > 0, got {temperature}")
-    logits = _logits(rows, temperature)[i]
-    m = logits.max()
-    return float(np.log(np.exp(logits - m).sum()) + m - logits[j])
+    return float(_neg_log_softmax(rows, temperature)[i, j])
 
 
 def _partners(n_rows: int) -> np.ndarray:
@@ -155,13 +147,8 @@ def _partners(n_rows: int) -> np.ndarray:
 def contrastive_loss(batch, temperature: float = DEFAULT_TEMPERATURE) -> float:
     """Total contrastive loss: mean pairwise term over all 2N anchors."""
     rows = _rows(batch)
-    if temperature <= 0:
-        raise ValueError(f"temperature must be > 0, got {temperature}")
-    logits = _logits(rows, temperature)
-    m = logits.max(axis=1)
-    log_denom = np.log(np.exp(logits - m[:, None]).sum(axis=1)) + m
-    pos = logits[np.arange(rows.shape[0]), _partners(rows.shape[0])]
-    return float(np.mean(log_denom - pos))
+    n = rows.shape[0]
+    return float(np.mean(_neg_log_softmax(rows, temperature)[np.arange(n), _partners(n)]))
 
 
 def contrastive_loss_grad(batch, temperature: float = DEFAULT_TEMPERATURE) -> np.ndarray:
@@ -171,18 +158,16 @@ def contrastive_loss_grad(batch, temperature: float = DEFAULT_TEMPERATURE) -> np
     orthogonal to its embedding row.
     """
     rows = _rows(batch)
-    if temperature <= 0:
-        raise ValueError(f"temperature must be > 0, got {temperature}")
     n = rows.shape[0]
+    p = np.exp(-_neg_log_softmax(rows, temperature))
     unit, norms = _unit_rows(rows)
-    logits = _logits(rows, temperature)
-    m = logits.max(axis=1)
-    p = np.exp(logits - m[:, None])
-    p /= p.sum(axis=1, keepdims=True)
-
-    onehot = np.zeros((n, n))
-    onehot[np.arange(n), _partners(n)] = 1.0
-    sim_grad = (p - onehot) / (n * temperature)
+    # d loss / d logit is softmax - onehot; each row's softmax sums to one,
+    # so the positive's entry is minus the other entries' sum, which keeps
+    # its precision where that softmax saturates at tiny temperatures
+    positive = (np.arange(n), _partners(n))
+    p[positive] = 0.0
+    p[positive] -= p.sum(axis=1)
+    sim_grad = p / (n * temperature)
     g_unit = (sim_grad + sim_grad.T) @ unit
     radial = np.einsum("ij,ij->i", g_unit, unit)
     return (g_unit - radial[:, None] * unit) / norms[:, None]
@@ -206,13 +191,35 @@ def _overlap_terms(p: np.ndarray, g: np.ndarray) -> tuple[float, float, float]:
     return tp, fn, fp
 
 
-def soft_dice_loss(pred, target, smooth: float = DEFAULT_SMOOTH) -> float:
-    """1 - (2*overlap + smooth) / (total mass + smooth)."""
+def _weights(loss: str, alpha: float, beta: float, smooth: float) -> tuple[float, float, float]:
+    """Weights of (tp, fn, fp) in the Tversky ratio; validates every loss parameter."""
     if smooth < 0:
         raise ValueError(f"smooth must be >= 0, got {smooth}")
+    if loss == "dice":
+        return 2.0, 1.0, 1.0
+    if loss != "tversky":
+        raise ValueError(f"loss must be 'dice' or 'tversky', got {loss!r}")
+    if alpha < 0 or beta < 0:
+        raise ValueError(f"alpha and beta must be >= 0, got {alpha}, {beta}")
+    return 1.0, alpha, beta
+
+
+def _ratio(loss: str, pred, target, alpha: float, beta: float, smooth: float):
+    """Target array, (tp, fn, fp) weights, and the numerator and denominator of the ratio."""
+    k, a, b = _weights(loss, alpha, beta, smooth)
     p, g = _pred_target(pred, target)
     tp, fn, fp = _overlap_terms(p, g)
-    return 1.0 - (2.0 * tp + smooth) / (((2.0 * tp + fn) + fp) + smooth)
+    return g, (k, a, b), k * tp + smooth, ((k * tp + a * fn) + b * fp) + smooth
+
+
+def _seg_loss(loss: str, pred, target, alpha: float, beta: float, smooth: float) -> float:
+    _, _, num, den = _ratio(loss, pred, target, alpha, beta, smooth)
+    return 1.0 - num / den
+
+
+def soft_dice_loss(pred, target, smooth: float = DEFAULT_SMOOTH) -> float:
+    """1 - (2*overlap + smooth) / (total mass + smooth)."""
+    return _seg_loss("dice", pred, target, 0.5, 0.5, smooth)
 
 
 def tversky_loss(
@@ -224,13 +231,7 @@ def tversky_loss(
     bitwise. Raising alpha penalizes misses, useful when the foreground is a
     tiny fraction of the volume.
     """
-    if alpha < 0 or beta < 0:
-        raise ValueError(f"alpha and beta must be >= 0, got {alpha}, {beta}")
-    if smooth < 0:
-        raise ValueError(f"smooth must be >= 0, got {smooth}")
-    p, g = _pred_target(pred, target)
-    tp, fn, fp = _overlap_terms(p, g)
-    return 1.0 - (tp + smooth) / (((tp + alpha * fn) + beta * fp) + smooth)
+    return _seg_loss("tversky", pred, target, alpha, beta, smooth)
 
 
 def seg_loss_grad(
@@ -246,21 +247,11 @@ def seg_loss_grad(
     ``loss`` is "dice" or "tversky"; alpha/beta apply to tversky only.
     Returns an array of the prediction's shape.
     """
-    p, g = _pred_target(pred, target)
-    tp, fn, fp = _overlap_terms(p, g)
-    if loss == "dice":
-        num = 2.0 * tp + smooth
-        den = ((2.0 * tp + fn) + fp) + smooth
-        dden = np.ones_like(p)
-        dnum = 2.0 * g
-    elif loss == "tversky":
-        num = tp + smooth
-        den = ((tp + alpha * fn) + beta * fp) + smooth
-        dden = g - alpha * g + beta * (1.0 - g)
-        dnum = g
-    else:
-        raise ValueError(f"loss must be 'dice' or 'tversky', got {loss!r}")
-    return -(dnum * den - num * dden) / (den * den)
+    g, (k, a, b), num, den = _ratio(loss, pred, target, alpha, beta, smooth)
+    # d num/dp = k*g and d den/dp = (k - a - b)*g + b, so the quotient rule
+    # is one scaled copy of g plus a constant
+    den2 = den * den
+    return (-(k * den - (k - a - b) * num) / den2) * g + b * num / den2
 
 
 def multitask_loss(seg: float, contrastive: float) -> float:
@@ -287,9 +278,7 @@ def _loss_and_gradient(loss_id: str, point: dict):
         alpha = float(point.get("alpha", 0.5))
         beta = float(point.get("beta", 0.5))
         analytic = seg_loss_grad(loss_id, x, target, alpha, beta, smooth)
-        if loss_id == "dice":
-            return (lambda a: soft_dice_loss(a, target, smooth)), x, analytic
-        return (lambda a: tversky_loss(a, target, alpha, beta, smooth)), x, analytic
+        return (lambda a: _seg_loss(loss_id, a, target, alpha, beta, smooth)), x, analytic
     raise ValueError(f"unknown loss_id {loss_id!r}")
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import BothEmptyError, EmptySetError, NoValidEntriesError
 from .volume import BinaryMask, _bounding_box, require_same_grid
@@ -124,6 +123,8 @@ def _box(nonzero: np.ndarray) -> tuple[slice, slice, slice]:
 
 def _directed_hausdorff(a: np.ndarray, b: np.ndarray, spacing: np.ndarray) -> float:
     """max over a-voxels of the distance to the nearest b-voxel (mm)."""
+    from scipy import ndimage  # here, so that importing sulcikit does not load SciPy
+
     nearest = ndimage.distance_transform_edt(
         ~b, sampling=spacing, return_distances=False, return_indices=True
     )

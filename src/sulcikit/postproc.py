@@ -14,7 +14,6 @@ from functools import reduce
 from itertools import combinations
 
 import numpy as np
-from scipy import ndimage
 
 from .volume import BinaryMask, LabelVolume
 
@@ -34,10 +33,6 @@ def _connectivity_rank(connectivity: int) -> int:
     if connectivity not in _CONNECTIVITY_RANK:
         raise ValueError(f"connectivity must be 6, 18 or 26, got {connectivity}")
     return _CONNECTIVITY_RANK[connectivity]
-
-
-def _structure(connectivity: int) -> np.ndarray:
-    return ndimage.generate_binary_structure(3, _connectivity_rank(connectivity))
 
 
 @dataclass(frozen=True)
@@ -116,7 +111,10 @@ def _ranked_components(voxels: np.ndarray, connectivity: int):
     broken by the smallest linear voxel index) and their sizes in that order.
     Raw ids are 1..C, so C is the number of ranked ids.
     """
-    raw, _ = ndimage.label(voxels, structure=_structure(connectivity))
+    from scipy import ndimage  # here, so that importing sulcikit does not load SciPy
+
+    structure = ndimage.generate_binary_structure(3, _connectivity_rank(connectivity))
+    raw, _ = ndimage.label(voxels, structure=structure)
     fg = np.flatnonzero(raw)
     fg_ids = raw.ravel()[fg]
     ids, first = np.unique(fg_ids, return_index=True)

@@ -1,4 +1,6 @@
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,3 +47,15 @@ def test_scan_flags_unused_and_exempts_future_and_all():
         "np.zeros(sys.maxsize)\n"
     )
     assert unused_imports(source) == ["os (line 2)", "dumps (line 4)"]
+
+
+def test_package_and_cli_import_without_scipy_ndimage():
+    # scipy.ndimage is imported inside the functions that call it, so
+    # commands such as ``generate`` start without paying for it
+    src = Path(sulcikit.__file__).parents[1]
+    code = "import sys, sulcikit, sulcikit.cli; print('scipy.ndimage' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

@@ -165,6 +165,35 @@ class TestContrastiveGradient:
         assert np.isfinite(loss)
         assert np.isfinite(grad).all()
 
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_saturated_softmax_keeps_relative_precision(self, seed):
+        # at tau = 0.001 each anchor's softmax puts nearly all its mass on the
+        # positive, so softmax - onehot cancels and the gradient is ~1e-11
+        # (seed 5) or ~1e-45 (seed 6); the reference is a central difference
+        # in 120-digit arithmetic
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(seed)
+        rows = rng.standard_normal((4, 10))
+        grad = contrastive_loss_grad(rows, 0.001)
+        with mp.workdps(120):
+            tau, h = mp.mpf("0.001"), mp.mpf("1e-50")
+
+            def loss(rows):
+                unit = [[v / mp.sqrt(sum(w * w for w in row)) for v in row] for row in rows]
+                total = 0
+                for i, u in enumerate(unit):
+                    logit = [sum(a * b for a, b in zip(u, w)) / tau for w in unit]
+                    lse = mp.log(sum(mp.exp(x) for j, x in enumerate(logit) if j != i))
+                    total += lse - logit[i ^ 1]
+                return total / len(rows)
+
+            for v in rng.standard_normal((3, 4, 10)):
+                plus = [[mp.mpf(a) + h * b for a, b in zip(r, d)] for r, d in zip(rows, v)]
+                minus = [[mp.mpf(a) - h * b for a, b in zip(r, d)] for r, d in zip(rows, v)]
+                exact = (loss(plus) - loss(minus)) / (2 * h)
+                err = abs(exact - np.sum(grad * v)) / (np.abs(grad).max() * np.abs(v).sum())
+                assert err < 1e-12
+
 
 class TestSegLosses:
     def test_dice_perfect_prediction(self):
@@ -260,7 +289,26 @@ class TestSegGradients:
         target = (rng.random((4, 4, 4)) < 0.4).astype(float)
         dice_grad = seg_loss_grad("dice", pred, target, smooth=0.0)
         tv_grad = seg_loss_grad("tversky", pred, target, 0.5, 0.5, smooth=0.0)
-        assert np.abs(dice_grad - tv_grad).max() < 1e-9
+        assert np.array_equal(dice_grad, tv_grad)
+
+    @pytest.mark.parametrize("loss, params", [
+        ("dice", {"smooth": -1e-5}),
+        ("tversky", {"smooth": -1e-5}),
+        ("tversky", {"alpha": -1.0}),
+        ("tversky", {"beta": -0.5}),
+    ], ids=["dice-smooth", "tversky-smooth", "tversky-alpha", "tversky-beta"])
+    def test_negative_parameters_rejected_like_the_losses(self, loss, params):
+        pred = np.full((2, 2, 2), 0.5)
+        target = np.ones((2, 2, 2))
+        value = soft_dice_loss if loss == "dice" else tversky_loss
+        with pytest.raises(ValueError):
+            value(pred, target, **params)
+        with pytest.raises(ValueError):
+            seg_loss_grad(loss, pred, target, **params)
+
+    def test_unknown_loss_rejected(self):
+        with pytest.raises(ValueError, match="'dice' or 'tversky'"):
+            seg_loss_grad("jaccard", np.zeros((2, 2, 2)), np.zeros((2, 2, 2)))
 
 
 class TestMultitaskLoss:
