@@ -43,16 +43,6 @@ class CheckResult:
     expected: float | None = None
     note: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "tolerance": self.tolerance,
-            "observed": self.observed,
-            "expected": self.expected,
-            "note": self.note,
-        }
-
 
 # ---------------------------------------------------------------------------
 # individual checks

@@ -18,7 +18,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -147,6 +147,9 @@ class RunConfig:
         data = json.loads(Path(path).read_text())
         if not isinstance(data, dict):
             raise ValueError(f"run config must be a JSON object, got {type(data).__name__}")
+        unknown = set(data) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown run config fields: {sorted(unknown)}")
         generator = (
             GeneratorConfig.from_dict(data["generator"])
             if "generator" in data
@@ -345,13 +348,14 @@ def cmd_evaluate(args) -> int:
     ]
 
     try:
-        summary = aggregate(reports).to_dict()
+        summary = asdict(aggregate(reports))
     except NoValidEntriesError as exc:
         _log(f"evaluate: warning: {exc}")
         summary = None
 
+    rows = [r.to_dict() for r in reports]
     doc = {
-        "pairs": [r.to_dict() for r in reports],
+        "pairs": rows,
         "summary": summary,
         "unmatched": {
             "pred": sorted(set(pred) - set(gt)),
@@ -366,14 +370,10 @@ def cmd_evaluate(args) -> int:
         sys.stdout.write(text)
 
     if args.csv:
-        fields = ["id", "dsc", "hd_mm", "pred_volume_mm3", "gt_volume_mm3",
-                  "pred_surface_mm2", "gt_surface_mm2"]
         with open(args.csv, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fields)
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
             writer.writeheader()
-            for report in reports:
-                row = report.to_dict()
-                writer.writerow({k: ("" if row[k] is None else row[k]) for k in fields})
+            writer.writerows(rows)  # csv writes None as an empty cell
         _log(f"evaluate: per-pair CSV written to {args.csv}")
     return EXIT_OK
 
@@ -388,7 +388,7 @@ def cmd_check(args) -> int:
         _log(f"check: [{status}] {result.name} (observed {result.observed:.3g},"
              f" tolerance {result.tolerance:.3g})")
     passed = all(r.passed for r in results)
-    doc = {"passed": passed, "checks": [r.to_dict() for r in results]}
+    doc = {"passed": passed, "checks": [asdict(r) for r in results]}
     sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 

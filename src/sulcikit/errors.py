@@ -57,6 +57,10 @@ class IndexOutOfRangeError(SulcikitError, IndexError):
     """Row index outside the embedding batch."""
 
 
+class ZeroDenominatorError(SulcikitError, ZeroDivisionError):
+    """A segmentation loss ratio has a zero denominator: no mass to weigh."""
+
+
 class NonFiniteError(SulcikitError):
     """Input value must be finite."""
 

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import (
     IndexOutOfRangeError,
     NonFiniteError,
+    ZeroDenominatorError,
     ZeroVectorError,
 )
 from .oracles import central_difference, max_rel_error
@@ -57,7 +58,7 @@ class EmbeddingBatch:
     rows: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        rows = _rows(self.rows)
+        rows = _rows(self.rows).copy()  # freezing must not touch the caller's array
         _unit_rows(rows)  # raises on a zero row
         rows.flags.writeable = False
         object.__setattr__(self, "rows", rows)
@@ -209,7 +210,10 @@ def _ratio(loss: str, pred, target, alpha: float, beta: float, smooth: float):
     k, a, b = _weights(loss, alpha, beta, smooth)
     p, g = _pred_target(pred, target)
     tp, fn, fp = _overlap_terms(p, g)
-    return g, (k, a, b), k * tp + smooth, ((k * tp + a * fn) + b * fp) + smooth
+    den = ((k * tp + a * fn) + b * fp) + smooth
+    if den == 0:
+        raise ZeroDenominatorError(f"{loss} loss undefined: its ratio's denominator is 0")
+    return g, (k, a, b), k * tp + smooth, den
 
 
 def _seg_loss(loss: str, pred, target, alpha: float, beta: float, smooth: float) -> float:

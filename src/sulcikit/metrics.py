@@ -16,7 +16,7 @@ volume while the cost scales with the foreground.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -53,15 +53,9 @@ class PairReport:
     gt_surface_mm2: float
 
     def to_dict(self) -> dict:
-        return {
-            "id": self.identifier,
-            "dsc": self.dsc,
-            "hd_mm": self.hd_mm,
-            "pred_volume_mm3": self.pred_volume_mm3,
-            "gt_volume_mm3": self.gt_volume_mm3,
-            "pred_surface_mm2": self.pred_surface_mm2,
-            "gt_surface_mm2": self.gt_surface_mm2,
-        }
+        """The fields in order, with ``identifier`` stored under ``id``."""
+        row = asdict(self)
+        return {"id": row.pop("identifier"), **row}
 
 
 @dataclass(frozen=True)
@@ -75,16 +69,6 @@ class MetricSummary:
     max: float
     count: int
 
-    def to_dict(self) -> dict:
-        return {
-            "mean": self.mean,
-            "std": self.std,
-            "median": self.median,
-            "min": self.min,
-            "max": self.max,
-            "count": self.count,
-        }
-
 
 @dataclass(frozen=True)
 class CohortSummary:
@@ -92,12 +76,6 @@ class CohortSummary:
 
     metrics: dict[str, MetricSummary]
     flagged: dict[str, int]
-
-    def to_dict(self) -> dict:
-        return {
-            "metrics": {k: v.to_dict() for k, v in self.metrics.items()},
-            "flagged": dict(self.flagged),
-        }
 
 
 def dice(x: BinaryMask, y: BinaryMask) -> float:
@@ -195,14 +173,8 @@ def evaluate_pair(pred: BinaryMask, gt: BinaryMask, identifier: str = "") -> Pai
     )
 
 
-_METRIC_FIELDS = (
-    "dsc",
-    "hd_mm",
-    "pred_volume_mm3",
-    "gt_volume_mm3",
-    "pred_surface_mm2",
-    "gt_surface_mm2",
-)
+# every PairReport field after the identifier is a metric
+_METRIC_FIELDS = tuple(f.name for f in fields(PairReport))[1:]
 
 
 def aggregate(reports) -> CohortSummary:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -215,20 +215,9 @@ class GeneratorConfig:
             return cls.from_dict(json.load(fh))
 
     def to_dict(self) -> dict:
-        return {
-            "rotation_range": [list(p) for p in self.rotation_range],
-            "scaling_range": [list(p) for p in self.scaling_range],
-            "shear_range": [list(p) for p in self.shear_range],
-            "translation_range": [list(p) for p in self.translation_range],
-            "elastic_grid": list(self.elastic_grid),
-            "elastic_std_range": list(self.elastic_std_range),
-            "blur_sigma_range": list(self.blur_sigma_range),
-            "bias_grid": list(self.bias_grid),
-            "bias_std_range": list(self.bias_std_range),
-            "substitution_table": {str(k): v for k, v in self.substitution_table.items()},
-            "sulcus_label_start": self.sulcus_label_start,
-            "normalize": self.normalize,
-        }
+        """The fields in JSON's own types: lists for tuples, string keys in
+        ``substitution_table``. ``config_sha256`` hashes this form."""
+        return json.loads(json.dumps(asdict(self)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -25,7 +25,7 @@ from sulcikit.losses import (
 )
 from sulcikit.metrics import dice, hausdorff
 from sulcikit.nifti import read_nifti, write_nifti
-from sulcikit.oracles import brute_force_hausdorff, neighbour_offsets
+from sulcikit.oracles import brute_force_contrastive, brute_force_hausdorff, neighbour_offsets
 from sulcikit.postproc import connected_components, postprocess_cs
 from sulcikit.presets import default_generator_config, default_priors, make_phantom
 from sulcikit.synth import (
@@ -57,17 +57,7 @@ def test_nt_xent_fixture():
     with criterion("NT-Xent fixture equals ln(1 + 2/e) and brute force within 1e-9"):
         rows = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
         loss = contrastive_loss(rows, temperature=1.0)
-
-        def sim(a, b):
-            return np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))
-
-        def term(i, j):
-            num = math.exp(sim(rows[i], rows[j]))
-            den = sum(math.exp(sim(rows[i], rows[k])) for k in range(4) if k != i)
-            return -math.log(num / den)
-
-        brute = (term(0, 1) + term(1, 0) + term(2, 3) + term(3, 2)) / 4.0
-        assert abs(loss - brute) < 1e-9
+        assert abs(loss - brute_force_contrastive(rows, 1.0)) < 1e-9
         assert abs(loss - math.log(1.0 + 2.0 / math.e)) < 1e-9
 
 

@@ -21,6 +21,9 @@ from sulcikit.presets import default_generator_config, make_phantom
 from sulcikit.volume import BinaryMask, VoxelGrid
 
 PHANTOM_SHAPE = (20, 20, 16)
+# config_sha256 of the default generator config and priors; a change to their
+# serialized form would make resume regenerate every existing sample
+DEFAULT_CONFIG_SHA256 = "cd48cf8e73eb8c7640859fe07da587f1898945d80ce7443b5df5b380c48c745f"
 
 
 @pytest.fixture
@@ -33,7 +36,8 @@ def dataset(tmp_path):
     manifest = {
         "root": ".",
         "entries": [
-            {"id": "s1", "label_map_path": "s1_labels.nii.gz"},
+            # keys other than the known ones hold subject metadata
+            {"id": "s1", "label_map_path": "s1_labels.nii.gz", "age": 63},
             {"id": "s2", "label_map_path": "s2_labels.nii.gz"},
         ],
     }
@@ -65,6 +69,8 @@ class TestGenerate:
         for record in listing:
             assert (out / record["image"]).exists()
             assert (out / record["labels"]).exists()
+            # the fixture's config leaves generator and priors at their defaults
+            assert record["config_sha256"] == DEFAULT_CONFIG_SHA256
 
     def test_rerun_is_idempotent(self, dataset, tmp_path):
         manifest_path, config_path = dataset
@@ -334,6 +340,14 @@ class TestGenerate:
         assert main(["generate", "--manifest", str(manifest_path), "--config",
                      str(config), "--out", str(tmp_path / "o")]) == 1
 
+    def test_unknown_run_config_field_is_config_error(self, dataset, tmp_path, capsys):
+        manifest_path, config_path = dataset
+        config_path.write_text(json.dumps({"samples_per_subjects": 1}))
+        out = tmp_path / "out"
+        assert main(_generate(manifest_path, config_path, out)) == 1
+        assert "unknown run config fields: ['samples_per_subjects']" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_geometry_mismatch_is_io_error(self, tmp_path, capsys):
         root = tmp_path / "d"
         root.mkdir()
@@ -501,6 +515,20 @@ class TestEvaluate:
         assert doc["pairs"][0]["dsc"] is None
         assert doc["pairs"][0]["hd_mm"] is None
 
+    def test_csv_columns_and_empty_prediction_row(self, tmp_path):
+        pred, gt = self._cohort(tmp_path)
+        gt_data = np.zeros((6, 6, 6), dtype=bool)
+        gt_data[2:4, 2:4, 2:4] = True
+        _write_mask(np.zeros_like(gt_data), pred / "a.nii.gz")
+        _write_mask(gt_data, gt / "a.nii.gz")
+        csv_file = tmp_path / "report.csv"
+        assert main(["evaluate", "--pred", str(pred), "--gt", str(gt),
+                     "--out", str(tmp_path / "report.json"), "--csv", str(csv_file)]) == 0
+        assert csv_file.read_text().splitlines() == [
+            "id,dsc,hd_mm,pred_volume_mm3,gt_volume_mm3,pred_surface_mm2,gt_surface_mm2",
+            "a,0.0,,0.0,8.0,0.0,24.0",  # Hausdorff to an empty prediction is undefined
+        ]
+
     def test_malformed_header_exits_2(self, tmp_path, capsys, malformed_nifti):
         mutate, _, _ = malformed_nifti
         pred, gt = self._cohort(tmp_path)
@@ -552,6 +580,8 @@ class TestCheck:
         assert [c["name"] for c in doc["checks"]] == list(CHECK_NAMES)
         assert len(CHECK_NAMES) == 15
         assert all(c["passed"] is True for c in doc["checks"])
+        keys = {"name", "passed", "tolerance", "observed", "expected", "note"}
+        assert all(set(c) == keys for c in doc["checks"])
 
     def test_unknown_filter_is_config_error(self):
         assert main(["check", "--filter", "no-such-check"]) == 1

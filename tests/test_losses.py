@@ -6,6 +6,7 @@ import pytest
 from sulcikit.errors import (
     IndexOutOfRangeError,
     NonFiniteError,
+    ZeroDenominatorError,
     ZeroVectorError,
 )
 from sulcikit.losses import (
@@ -124,6 +125,13 @@ class TestContrastiveLoss:
         batch = EmbeddingBatch(FOUR_ROW_BATCH)
         assert contrastive_loss(batch, 1.0) == contrastive_loss(FOUR_ROW_BATCH, 1.0)
         assert batch.n_pairs == 2
+
+    def test_batch_leaves_caller_array_writable(self):
+        x = FOUR_ROW_BATCH.copy()
+        batch = EmbeddingBatch(x)
+        x[0, 0] = 2.0
+        assert batch.rows[0, 0] == 1.0
+        assert not batch.rows.flags.writeable
 
     def test_batch_rejects_odd_rows(self):
         with pytest.raises(ValueError):
@@ -309,6 +317,24 @@ class TestSegGradients:
     def test_unknown_loss_rejected(self):
         with pytest.raises(ValueError, match="'dice' or 'tversky'"):
             seg_loss_grad("jaccard", np.zeros((2, 2, 2)), np.zeros((2, 2, 2)))
+
+    def test_zero_denominator_is_typed(self):
+        zeros = np.zeros((2, 2, 2))
+        disjoint = np.zeros((2, 2, 2))
+        disjoint[0] = 1.0
+        calls = [
+            lambda: soft_dice_loss(zeros, zeros, smooth=0.0),
+            lambda: tversky_loss(zeros, zeros, smooth=0.0),
+            lambda: seg_loss_grad("dice", zeros, zeros, smooth=0.0),
+            lambda: seg_loss_grad("tversky", zeros, zeros, smooth=0.0),
+            # no overlap, and neither misses nor false alarms are weighed
+            lambda: tversky_loss(disjoint, 1.0 - disjoint, alpha=0.0, beta=0.0, smooth=0.0),
+            lambda: seg_loss_grad("tversky", disjoint, 1.0 - disjoint, 0.0, 0.0, smooth=0.0),
+        ]
+        for call in calls:
+            with pytest.raises(ZeroDenominatorError):
+                call()
+        assert issubclass(ZeroDenominatorError, ZeroDivisionError)
 
 
 class TestMultitaskLoss:
