@@ -186,10 +186,9 @@ def _pred_target(pred, target) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _overlap_terms(p: np.ndarray, g: np.ndarray) -> tuple[float, float, float]:
-    tp = float((p * g).sum())
-    fn = float(((1.0 - p) * g).sum())
-    fp = float((p * (1.0 - g)).sum())
-    return tp, fn, fp
+    """(tp, fn, fp) from one dot product and two sums, with no full-size temporary."""
+    tp = float(np.vdot(p, g))
+    return tp, float(g.sum()) - tp, float(p.sum()) - tp
 
 
 def _weights(loss: str, alpha: float, beta: float, smooth: float) -> tuple[float, float, float]:

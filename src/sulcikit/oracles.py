@@ -45,60 +45,76 @@ def neighbour_offsets(connectivity: int) -> list[tuple[int, int, int]]:
     return offsets
 
 
+def _neighbours(shape, connectivity: int):
+    """``neighbours(v)``: flat C-order indices of voxel v's in-volume neighbours."""
+    nx, ny, nz = shape
+    steps = [
+        (dx, dy, dz, (dx * ny + dy) * nz + dz) for dx, dy, dz in neighbour_offsets(connectivity)
+    ]
+
+    def neighbours(v):
+        cx, rest = divmod(v, ny * nz)
+        cy, cz = divmod(rest, nz)
+        return [
+            v + dv
+            for dx, dy, dz, dv in steps
+            if 0 <= cx + dx < nx and 0 <= cy + dy < ny and 0 <= cz + dz < nz
+        ]
+
+    return neighbours
+
+
 def grow_by_neighbours(mask: np.ndarray, connectivity: int, radius: int) -> np.ndarray:
     """Binary dilation one voxel at a time, ``radius`` times.
 
     Each step switches on every in-volume neighbour of every foreground
-    voxel; nothing outside the volume is kept between steps.
+    voxel; nothing outside the volume is kept between steps. Voxels are
+    Python values in a flat C-order list, not numpy scalars.
     """
-    offsets = neighbour_offsets(connectivity)
-    shape = mask.shape
-    grown = np.array(mask, dtype=bool)
+    neighbours = _neighbours(mask.shape, connectivity)
+    grown = np.asarray(mask, dtype=bool).ravel().tolist()
     for _ in range(radius):
-        step = grown.copy()
-        for cx, cy, cz in np.argwhere(grown):
-            for dx, dy, dz in offsets:
-                nx, ny, nz = cx + dx, cy + dy, cz + dz
-                if 0 <= nx < shape[0] and 0 <= ny < shape[1] and 0 <= nz < shape[2]:
-                    step[nx, ny, nz] = True
+        step = list(grown)
+        for voxel, on in enumerate(grown):
+            if on:
+                for n in neighbours(voxel):
+                    step[n] = True
         grown = step
-    return grown
+    return np.array(grown, dtype=bool).reshape(mask.shape)
 
 
 def flood_fill_components(mask: np.ndarray, connectivity: int) -> np.ndarray:
     """Breadth-first flood fill with the canonical component id ordering.
 
     Components are ranked by size descending, ties broken by their smallest
-    linear voxel index; background is 0.
+    linear voxel index; background is 0. Voxels are Python values in a flat
+    C-order list, not numpy scalars.
     """
-    offsets = neighbour_offsets(connectivity)
-    shape = mask.shape
-    labels = np.zeros(shape, dtype=np.int64)
+    neighbours = _neighbours(mask.shape, connectivity)
+    flat = np.asarray(mask, dtype=bool).ravel().tolist()
+    labels = [0] * len(flat)
     components = []
     next_id = 0
-    for start in map(tuple, np.argwhere(mask)):
-        if labels[start]:
+    # starts are visited in C order, so each component's start is its first voxel
+    for start, on in enumerate(flat):
+        if not on or labels[start]:
             continue
         next_id += 1
         labels[start] = next_id
         size = 1
         queue = deque([start])
         while queue:
-            cx, cy, cz = queue.popleft()
-            for dx, dy, dz in offsets:
-                nx, ny, nz = cx + dx, cy + dy, cz + dz
-                if 0 <= nx < shape[0] and 0 <= ny < shape[1] and 0 <= nz < shape[2]:
-                    if mask[nx, ny, nz] and not labels[nx, ny, nz]:
-                        labels[nx, ny, nz] = next_id
-                        size += 1
-                        queue.append((nx, ny, nz))
-        first = int(np.ravel_multi_index(start, shape))
-        components.append((next_id, size, first))
+            for n in neighbours(queue.popleft()):
+                if flat[n] and not labels[n]:
+                    labels[n] = next_id
+                    size += 1
+                    queue.append(n)
+        components.append((next_id, size, start))
     components.sort(key=lambda c: (-c[1], c[2]))
     remap = np.zeros(next_id + 1, dtype=np.int64)
     for rank, (raw_id, _, _) in enumerate(components, start=1):
         remap[raw_id] = rank
-    return remap[labels]
+    return remap[np.array(labels, dtype=np.int64).reshape(mask.shape)]
 
 
 def postprocess_by_flood_fill(

@@ -51,11 +51,12 @@ def make_phantom(shape=(48, 48, 40), spacing=(1.0, 1.0, 1.0)) -> LabelVolume:
     shape = tuple(int(s) for s in shape)
     grid = VoxelGrid.from_spacing(shape, spacing)
     centre = (np.asarray(shape, dtype=np.float64) - 1.0) / 2.0
-    coords = np.stack(
-        np.meshgrid(*(np.arange(s, dtype=np.float64) for s in shape), indexing="ij"),
-        axis=-1,
-    )
-    radius = np.linalg.norm(coords - centre, axis=-1)
+    # broadcastable 1-D index grids, shapes (nx,1,1), (1,ny,1) and (1,1,nz),
+    # never a full (*shape, 3) coordinate array
+    x, y, z = np.ix_(*(np.arange(s, dtype=np.float64) for s in shape))
+    dx, dy, dz = x - centre[0], y - centre[1], z - centre[2]
+    # np.linalg.norm's order over a length-3 axis, so the shells are unchanged
+    radius = np.sqrt((dx * dx + dy * dy) + dz * dz)
     r_head = min(shape) / 2.0 - 2.0
 
     labels = np.zeros(shape, dtype=np.uint16)
@@ -64,7 +65,6 @@ def make_phantom(shape=(48, 48, 40), spacing=(1.0, 1.0, 1.0)) -> LabelVolume:
     labels[radius < 0.55 * r_head] = WM
 
     # one-voxel-thick vertical ribbons inside the cortex, one per hemisphere
-    x, y, z = coords[..., 0], coords[..., 1], coords[..., 2]
     offset = 0.45 * r_head
     band = (
         (np.abs(y - centre[1]) < 0.55 * r_head)

@@ -121,6 +121,9 @@ class TissuePriors:
         """Build from a list of {label, mean_range, std_range} records."""
         table = {}
         for e in entries:
+            unknown = set(e) - {"label", "mean_range", "std_range"}
+            if unknown:
+                raise ValueError(f"unknown prior entry fields: {sorted(unknown)}")
             label = int(e["label"])
             if label in table:
                 raise ValueError(f"duplicate prior for label {label}")

@@ -168,27 +168,51 @@ def require_same_grid(a, b) -> None:
         )
 
 
-def _linear_weights(n_src: int, positions: np.ndarray) -> np.ndarray:
-    """Linear-interpolation matrix of shape ``(len(positions), n_src)``.
+def _linear_taps(n_src: int, positions: np.ndarray):
+    """The two linear-interpolation taps around each source position.
 
-    Row t holds the two taps around source position ``positions[t]`` (index
-    units). Taps outside ``[0, n_src)`` are dropped, so they read as 0.
+    Returns ``[(floor(p), 1 - frac), (floor(p) + 1, frac)]`` as (index,
+    weight) array pairs, in index units. A tap outside ``[0, n_src)`` has
+    weight 0 and its index clipped into the axis, so it reads as 0.
     """
     base = np.floor(positions)
     frac = positions - base
     base = base.astype(np.int64)
-    rows = np.arange(len(positions))
-    weights = np.zeros((len(positions), n_src))
+    taps = []
     for idx, w in ((base, 1.0 - frac), (base + 1, frac)):
         inside = (idx >= 0) & (idx < n_src)
-        weights[rows[inside], idx[inside]] = w[inside]
+        taps.append((np.clip(idx, 0, n_src - 1), np.where(inside, w, 0.0)))
+    return taps
+
+
+def _linear_weights(n_src: int, positions: np.ndarray) -> np.ndarray:
+    """Linear-interpolation matrix of shape ``(len(positions), n_src)``.
+
+    Row t holds the two taps around source position ``positions[t]`` (index
+    units); a tap outside ``[0, n_src)`` has weight 0, so it reads as 0.
+    """
+    weights = np.zeros((len(positions), n_src))
+    rows = np.arange(len(positions))
+    for idx, w in _linear_taps(n_src, positions):
+        # add, not assign: a clipped tap lands on its row's valid tap
+        np.add.at(weights, (rows, idx), w)
     return weights
+
+
+def _lerp_axis(values: np.ndarray, axis: int, taps) -> np.ndarray:
+    """Linear interpolation along one axis: gather the two taps and weight them."""
+    shape = [1, 1, 1]
+    shape[axis] = -1
+    (lo, w_lo), (hi, w_hi) = taps
+    out = np.take(values, lo, axis=axis) * w_lo.reshape(shape)
+    out += np.take(values, hi, axis=axis) * w_hi.reshape(shape)
+    return out
 
 
 def _separable_apply(mats, values: np.ndarray) -> np.ndarray:
     """Apply one ``(out_i, in_i)`` weight matrix along each axis i of ``values``.
 
-    The shared kernel behind linear resampling, lattice upsampling and blur.
+    The shared kernel behind lattice upsampling and blur.
     """
     values = np.asarray(values, dtype=np.float64)
     return np.einsum("ia,jb,kc,abc->ijk", *mats, values, optimize=True)
@@ -280,8 +304,11 @@ def resample(volume, target_shape, mode: str = "trilinear"):
         (np.arange(t, dtype=np.float64) + 0.5) * k - 0.5 for t, k in zip(target_shape, scale)
     ]
     if mode == "trilinear":
-        mats = [_linear_weights(s, p) for s, p in zip(src_shape, positions)]
-        data = _separable_apply(mats, volume.voxels)
+        # one axis at a time, the most shrinking first, so every pass reads
+        # the smallest intermediate
+        data = volume.voxels
+        for ax in sorted(range(3), key=lambda a: target_shape[a] / src_shape[a]):
+            data = _lerp_axis(data, ax, _linear_taps(src_shape[ax], positions[ax]))
     else:
         # nearest_sample's floor(p + 0.5) rule, applied per axis
         idx = [np.floor(p + 0.5).astype(np.int64) for p in positions]

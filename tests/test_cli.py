@@ -389,6 +389,17 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert str(config) in err and "'std_range'" in err
 
+    def test_run_config_prior_unknown_field_is_config_error(self, dataset, tmp_path, capsys):
+        manifest_path, _ = dataset
+        config = tmp_path / "c.json"
+        entry = {"label": 1, "mean_range": [1, 2], "std_range": [0, 1], "std_rnage": [5, 9]}
+        config.write_text(json.dumps({"priors": [entry]}))
+        out = tmp_path / "o"
+        assert main(["generate", "--manifest", str(manifest_path), "--config", str(config),
+                     "--out", str(out)]) == 1
+        assert "unknown prior entry fields: ['std_rnage']" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def _write_mask(data, path):
     mask = BinaryMask(VoxelGrid.from_spacing(data.shape), data)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -375,6 +376,26 @@ class TestGenerateSample:
         assert np.array_equal(seg_a.voxels, seg_b.voxels)
         assert not np.array_equal(img_a.voxels, img_c.voxels)
 
+    # sha256 of (image, label) voxel bytes at seeds 0-2 on a 20x24x18 phantom with
+    # the shipped priors and config, as computed before linear interpolation moved
+    # to two-tap gathers: the lattice upsampling that elastic and bias share must
+    # keep "same seed, same bytes"
+    GENERATED_SHA256 = {
+        0: ("febe2d425b9ebac655380110c29ab0f9daab4501597700ded4cbf70aa24f0e58",
+            "39e902dc569458cd26fd41a23fbee83373cc020eb55e8ca82dc481d7275d97c2"),
+        1: ("aba07abf2b6ebdeb024521239a88e4f2e85db53524b5d295df28f2313d7ff06e",
+            "0d4786c464c9df17965337c44241b95a2f9b01d271cb5d68e7441b74c7161783"),
+        2: ("86467d9f47e972fc31ba39343ef7cb868936ccd388a26666d842845fba7be7f0",
+            "db5cab02e186393e187ce3fd30e2f85deea37d6e3ecc4bf0c306b11a00545762"),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(GENERATED_SHA256))
+    def test_sample_bytes_pinned(self, seed):
+        labels = make_phantom(shape=(20, 24, 18))
+        image, seg = generate_sample(labels, default_priors(), default_generator_config(), seed)
+        digests = tuple(hashlib.sha256(v.voxels.tobytes()).hexdigest() for v in (image, seg))
+        assert digests == self.GENERATED_SHA256[seed]
+
     def test_geometry_preserved(self):
         labels = make_phantom(shape=(16, 16, 14), spacing=(1.0, 1.0, 1.25))
         image, seg = generate_sample(labels, default_priors(), default_generator_config(), 3)
@@ -465,6 +486,11 @@ class TestConfigSerialization:
 
         path.write_text(json.dumps(priors.to_entries()))
         assert TissuePriors.from_json(path) == priors
+
+    def test_priors_reject_unknown_entry_field(self):
+        entry = {"label": 1, "mean_range": [1, 2], "std_range": [0, 1], "std_rnage": [5, 9]}
+        with pytest.raises(ValueError, match=r"unknown prior entry fields: \['std_rnage'\]"):
+            TissuePriors.from_entries([entry])
 
     def test_priors_reject_negative_std(self):
         with pytest.raises(ValueError):

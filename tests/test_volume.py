@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sulcikit.errors import EmptyVolumeError, ModeMismatchError
+from sulcikit.losses import ProbabilityVolume
 from sulcikit.volume import (
     IntensityVolume,
     LabelVolume,
@@ -169,10 +170,35 @@ class TestResample:
         with pytest.raises(ModeMismatchError):
             resample(vol, (8, 8, 8), mode="trilinear")
 
-    @pytest.mark.parametrize("target", [(16, 9, 7), (3, 4, 2)], ids=["upsample", "downsample"])
-    def test_matches_per_voxel_oracle(self, image_from, trilinear_oracle, target):
-        src = np.random.default_rng(10).random((8, 6, 5)).astype(np.float32)
-        out = resample(image_from(src), target, mode="trilinear")
+    @pytest.mark.parametrize(
+        "src_shape, target, dtype",
+        [
+            ((8, 6, 5), (16, 9, 7), np.float32),
+            ((8, 6, 5), (3, 4, 2), np.float32),
+            ((8, 6, 5), (16, 2, 9), np.float32),
+            ((1, 6, 5), (4, 1, 5), np.float32),
+            ((7, 1, 1), (1, 3, 2), np.float32),
+            ((8, 6, 5), (16, 2, 9), np.float64),
+            ((1, 6, 5), (4, 1, 5), np.float64),
+        ],
+        ids=[
+            "upsample",
+            "downsample",
+            "mixed",
+            "one-voxel-axes",
+            "one-voxel-source",
+            "float64-mixed",
+            "float64-one-voxel-axes",
+        ],
+    )
+    def test_matches_per_voxel_oracle(self, unit_grid, trilinear_oracle, src_shape, target, dtype):
+        src = np.random.default_rng(10).random(src_shape).astype(dtype)
+        # a float64 volume type keeps the float64 result, so it is held to a tighter bound
+        volume_type, atol = (
+            (IntensityVolume, 1e-6) if dtype == np.float32 else (ProbabilityVolume, 1e-12)
+        )
+        out = resample(volume_type(unit_grid(src_shape), src), target, mode="trilinear")
+        assert out.voxels.dtype == dtype
         # every voxel, including boundary voxels whose outer tap falls outside
         expected = np.zeros(target)
         for t in np.ndindex(*target):
@@ -180,7 +206,21 @@ class TestResample:
                 [(t[ax] + 0.5) * src.shape[ax] / target[ax] - 0.5 for ax in range(3)]
             )
             expected[t] = trilinear_oracle(src, coord)
-        assert np.allclose(out.voxels, expected, rtol=0.0, atol=1e-6)
+        assert np.allclose(out.voxels, expected, rtol=0.0, atol=atol)
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("n_src", [1, 4])
+    def test_taps_outside_read_as_zero_on_both_edges(self, image_from, axis, n_src):
+        shape = [3, 3, 3]
+        shape[axis] = n_src
+        target = list(shape)
+        target[axis] = 2 * n_src
+        out = resample(image_from(np.ones(shape)), target, mode="trilinear").voxels
+        # doubling puts the first and last target voxel a quarter voxel outside
+        # the source, so their outer tap (weight 0.25) reads 0
+        profile = np.moveaxis(out, axis, 0)
+        assert np.all(profile[0] == 0.75) and np.all(profile[-1] == 0.75)
+        assert np.all(profile[1:-1] == 1.0)
 
     def test_extent_preserved(self, image_from):
         vol = image_from(np.zeros((10, 10, 10), dtype=np.float32), spacing=(1.0, 1.0, 2.0))
