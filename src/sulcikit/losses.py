@@ -27,7 +27,7 @@ from .errors import (
     ZeroVectorError,
 )
 from .oracles import central_difference, max_rel_error
-from .volume import VoxelGrid, require_same_grid
+from .volume import _GridVolume, _owned, require_same_grid
 
 __all__ = [
     "EmbeddingBatch",
@@ -58,9 +58,8 @@ class EmbeddingBatch:
     rows: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        rows = _rows(self.rows).copy()  # freezing must not touch the caller's array
-        _unit_rows(rows)  # raises on a zero row
-        rows.flags.writeable = False
+        rows = _owned(self.rows, np.float64, np.shape(self.rows))
+        _unit_rows(_rows(rows))  # raises on a bad shape or a zero row
         object.__setattr__(self, "rows", rows)
 
     @property
@@ -69,20 +68,17 @@ class EmbeddingBatch:
 
 
 @dataclass(frozen=True, eq=False)
-class ProbabilityVolume:
+class ProbabilityVolume(_GridVolume):
     """Per-voxel foreground probabilities in [0, 1] on a voxel grid."""
 
-    grid: VoxelGrid
-    voxels: np.ndarray = field(repr=False)
+    _dtype = np.float64
 
     def __post_init__(self):
-        voxels = np.asarray(self.voxels, dtype=np.float64).reshape(self.grid.shape)
-        if not np.isfinite(voxels).all():
+        super().__post_init__()
+        if not np.isfinite(self.voxels).all():
             raise ValueError("probability volume contains NaN or Inf")
-        if voxels.min() < 0.0 or voxels.max() > 1.0:
+        if self.voxels.min() < 0.0 or self.voxels.max() > 1.0:
             raise ValueError("probabilities must lie in [0, 1]")
-        voxels.flags.writeable = False
-        object.__setattr__(self, "voxels", voxels)
 
 
 def _rows(batch) -> np.ndarray:

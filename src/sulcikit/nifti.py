@@ -45,7 +45,9 @@ _DEFLATE_INTENSITY = (1, zlib.Z_RLE)
 _DEFLATE_INTEGER = (1, zlib.Z_DEFAULT_STRATEGY)
 _MAX_LABEL = np.iinfo(np.uint16).max
 
-_HEADER_FIELDS = [
+# the NIfTI-1 header, little-endian; a big-endian file reads it through
+# .newbyteorder(">"), as with _DATATYPES
+_HEADER_DTYPE = np.dtype([
     ("sizeof_hdr", "i4"),
     ("data_type", "S10"),
     ("db_name", "S18"),
@@ -89,18 +91,8 @@ _HEADER_FIELDS = [
     ("srow_z", "f4", (4,)),
     ("intent_name", "S16"),
     ("magic", "S4"),
-]
-
-
-def _header_dtype(byteorder: str) -> np.dtype:
-    fields = []
-    for spec in _HEADER_FIELDS:
-        name, code = spec[0], spec[1]
-        code = code if code.startswith("S") or code == "u1" else byteorder + code
-        fields.append((name, code) if len(spec) == 2 else (name, code, spec[2]))
-    return np.dtype(fields)
-
-assert _header_dtype("<").itemsize == _HEADER_SIZE
+]).newbyteorder("<")
+assert _HEADER_DTYPE.itemsize == _HEADER_SIZE
 
 # NIfTI datatype code -> numpy dtype (little-endian)
 _DATATYPES = {
@@ -129,7 +121,8 @@ def _parse_header(raw: bytes):
     for order in ("<", ">"):
         size = int(np.frombuffer(raw[:4], dtype=order + "i4")[0])
         if size == _HEADER_SIZE:
-            return np.frombuffer(raw[:_HEADER_SIZE], dtype=_header_dtype(order))[0], order
+            hdr = np.frombuffer(raw[:_HEADER_SIZE], dtype=_HEADER_DTYPE.newbyteorder(order))
+            return hdr[0], order
         if size == _NIFTI2_HEADER_SIZE:
             raise CorruptHeaderError("NIfTI-2 is not supported; convert to NIfTI-1")
     raise CorruptHeaderError("sizeof_hdr is neither 348 nor 540; not a NIfTI file")
@@ -251,7 +244,7 @@ def read_nifti(path, kind: str = "intensity"):
 
 
 def _build_header(volume, datatype: int, bitpix: int) -> bytes:
-    hdr = np.zeros((), dtype=_header_dtype("<"))
+    hdr = np.zeros((), dtype=_HEADER_DTYPE)
     hdr["sizeof_hdr"] = _HEADER_SIZE
     hdr["regular"] = b"r"
     dim = np.ones(8, dtype=np.int16)

@@ -26,6 +26,7 @@ from .volume import (
     LabelVolume,
     VoxelGrid,
     _linear_weights,
+    _owned,
     _separable_apply,
     nearest_sample,
     require_same_grid,
@@ -231,13 +232,12 @@ class DeformationField:
     displacement: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        disp = np.asarray(self.displacement, dtype=np.float32)
+        disp = _owned(self.displacement, np.float32, np.shape(self.displacement))
         expected = self.grid.shape + (3,)
         if disp.shape != expected:
             raise ValueError(f"displacement shape {disp.shape} != {expected}")
         if not np.isfinite(disp).all():
             raise ValueError("displacement contains NaN or Inf")
-        disp.flags.writeable = False
         object.__setattr__(self, "displacement", disp)
 
 
@@ -306,6 +306,7 @@ def sample_elastic(config: GeneratorConfig, grid: VoxelGrid, rng_seed: int) -> D
     disp = np.empty(grid.shape + (3,), dtype=np.float32)
     for c in range(3):
         disp[..., c] = _upsample_lattice(control[..., c], grid.shape)
+    disp.flags.writeable = False  # hand the fresh array over: the field takes it uncopied
     return DeformationField(grid, disp)
 
 

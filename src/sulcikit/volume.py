@@ -1,8 +1,9 @@
 """Core 3D volume types plus cropping, resampling and mask extraction.
 
 Voxel arrays are indexed ``[x, y, z]`` and stored x-fastest on disk. All
-volume types are immutable after construction: the wrapped numpy arrays are
-marked read-only, so instances are safe to share across threads.
+volume types are immutable after construction: each holds a read-only array
+that no writable array shares (``_owned``), so instances are safe to share
+across threads.
 """
 
 from __future__ import annotations
@@ -86,35 +87,54 @@ class VoxelGrid:
         )
 
 
-def _freeze(voxels: np.ndarray) -> np.ndarray:
-    voxels = np.ascontiguousarray(voxels)
-    voxels.flags.writeable = False
-    return voxels
+def _owned(voxels, dtype, shape) -> np.ndarray:
+    """A read-only C-order ``dtype`` array of ``shape`` that no writable array shares.
+
+    An array that is already read-only, C-order, of ``dtype`` and owns its
+    memory is taken over without a copy; anything else is copied once (a
+    dtype cast being that copy), so later writes by the caller cannot reach it.
+    """
+    flags = voxels.flags if isinstance(voxels, np.ndarray) and voxels.dtype == dtype else None
+    if not (flags and flags.c_contiguous and flags.owndata and not flags.writeable):
+        voxels = np.array(voxels, dtype=dtype, order="C")
+        voxels.flags.writeable = False
+    return voxels.reshape(shape)
 
 
 @dataclass(frozen=True, eq=False)
-class IntensityVolume:
-    """Scalar intensity map (float32) on a voxel grid; values must be finite."""
+class _GridVolume:
+    """Voxels of one dtype on a voxel grid, owned by the volume (see ``_owned``)."""
 
     grid: VoxelGrid
     voxels: np.ndarray = field(repr=False)
+
+    _dtype = None  # set by each volume type
 
     def __post_init__(self):
-        voxels = np.asarray(self.voxels, dtype=np.float32).reshape(self.grid.shape)
-        if not np.isfinite(voxels).all():
-            raise ValueError("intensity volume contains NaN or Inf")
-        object.__setattr__(self, "voxels", _freeze(voxels))
+        object.__setattr__(self, "voxels", _owned(self.voxels, self._dtype, self.grid.shape))
 
-    def with_voxels(self, voxels: np.ndarray) -> "IntensityVolume":
-        return IntensityVolume(self.grid, voxels)
+    def with_voxels(self, voxels: np.ndarray):
+        """The same volume type on the same grid, holding ``voxels``."""
+        return type(self)(self.grid, voxels)
 
 
 @dataclass(frozen=True, eq=False)
-class LabelVolume:
+class IntensityVolume(_GridVolume):
+    """Scalar intensity map (float32) on a voxel grid; values must be finite."""
+
+    _dtype = np.float32
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not np.isfinite(self.voxels).all():
+            raise ValueError("intensity volume contains NaN or Inf")
+
+
+@dataclass(frozen=True, eq=False)
+class LabelVolume(_GridVolume):
     """Integer label map (uint16) on a voxel grid; label 0 is background."""
 
-    grid: VoxelGrid
-    voxels: np.ndarray = field(repr=False)
+    _dtype = np.uint16
 
     def __post_init__(self):
         voxels = np.asarray(self.voxels)
@@ -124,11 +144,7 @@ class LabelVolume:
             raise ValueError(f"label voxels must be integers, got {voxels.dtype}")
         if voxels.size and (voxels.min() < 0 or voxels.max() > np.iinfo(np.uint16).max):
             raise ValueError("labels must fit in uint16")
-        voxels = voxels.astype(np.uint16).reshape(self.grid.shape)
-        object.__setattr__(self, "voxels", _freeze(voxels))
-
-    def with_voxels(self, voxels: np.ndarray) -> "LabelVolume":
-        return LabelVolume(self.grid, voxels)
+        super().__post_init__()
 
     def labels_present(self) -> list[int]:
         """Sorted list of labels occurring in the volume.
@@ -142,18 +158,10 @@ class LabelVolume:
 
 
 @dataclass(frozen=True, eq=False)
-class BinaryMask:
+class BinaryMask(_GridVolume):
     """Boolean foreground mask on a voxel grid."""
 
-    grid: VoxelGrid
-    voxels: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        voxels = np.asarray(self.voxels, dtype=bool).reshape(self.grid.shape)
-        object.__setattr__(self, "voxels", _freeze(voxels))
-
-    def with_voxels(self, voxels: np.ndarray) -> "BinaryMask":
-        return BinaryMask(self.grid, voxels)
+    _dtype = np.bool_
 
     @property
     def count(self) -> int:
@@ -323,7 +331,7 @@ def resample(volume, target_shape, mode: str = "trilinear"):
     affine = volume.grid.affine @ index_map
     spacing = tuple(sp * k for sp, k in zip(volume.grid.spacing, scale))
     grid = VoxelGrid(target_shape, spacing, affine)
-    return type(volume)(grid, data.astype(volume.voxels.dtype))
+    return type(volume)(grid, data)
 
 
 def binarize(labels: LabelVolume, label_set) -> BinaryMask:

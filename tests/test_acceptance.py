@@ -127,31 +127,33 @@ def test_ssl_descent_demo():
 def edge_list_oracle(mask, connectivity):
     """Canonical component labeling from an explicit voxel adjacency graph.
 
-    Every pair of neighbouring foreground voxels becomes an edge; scipy's
-    sparse-graph components partition the voxels. Components are then ranked
-    by size descending, ties broken by their smallest linear voxel index.
+    Every foreground voxel is a node and every pair of neighbouring foreground
+    voxels one edge; scipy's sparse-graph components partition the nodes.
+    Components are then ranked by size descending, ties broken by their
+    smallest linear voxel index.
     """
     shape = mask.shape
-    index = np.arange(mask.size).reshape(shape)
+    fg = np.flatnonzero(mask)
+    node = np.cumsum(mask).reshape(shape) - 1  # foreground voxels in linear order
+    offsets = neighbour_offsets(connectivity)
     rows, cols = [], []
-    for offset in neighbour_offsets(connectivity):
+    # the offsets come in +/- pairs, mirrored about the middle: the second half
+    # names each undirected edge once
+    for offset in offsets[len(offsets) // 2 :]:
         src = tuple(slice(max(0, -d), n - max(0, d)) for d, n in zip(offset, shape))
         dst = tuple(slice(max(0, d), n - max(0, -d)) for d, n in zip(offset, shape))
         both = mask[src] & mask[dst]
-        rows.append(index[src][both])
-        cols.append(index[dst][both])
+        rows.append(node[src][both])
+        cols.append(node[dst][both])
     rows, cols = np.concatenate(rows), np.concatenate(cols)
-    graph = coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(mask.size, mask.size))
+    graph = coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(len(fg), len(fg)))
     n, comp = csgraph.connected_components(graph, directed=False)
 
-    fg = np.flatnonzero(mask)
-    comp = comp[fg]
     size = np.bincount(comp, minlength=n)
     first = np.full(n, mask.size)
     np.minimum.at(first, comp, fg)
-    ranked = np.lexsort((first, -size))[: np.count_nonzero(size)]
     remap = np.zeros(n, dtype=np.int64)
-    remap[ranked] = np.arange(1, len(ranked) + 1)
+    remap[np.lexsort((first, -size))] = np.arange(1, n + 1)
     labels = np.zeros(mask.size, dtype=np.int64)
     labels[fg] = remap[comp]
     return labels.reshape(shape)

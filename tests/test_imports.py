@@ -59,3 +59,10 @@ def test_package_and_cli_import_without_scipy_ndimage():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def test_version_matches_pyproject():
+    # two sources state the version until one is derived from the other
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    project = tomllib.loads((TESTS.parent / "pyproject.toml").read_text())["project"]
+    assert sulcikit.__version__ == project["version"]

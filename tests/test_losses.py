@@ -126,13 +126,6 @@ class TestContrastiveLoss:
         assert contrastive_loss(batch, 1.0) == contrastive_loss(FOUR_ROW_BATCH, 1.0)
         assert batch.n_pairs == 2
 
-    def test_batch_leaves_caller_array_writable(self):
-        x = FOUR_ROW_BATCH.copy()
-        batch = EmbeddingBatch(x)
-        x[0, 0] = 2.0
-        assert batch.rows[0, 0] == 1.0
-        assert not batch.rows.flags.writeable
-
     def test_batch_rejects_odd_rows(self):
         with pytest.raises(ValueError):
             EmbeddingBatch(np.ones((3, 4)))

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from sulcikit.errors import EmptyVolumeError, ModeMismatchError
-from sulcikit.losses import ProbabilityVolume
+from sulcikit.losses import EmbeddingBatch, ProbabilityVolume
+from sulcikit.synth import DeformationField
 from sulcikit.volume import (
+    BinaryMask,
     IntensityVolume,
     LabelVolume,
     VoxelGrid,
@@ -78,6 +80,53 @@ class TestVolumeTypes:
         data = np.full((3, 3, 3), 7, dtype=np.uint16)
         data[2, 2, 2] = 65535
         assert labels_from(data).labels_present() == [7, 65535]
+
+
+GRID = VoxelGrid.from_spacing((2, 3, 4))
+
+# every voxel container: how to build it from an array of ones, the name of
+# the array it holds, and that array's dtype and shape
+CONTAINERS = {
+    "intensity": (lambda a: IntensityVolume(GRID, a), "voxels", np.float32, (2, 3, 4)),
+    "labels": (lambda a: LabelVolume(GRID, a), "voxels", np.uint16, (2, 3, 4)),
+    "mask": (lambda a: BinaryMask(GRID, a), "voxels", np.bool_, (2, 3, 4)),
+    "probability": (lambda a: ProbabilityVolume(GRID, a), "voxels", np.float64, (2, 3, 4)),
+    "deformation": (lambda a: DeformationField(GRID, a), "displacement", np.float32, (2, 3, 4, 3)),
+    "embedding": (EmbeddingBatch, "rows", np.float64, (4, 2)),
+}
+
+
+class TestOwnership:
+    """Every container holds a read-only array that no writable array shares."""
+
+    @pytest.mark.parametrize("passed", ["array", "readonly-view"])
+    @pytest.mark.parametrize("name", CONTAINERS)
+    def test_later_writes_do_not_reach_the_container(self, name, passed):
+        make, attr, dtype, shape = CONTAINERS[name]
+        caller = np.ones(shape, dtype)
+        given = caller
+        if passed == "readonly-view":
+            given = caller[...]
+            given.flags.writeable = False
+        held = getattr(make(given), attr)
+        assert caller.flags.writeable
+        caller[...] = 0
+        assert held.all()
+        assert not held.flags.writeable
+
+    @pytest.mark.parametrize("name", CONTAINERS)
+    def test_takes_over_a_read_only_array_that_owns_its_memory(self, name):
+        make, attr, dtype, shape = CONTAINERS[name]
+        caller = np.ones(shape, dtype)
+        caller.flags.writeable = False
+        assert np.shares_memory(getattr(make(caller), attr), caller)
+
+    @pytest.mark.parametrize("name", CONTAINERS)
+    def test_casts_other_dtypes_and_orders(self, name):
+        make, attr, dtype, shape = CONTAINERS[name]
+        caller = np.asfortranarray(np.ones(shape, np.int8))
+        held = getattr(make(caller), attr)
+        assert held.dtype == dtype and held.flags.c_contiguous and held.shape == shape
 
 
 class TestCropToContent:
