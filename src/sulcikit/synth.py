@@ -25,7 +25,7 @@ from .volume import (
     IntensityVolume,
     LabelVolume,
     VoxelGrid,
-    _linear_weights,
+    _linear_taps,
     _owned,
     _separable_apply,
     nearest_sample,
@@ -67,7 +67,10 @@ def mix_seed(seed: int, index: int) -> int:
 
 
 def _pair(value, name: str, low_floor: float | None = None) -> tuple[float, float]:
-    lo, hi = (float(value[0]), float(value[1]))
+    try:
+        lo, hi = (float(v) for v in value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be two numbers (low, high), got {value!r}") from None
     if lo > hi:
         raise ValueError(f"{name} low {lo} exceeds high {hi}")
     if low_floor is not None and lo < low_floor:
@@ -128,7 +131,7 @@ class TissuePriors:
             label = int(e["label"])
             if label in table:
                 raise ValueError(f"duplicate prior for label {label}")
-            table[label] = (tuple(e["mean_range"]), tuple(e["std_range"]))
+            table[label] = (e["mean_range"], e["std_range"])
         return cls(table)
 
     @classmethod
@@ -184,11 +187,10 @@ class GeneratorConfig:
         object.__setattr__(
             self, "bias_std_range", _pair(self.bias_std_range, "bias_std_range", 0.0)
         )
-        object.__setattr__(
-            self,
-            "substitution_table",
-            {int(k): int(v) for k, v in self.substitution_table.items()},
-        )
+        table = self.substitution_table
+        if not isinstance(table, dict):
+            raise ValueError(f"substitution_table must be a JSON object, got {table!r}")
+        object.__setattr__(self, "substitution_table", {int(k): int(v) for k, v in table.items()})
 
     @classmethod
     def identity(cls, **overrides) -> "GeneratorConfig":
@@ -284,11 +286,11 @@ def sample_affine(config: GeneratorConfig, rng_seed: int) -> np.ndarray:
 
 def _upsample_lattice(control: np.ndarray, full_shape) -> np.ndarray:
     """Trilinear upsampling from a control lattice corner-aligned with the volume."""
-    mats = []
+    axis_taps = []
     for s, g in zip(full_shape, control.shape):
         stretch = (g - 1) / (s - 1) if s > 1 else 0.0
-        mats.append(_linear_weights(g, np.arange(s, dtype=np.float64) * stretch))
-    return _separable_apply(mats, control)
+        axis_taps.append(_linear_taps(g, np.arange(s, dtype=np.float64) * stretch))
+    return _separable_apply(axis_taps, control)
 
 
 def sample_elastic(config: GeneratorConfig, grid: VoxelGrid, rng_seed: int) -> DeformationField:
@@ -417,16 +419,13 @@ def gaussian_blur(image: IntensityVolume, sigma: float) -> IntensityVolume:
     radius = len(kernel) // 2
     if radius == 0:
         return image
-    mats = []
+    axis_taps = []
     for n in image.grid.shape:
-        # padding the index array reproduces np.pad's reflection for any radius
-        taps = np.lib.stride_tricks.sliding_window_view(
-            np.pad(np.arange(n), radius, mode="symmetric"), len(kernel)
-        )
-        mat = np.zeros((n, n))
-        np.add.at(mat, (np.arange(n)[:, None], taps), kernel)
-        mats.append(mat)
-    return image.with_voxels(_separable_apply(mats, image.voxels))
+        # padding the index array reproduces np.pad's reflection for any radius;
+        # kernel offset k of output i reads padded[i + k]
+        padded = np.pad(np.arange(n), radius, mode="symmetric")
+        axis_taps.append([(padded[k : k + n], np.full(n, w)) for k, w in enumerate(kernel)])
+    return image.with_voxels(_separable_apply(axis_taps, image.voxels))
 
 
 def apply_bias_field(

@@ -8,7 +8,6 @@ across threads.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -193,44 +192,51 @@ def _linear_taps(n_src: int, positions: np.ndarray):
     return taps
 
 
-def _linear_weights(n_src: int, positions: np.ndarray) -> np.ndarray:
-    """Linear-interpolation matrix of shape ``(len(positions), n_src)``.
+def _nearest_taps(n_src: int, positions: np.ndarray):
+    """The nearest-centre tap at each source position, ties rounding up: ``floor(p + 0.5)``.
 
-    Row t holds the two taps around source position ``positions[t]`` (index
-    units); a tap outside ``[0, n_src)`` has weight 0, so it reads as 0.
+    Returns ``[(index, inside)]``: the index clipped into ``[0, n_src)``, and
+    a bool weight, False where the unclipped index lies outside the axis.
     """
-    weights = np.zeros((len(positions), n_src))
-    rows = np.arange(len(positions))
-    for idx, w in _linear_taps(n_src, positions):
-        # add, not assign: a clipped tap lands on its row's valid tap
-        np.add.at(weights, (rows, idx), w)
-    return weights
+    idx = np.floor(positions + 0.5).astype(np.int64)
+    inside = (idx >= 0) & (idx < n_src)
+    np.clip(idx, 0, n_src - 1, out=idx)
+    return [(idx, inside)]
 
 
-def _lerp_axis(values: np.ndarray, axis: int, taps) -> np.ndarray:
-    """Linear interpolation along one axis: gather the two taps and weight them."""
+def _gather_axis(values: np.ndarray, axis: int, taps) -> np.ndarray:
+    """Apply one axis's taps by gathering: the weighted sum of each tap's reads.
+
+    A bool weight keeps the values' dtype."""
     shape = [1, 1, 1]
     shape[axis] = -1
-    (lo, w_lo), (hi, w_hi) = taps
-    out = np.take(values, lo, axis=axis) * w_lo.reshape(shape)
-    out += np.take(values, hi, axis=axis) * w_hi.reshape(shape)
+    (idx, w), *rest = taps
+    out = np.take(values, idx, axis=axis) * w.reshape(shape)
+    for idx, w in rest:
+        out += np.take(values, idx, axis=axis) * w.reshape(shape)
     return out
 
 
-def _separable_apply(mats, values: np.ndarray) -> np.ndarray:
-    """Apply one ``(out_i, in_i)`` weight matrix along each axis i of ``values``.
+def _separable_apply(axis_taps, values: np.ndarray) -> np.ndarray:
+    """Apply each axis's taps as one dense ``(out_i, in_i)`` matrix, in one BLAS contraction.
 
-    The shared kernel behind lattice upsampling and blur.
-    """
+    Taps of one row that land on one column (clipped or reflected) add in the
+    order given; with einsum's order, that pins the generator's bytes."""
     values = np.asarray(values, dtype=np.float64)
+    mats = []
+    for n_src, taps in zip(values.shape, axis_taps):
+        rows = np.arange(len(taps[0][0]))
+        mat = np.zeros((len(rows), n_src))
+        for idx, w in taps:
+            np.add.at(mat, (rows, idx), w)
+        mats.append(mat)
     return np.einsum("ia,jb,kc,abc->ijk", *mats, values, optimize=True)
 
 
 def nearest_sample(values: np.ndarray, coords: np.ndarray, fill=0) -> np.ndarray:
-    """Nearest-voxel-centre lookup at fractional coordinates.
+    """Nearest-voxel-centre lookup at fractional coordinates (``_nearest_taps``).
 
-    Ties between two centres round up (``floor(x + 0.5)``). Coordinates whose
-    nearest centre lies outside the volume read as ``fill``.
+    Coordinates whose nearest centre lies outside the volume read as ``fill``.
     """
     values = np.asarray(values)
     coords = np.asarray(coords, dtype=np.float64)
@@ -238,11 +244,9 @@ def nearest_sample(values: np.ndarray, coords: np.ndarray, fill=0) -> np.ndarray
     flat = np.zeros(coords.shape[:-1], dtype=np.int64)
     inside = np.ones(coords.shape[:-1], dtype=bool)
     for axis, size in enumerate(values.shape):
-        idx = np.floor(coords[..., axis] + 0.5).astype(np.int64)
-        inside &= idx >= 0
-        inside &= idx < size
-        np.clip(idx, 0, size - 1, out=idx)
-        idx *= math.prod(values.shape[axis + 1 :])
+        [(idx, inside_axis)] = _nearest_taps(size, coords[..., axis])
+        inside &= inside_axis
+        flat *= size
         flat += idx
     out = values.ravel()[flat]
     out[~inside] = np.asarray(fill, dtype=values.dtype)
@@ -292,7 +296,9 @@ def resample(volume, target_shape, mode: str = "trilinear"):
     """Resample to ``target_shape``, rescaling spacing to preserve extent.
 
     ``mode`` is ``"trilinear"`` (intensities) or ``"nearest"`` (any type);
-    label volumes require nearest. Out-of-range samples read as 0.
+    label volumes require nearest. Only a trilinear edge tap can fall
+    outside the source (when upsampling puts the outer target centres beyond
+    the outer source centres); it reads as 0. Nearest reads always land inside.
     """
     target_shape = tuple(int(t) for t in target_shape)
     if any(t < 1 for t in target_shape):
@@ -311,18 +317,12 @@ def resample(volume, target_shape, mode: str = "trilinear"):
     positions = [
         (np.arange(t, dtype=np.float64) + 0.5) * k - 0.5 for t, k in zip(target_shape, scale)
     ]
-    if mode == "trilinear":
-        # one axis at a time, the most shrinking first, so every pass reads
-        # the smallest intermediate
-        data = volume.voxels
-        for ax in sorted(range(3), key=lambda a: target_shape[a] / src_shape[a]):
-            data = _lerp_axis(data, ax, _linear_taps(src_shape[ax], positions[ax]))
-    else:
-        # nearest_sample's floor(p + 0.5) rule, applied per axis
-        idx = [np.floor(p + 0.5).astype(np.int64) for p in positions]
-        inside = [(i >= 0) & (i < s) for i, s in zip(idx, src_shape)]
-        data = volume.voxels[np.ix_(*(np.clip(i, 0, s - 1) for i, s in zip(idx, src_shape)))]
-        data[~(inside[0][:, None, None] & inside[1][:, None] & inside[2])] = 0
+    # one axis at a time, the most shrinking first, so every pass reads the
+    # smallest intermediate
+    taps = _linear_taps if mode == "trilinear" else _nearest_taps
+    data = volume.voxels
+    for ax in sorted(range(3), key=lambda a: target_shape[a] / src_shape[a]):
+        data = _gather_axis(data, ax, taps(src_shape[ax], positions[ax]))
 
     # index map t -> K t + (K - 1)/2 folded into the affine
     index_map = np.eye(4)

@@ -340,6 +340,15 @@ class TestGenerate:
         assert main(["generate", "--manifest", str(manifest_path), "--config",
                      str(config), "--out", str(tmp_path / "o")]) == 1
 
+    def test_substitution_table_default_depends_on_generator_block(self, tmp_path):
+        # as the README states: a generator block that omits the table gets {},
+        # and only a config with no generator block gets the phantom's table
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"generator": {"normalize": True}}))
+        assert cli.RunConfig.from_json(config).generator.substitution_table == {}
+        config.write_text(json.dumps({"master_seed": 3}))
+        assert cli.RunConfig.from_json(config).generator.substitution_table == {48: 2, 49: 2}
+
     def test_unknown_run_config_field_is_config_error(self, dataset, tmp_path, capsys):
         manifest_path, config_path = dataset
         config_path.write_text(json.dumps({"samples_per_subjects": 1}))
@@ -665,6 +674,41 @@ def _probe_degenerate_lattice(tmp_path, dataset):
     return _generate(manifest_path, config_path, tmp_path / "out"), 1
 
 
+def _generate_with_config(tmp_path, dataset, config):
+    manifest_path, config_path = dataset
+    config_path.write_text(json.dumps(config))
+    return _generate(manifest_path, config_path, tmp_path / "out")
+
+
+def _probe_one_value_range(tmp_path, dataset):
+    return _generate_with_config(tmp_path, dataset, {"generator": {"blur_sigma_range": [1]}}), 1
+
+
+def _probe_one_value_prior_range(tmp_path, dataset):
+    priors = [{"label": label, "mean_range": [1], "std_range": [3, 10]} for label in (1, 2, 3)]
+    return _generate_with_config(tmp_path, dataset, {"priors": priors}), 1
+
+
+def _probe_three_value_range(tmp_path, dataset):
+    # the phantom's table, so that nothing but the third value is at fault
+    generator = {"blur_sigma_range": [0.5, 1.0, 9.0], "substitution_table": {"48": 2, "49": 2}}
+    return _generate_with_config(tmp_path, dataset, {"generator": generator}), 1
+
+
+def _probe_substitution_table_is_a_list(tmp_path, dataset):
+    generator = {"substitution_table": [1, 2]}
+    return _generate_with_config(tmp_path, dataset, {"generator": generator}), 1
+
+
+# the field each run-config probe's one-line error must name
+_FIELD_AT_FAULT = {
+    _probe_one_value_range: "blur_sigma_range",
+    _probe_one_value_prior_range: "mean_range[1]",
+    _probe_three_value_range: "blur_sigma_range",
+    _probe_substitution_table_is_a_list: "substitution_table",
+}
+
+
 def _probe_inf_srow_evaluate(tmp_path, dataset):
     pred, gt = _mask_pair(tmp_path)
     _inf_srow(pred / "a.nii")
@@ -714,6 +758,7 @@ _PROBES = (
     _probe_negative_radius,
     _probe_evaluate_missing_dir,
     _probe_check_unknown_fault,
+    *_FIELD_AT_FAULT,
 )
 
 
@@ -736,6 +781,17 @@ class TestExitCodes:
         assert "Traceback" not in err
         if code:
             assert err.startswith(f"{argv[0]}: ")
+
+    @pytest.mark.parametrize(
+        "probe", _FIELD_AT_FAULT, ids=lambda p: p.__name__[len("_probe_"):]
+    )
+    def test_malformed_run_config_names_the_field(self, dataset, tmp_path, capsys, probe):
+        argv, _ = probe(tmp_path, dataset)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"generate: configuration error: {_FIELD_AT_FAULT[probe]} ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     def test_degenerate_lattice_fails_before_any_sample(self, dataset, tmp_path, capsys):
         argv, _ = _probe_degenerate_lattice(tmp_path, dataset)

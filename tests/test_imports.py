@@ -61,8 +61,12 @@ def test_package_and_cli_import_without_scipy_ndimage():
     assert done.stdout.strip() == "False"
 
 
-def test_version_matches_pyproject():
-    # two sources state the version until one is derived from the other
+def test_version_has_one_source():
+    # the build reads the version from the package, so the two cannot disagree
     tomllib = pytest.importorskip("tomllib")  # Python 3.11+
-    project = tomllib.loads((TESTS.parent / "pyproject.toml").read_text())["project"]
-    assert sulcikit.__version__ == project["version"]
+    pyproject = tomllib.loads((TESTS.parent / "pyproject.toml").read_text())
+    assert "version" not in pyproject["project"]
+    assert "version" in pyproject["project"]["dynamic"]
+    assert pyproject["tool"]["setuptools"]["dynamic"]["version"] == {
+        "attr": "sulcikit.__version__"
+    }

@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
+from sulcikit import synth
 from sulcikit.errors import MissingPriorError, MissingSubstitutionError
 from sulcikit.presets import default_generator_config, default_priors, make_phantom
 from sulcikit.synth import (
@@ -29,6 +30,12 @@ def identity_config(**overrides):
     return GeneratorConfig.identity(
         substitution_table={48: 2, 49: 2}, **overrides
     )
+
+
+def scrambled_ramp(shape, dtype):
+    """Exact test values with no RNG or libm in them: a scrambled integer ramp."""
+    flat = np.arange(int(np.prod(shape))) * 7919 % 101
+    return (flat / 13.0 - 3.0).astype(dtype).reshape(shape)
 
 
 class TestMixSeed:
@@ -302,6 +309,53 @@ class TestGaussianBlur:
         data[5, 5, 5] = 2.0
         out = gaussian_blur(image_from(data), 1.0)
         assert out.voxels.sum() == pytest.approx(2.0, rel=1e-6)
+
+    # the float64 contraction inside the blur, taken before the blur passed
+    # taps to the shared matrix applier. Axes of 1, 2, 5 and 7 voxels are
+    # shorter than the kernel at larger sigma, so reflected taps of one row add
+    # up on one column, in ascending kernel order; the float32 cast would round
+    # a one-ulp change in that sum away, so the pin is taken before it
+    CONTRACTED_SHA256 = {
+        (0.4, (2, 7, 23)): "db9ed157c41ee17084fdf63358dbda2d9dad49460e2876f47576088dd9f3b5b2",
+        (0.4, (1, 16, 5)): "d9efd4a9519f9bbf1020f21ae4e12d6fd9e6bc1ca0cc748aa7134f8932d036f9",
+        (1.0, (2, 7, 23)): "17ca2c02501ee4ec2014c62a34d0c3218b74a2bd6dffe03e5b5cefdfbfb4aaef",
+        (1.0, (1, 16, 5)): "e0995e49827d044728de0f430aaad5227400fe93a1b23b0cbe156d28d11478ef",
+        (2.5, (2, 7, 23)): "400cb3d0c81a01b0bce9d52e06b368cfd7fa14141e3bcd6bc8231e0bc462aebf",
+        (2.5, (1, 16, 5)): "0d2aff1cc963e3c2f20c8b8a0df3c1e4a4df7242db8495c1e778821e4a4d9e61",
+        (5.0, (2, 7, 23)): "f7a79166ddbf5fafa6fc5ff3e183a482765655a1debe9a3bfa780e74ca8dfa16",
+        (5.0, (1, 16, 5)): "be9db0a87eb47b1017ad28929e96e2c60809350848aca06f0122ee08047395e0",
+    }
+
+    @pytest.mark.parametrize("sigma, shape", sorted(CONTRACTED_SHA256))
+    def test_contraction_bytes_pinned(self, image_from, monkeypatch, sigma, shape):
+        contracted = []
+        real = synth._separable_apply
+        monkeypatch.setattr(
+            synth, "_separable_apply", lambda *args: contracted.append(real(*args)) or contracted[0]
+        )
+        gaussian_blur(image_from(scrambled_ramp(shape, np.float32)), sigma)
+        digest = hashlib.sha256(contracted[0].tobytes()).hexdigest()
+        assert digest == self.CONTRACTED_SHA256[(sigma, shape)]
+
+
+class TestUpsampleLattice:
+    # taken before lattice upsampling passed taps to the shared matrix applier:
+    # elastic and bias fields depend on these float64 bytes
+    UPSAMPLED_SHA256 = {
+        ((2, 2, 2), (1, 5, 9)): "73f4db75fa8165dc9c2b767ce2c162609e1cf699249d9cfbc1968a7d938650bb",
+        ((4, 4, 4), (37, 52, 29)): "31165ccc94808f90d62e5137acac24bb9f2cf6cbe3b9d219acb18f7052a3b687",
+        ((10, 10, 10), (40, 48, 40)): "2cfbd1ed69236ee87811c8b615b5359bf838b49aeb48b56cf7e547a78125e315",
+        ((3, 7, 2), (12, 9, 7)): "c7a36c1c554ce9ddbff2fa40f5a6a964d88e50e34b40f7e939c7d66793f2127b",
+        ((5, 5, 5), (5, 5, 5)): "e3621ce4e79477ca20e10bfeda83a5dbc100f6f2c0ba274b6807562b63bcf757",
+        ((4, 4, 4), (3, 2, 1)): "eaa1f3c62303e62ee3fe6b67d2652c6cd8063296a1ecd1ea5e6520277fce7511",
+    }
+
+    @pytest.mark.parametrize("lattice, shape", sorted(UPSAMPLED_SHA256))
+    def test_bytes_pinned(self, lattice, shape):
+        out = _upsample_lattice(scrambled_ramp(lattice, np.float64), shape)
+        assert out.shape == shape
+        digest = hashlib.sha256(out.tobytes()).hexdigest()
+        assert digest == self.UPSAMPLED_SHA256[(lattice, shape)]
 
 
 class TestBiasField:
