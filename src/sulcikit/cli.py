@@ -18,7 +18,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +36,7 @@ from .metrics import aggregate, evaluate_pair
 from .nifti import read_nifti, write_atomic, write_nifti
 from .postproc import PostprocConfig, postprocess_cs
 from .presets import default_generator_config, default_priors
-from .synth import GeneratorConfig, TissuePriors, generate_sample, mix_seed
+from .synth import GeneratorConfig, TissuePriors, _int, _record, generate_sample, mix_seed
 from .volume import BinaryMask, LabelVolume, require_same_grid
 
 __all__ = ["main", "entrypoint", "DatasetManifest", "ManifestEntry", "RunConfig"]
@@ -85,6 +85,13 @@ def _fields_of(path: Path):
         raise ValueError(f"{path}: missing field {exc.args[0]!r}") from exc
 
 
+def _path(value, name: str, base: Path) -> Path:
+    """A path field: a string, read relative to ``base`` unless absolute."""
+    if not isinstance(value, (str, Path)):
+        raise ValueError(f"{name} must be a string, got {value!r}")
+    return base / value
+
+
 @dataclass(frozen=True)
 class ManifestEntry:
     """One subject: id, label map path, optional separate tissue map."""
@@ -104,73 +111,53 @@ class DatasetManifest:
     @classmethod
     def from_json(cls, path) -> "DatasetManifest":
         path = Path(path)
-        data = json.loads(path.read_text())
-        root = Path(data.get("root", ".")) if isinstance(data, dict) else Path(".")
-        if not root.is_absolute():
-            root = path.parent / root
-        entries = []
-        seen = set()
+        data = _record(json.loads(path.read_text()), ("root", "entries"), "manifest")
+        root = _path(data.get("root", "."), "root", path.parent)
+        entries = {}
         with _fields_of(path):
-            for raw in data["entries"] if isinstance(data, dict) else data:
+            raws = data["entries"]
+            if not isinstance(raws, list) or not raws or not all(isinstance(r, dict) for r in raws):
+                raise ValueError(f"entries must be a non-empty list of objects in {path}")
+            for raw in raws:
                 sid = str(raw["id"])
-                if sid in seen:
+                if sid in entries:
                     raise ValueError(f"duplicate manifest id {sid!r}")
-                seen.add(sid)
-                label_path = root / raw["label_map_path"]
+                label_path = _path(raw["label_map_path"], "label_map_path", root)
                 tissue = raw.get("tissue_map_path")
-                tissue_path = root / tissue if tissue else None
+                tissue_path = _path(tissue, "tissue_map_path", root) if tissue else None
                 for p in filter(None, (label_path, tissue_path)):
                     if not p.exists():
                         raise ValueError(f"manifest path does not exist: {p}")
-                entries.append(ManifestEntry(sid, label_path, tissue_path))
-        if not entries:
-            raise ValueError("manifest has no entries")
-        return cls(root, tuple(entries))
+                entries[sid] = ManifestEntry(sid, label_path, tissue_path)
+        return cls(root, tuple(entries.values()))
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """Generation run parameters: generator ranges, priors, counts, seed."""
 
-    generator: GeneratorConfig
-    priors: TissuePriors
+    generator: GeneratorConfig = field(default_factory=default_generator_config)
+    priors: TissuePriors = field(default_factory=default_priors)
     samples_per_subject: int = 100
     master_seed: int = 0
     output_dir: Path | None = None
 
     def __post_init__(self):
-        if self.samples_per_subject < 1:
-            raise ValueError(f"samples_per_subject must be >= 1, got {self.samples_per_subject}")
+        samples = _int(self.samples_per_subject, "samples_per_subject", low=1)
+        object.__setattr__(self, "samples_per_subject", samples)
+        object.__setattr__(self, "master_seed", _int(self.master_seed, "master_seed"))
+        out = self.output_dir
+        object.__setattr__(self, "output_dir", _path(out, "output_dir", Path()) if out else None)
 
     @classmethod
     def from_json(cls, path) -> "RunConfig":
-        data = json.loads(Path(path).read_text())
-        if not isinstance(data, dict):
-            raise ValueError(f"run config must be a JSON object, got {type(data).__name__}")
-        unknown = set(data) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown run config fields: {sorted(unknown)}")
-        generator = (
-            GeneratorConfig.from_dict(data["generator"])
-            if "generator" in data
-            else default_generator_config()
-        )
+        data = _record(json.loads(Path(path).read_text()), cls.__dataclass_fields__, "run config")
+        if "generator" in data:
+            data["generator"] = GeneratorConfig.from_dict(data["generator"])
         with _fields_of(path):
-            priors = (
-                TissuePriors.from_entries(data["priors"]) if "priors" in data else default_priors()
-            )
-        out = data.get("output_dir")
-        return cls(
-            generator=generator,
-            priors=priors,
-            samples_per_subject=int(data.get("samples_per_subject", 100)),
-            master_seed=int(data.get("master_seed", 0)),
-            output_dir=Path(out) if out else None,
-        )
-
-    @classmethod
-    def defaults(cls) -> "RunConfig":
-        return cls(generator=default_generator_config(), priors=default_priors())
+            if "priors" in data:
+                data["priors"] = TissuePriors.from_entries(data["priors"])
+        return cls(**data)
 
 
 def _strip_nifti_suffix(name: str) -> str | None:
@@ -204,8 +191,9 @@ def _load_subject_labels(entry: ManifestEntry) -> LabelVolume:
 
 def cmd_generate(args) -> int:
     with _configuration():
+        jobs = _int(args.jobs, "--jobs", low=1)
         manifest = DatasetManifest.from_json(args.manifest)
-        run = RunConfig.from_json(args.config) if args.config else RunConfig.defaults()
+        run = RunConfig.from_json(args.config) if args.config else RunConfig()
         master_seed = run.master_seed if args.seed is None else args.seed
         out_dir = Path(args.out) if args.out else run.output_dir
         if out_dir is None:
@@ -278,11 +266,11 @@ def cmd_generate(args) -> int:
     _write_manifest(manifest_path, records)
     listed, last_write = len(records), time.monotonic()
     try:
-        if args.jobs <= 1 or len(tasks) <= 1:
+        if jobs == 1 or len(tasks) <= 1:
             for task in tasks:
                 finish(produce(task))
         else:
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+            with ThreadPoolExecutor(max_workers=jobs) as pool:
                 for record in pool.map(produce, tasks):
                     finish(record)
     finally:

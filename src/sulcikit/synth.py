@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -83,7 +84,7 @@ def _axis_pairs(value, name: str):
 
     Accepts a single pair, broadcast to all three axes, or three pairs.
     """
-    value = list(value)
+    value = list(value) if isinstance(value, (list, tuple, np.ndarray)) else [value]
     if len(value) == 2 and np.isscalar(value[0]):
         return (_pair(value, name),) * 3
     if len(value) == 3:
@@ -93,10 +94,49 @@ def _axis_pairs(value, name: str):
 
 def _lattice(value, name: str) -> tuple[int, int, int]:
     """A control lattice: three node counts, each at least 2."""
-    lattice = tuple(int(g) for g in value)
-    if len(lattice) != 3 or any(g < 2 for g in lattice):
-        raise ValueError(f"{name} must be three entries >= 2, got {lattice}")
-    return lattice
+    if not isinstance(value, (list, tuple)) or len(value) != 3:
+        raise ValueError(f"{name} must be three entries >= 2, got {value!r}")
+    return tuple(_int(g, f"{name}[{i}]", low=2) for i, g in enumerate(value))
+
+
+def _record(data, fields, name: str) -> dict:
+    """A JSON object whose keys are all in ``fields``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{name} must be a JSON object, got {type(data).__name__}")
+    unknown = set(data) - set(fields)
+    if unknown:
+        raise ValueError(f"unknown {name} fields: {sorted(unknown)}")
+    return data
+
+
+def _int(value, name: str, low: int | None = None, high: int | None = None) -> int:
+    """A whole number: an integer or a whole float, never a bool or a fraction."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    if (low is not None and value < low) or (high is not None and value > high):
+        bounds = f">= {low}" if high is None else f"in {low}..{high}"
+        raise ValueError(f"{name} must be {bounds}, got {value}")
+    return int(value)
+
+
+_label = partial(_int, low=0, high=65535)
+_nonnegative_pair = partial(_pair, low_floor=0.0)
+
+
+def _label_table(table, name: str) -> dict[int, int]:
+    """A {label: label} table; a JSON object's keys arrive as decimal strings."""
+    if not isinstance(table, dict):
+        raise ValueError(f"{name} must be a JSON object, got {table!r}")
+    key = {k: int(k) if str(k).removeprefix("-").isdecimal() else k for k in table}
+    return {_label(key[k], f"{name} key {k}"): _label(v, f"{name}[{k}]") for k, v in table.items()}
+
+
+def _bool(value, name: str) -> bool:
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+    return bool(value)
 
 
 @dataclass(frozen=True)
@@ -106,12 +146,10 @@ class TissuePriors:
     entries: dict[int, tuple[tuple[float, float], tuple[float, float]]]
 
     def __post_init__(self):
-        clean = {}
-        for label, (mean_range, std_range) in self.entries.items():
-            clean[int(label)] = (
-                _pair(mean_range, f"mean_range[{label}]"),
-                _pair(std_range, f"std_range[{label}]", low_floor=0.0),
-            )
+        clean = {
+            _label(k, "label"): (_pair(m, f"mean_range[{k}]"), _pair(s, f"std_range[{k}]", 0.0))
+            for k, (m, s) in self.entries.items()
+        }
         object.__setattr__(self, "entries", clean)
 
     def __contains__(self, label: int) -> bool:
@@ -123,27 +161,39 @@ class TissuePriors:
     @classmethod
     def from_entries(cls, entries) -> "TissuePriors":
         """Build from a list of {label, mean_range, std_range} records."""
+        if not isinstance(entries, (list, tuple)):
+            raise ValueError(f"priors must be a list of entries, got {type(entries).__name__}")
         table = {}
         for e in entries:
-            unknown = set(e) - {"label", "mean_range", "std_range"}
-            if unknown:
-                raise ValueError(f"unknown prior entry fields: {sorted(unknown)}")
-            label = int(e["label"])
+            _record(e, ("label", "mean_range", "std_range"), "prior entry")
+            label = _label(e["label"], "label")
             if label in table:
                 raise ValueError(f"duplicate prior for label {label}")
             table[label] = (e["mean_range"], e["std_range"])
         return cls(table)
-
-    @classmethod
-    def from_json(cls, path) -> "TissuePriors":
-        with open(path) as fh:
-            return cls.from_entries(json.load(fh))
 
     def to_entries(self) -> list[dict]:
         return [
             {"label": label, "mean_range": list(m), "std_range": list(s)}
             for label, (m, s) in sorted(self.entries.items())
         ]
+
+
+# how GeneratorConfig reads each of its fields: reader(value, field name)
+_GENERATOR_READERS = {
+    "rotation_range": _axis_pairs,
+    "scaling_range": _axis_pairs,
+    "shear_range": _axis_pairs,
+    "translation_range": _axis_pairs,
+    "elastic_grid": _lattice,
+    "elastic_std_range": _nonnegative_pair,
+    "blur_sigma_range": _nonnegative_pair,
+    "bias_grid": _lattice,
+    "bias_std_range": _nonnegative_pair,
+    "substitution_table": _label_table,
+    "sulcus_label_start": _label,
+    "normalize": _bool,
+}
 
 
 @dataclass(frozen=True)
@@ -170,27 +220,8 @@ class GeneratorConfig:
     normalize: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "rotation_range", _axis_pairs(self.rotation_range, "rotation_range"))
-        object.__setattr__(self, "scaling_range", _axis_pairs(self.scaling_range, "scaling_range"))
-        object.__setattr__(self, "shear_range", _axis_pairs(self.shear_range, "shear_range"))
-        object.__setattr__(
-            self, "translation_range", _axis_pairs(self.translation_range, "translation_range")
-        )
-        object.__setattr__(self, "elastic_grid", _lattice(self.elastic_grid, "elastic_grid"))
-        object.__setattr__(self, "bias_grid", _lattice(self.bias_grid, "bias_grid"))
-        object.__setattr__(
-            self, "elastic_std_range", _pair(self.elastic_std_range, "elastic_std_range", 0.0)
-        )
-        object.__setattr__(
-            self, "blur_sigma_range", _pair(self.blur_sigma_range, "blur_sigma_range", 0.0)
-        )
-        object.__setattr__(
-            self, "bias_std_range", _pair(self.bias_std_range, "bias_std_range", 0.0)
-        )
-        table = self.substitution_table
-        if not isinstance(table, dict):
-            raise ValueError(f"substitution_table must be a JSON object, got {table!r}")
-        object.__setattr__(self, "substitution_table", {int(k): int(v) for k, v in table.items()})
+        for name, read in _GENERATOR_READERS.items():
+            object.__setattr__(self, name, read(getattr(self, name), name))
 
     @classmethod
     def identity(cls, **overrides) -> "GeneratorConfig":
@@ -209,16 +240,7 @@ class GeneratorConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GeneratorConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown generator config fields: {sorted(unknown)}")
-        return cls(**data)
-
-    @classmethod
-    def from_json(cls, path) -> "GeneratorConfig":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        return cls(**_record(data, cls.__dataclass_fields__, "generator config"))
 
     def to_dict(self) -> dict:
         """The fields in JSON's own types: lists for tuples, string keys in
@@ -361,7 +383,7 @@ def substitute_sulci(
     pass through untouched. Used on a synthesis-only copy, never on the
     emitted segmentation.
     """
-    table = {int(k): int(v) for k, v in substitution_table.items()}
+    table = _label_table(substitution_table, "substitution_table")
     for label in labels.labels_present():
         if label >= sulcus_label_start and label not in table:
             raise MissingSubstitutionError(label)

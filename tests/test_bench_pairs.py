@@ -27,6 +27,20 @@ def test_workload_seeds_rejects_fewer_than_two_pairs(bench_pairs, spec):
         bench_pairs.workload_seeds(spec)
 
 
+def test_summary_totals_each_sides_operations(bench_pairs):
+    runs = [
+        {"side": side, "attempted": attempted, "failed": failed, "item_s_p50": value}
+        for side, attempted, failed, value in [
+            ("parent", 10, 0, 0.2), ("change", 12, 1, 0.1),
+            ("change", 11, 2, 0.3), ("parent", 9, 0, 0.2),
+        ]
+    ]
+    summary = bench_pairs.summarize(runs, {"item_s_p50": "lower"})
+    assert summary["operations"] == {"parent": {"attempted": 19, "failed": 0},
+                                     "change": {"attempted": 23, "failed": 3}}
+    assert summary["item_s_p50"]["change_wins"] == "1/2"
+
+
 def test_failed_run_keeps_runs_made_so_far(bench_pairs, tmp_path, monkeypatch):
     """The third run fails: the file still holds the first two and names the third."""
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(

@@ -24,6 +24,23 @@ PHANTOM_SHAPE = (20, 20, 16)
 # config_sha256 of the default generator config and priors; a change to their
 # serialized form would make resume regenerate every existing sample
 DEFAULT_CONFIG_SHA256 = "cd48cf8e73eb8c7640859fe07da587f1898945d80ce7443b5df5b380c48c745f"
+# a config that sets every kind of generator field and non-default priors, and its
+# config_sha256: reading it must keep the values, so resume keeps its samples
+PINNED_CONFIG = {
+    "generator": {
+        "rotation_range": [[-5, 5], [-10, 10], [0, 0]],
+        "elastic_grid": [6, 5, 4],
+        "substitution_table": {"9": 1, "48": 2, "49": 3},
+        "sulcus_label_start": 9,
+        "normalize": False,
+    },
+    "priors": [
+        {"label": 1, "mean_range": [20, 40], "std_range": [3, 10]},
+        {"label": 2, "mean_range": [90, 110.5], "std_range": [0, 10]},
+        {"label": 3, "mean_range": [140, 160], "std_range": [3, 10]},
+    ],
+}
+PINNED_CONFIG_SHA256 = "2d22272d46bda011643ad6ab31cbc0ebb161f65487e5b5ce5cfa275be5a689f7"
 
 
 @pytest.fixture
@@ -71,6 +88,14 @@ class TestGenerate:
             assert (out / record["labels"]).exists()
             # the fixture's config leaves generator and priors at their defaults
             assert record["config_sha256"] == DEFAULT_CONFIG_SHA256
+
+    def test_pinned_config_keeps_its_hash(self, dataset, tmp_path):
+        manifest_path, config_path = dataset
+        config_path.write_text(json.dumps({**PINNED_CONFIG, "samples_per_subject": 1}))
+        out = tmp_path / "out"
+        assert main(_generate(manifest_path, config_path, out)) == 0
+        listing = json.loads((out / "manifest.json").read_text())["samples"]
+        assert [r["config_sha256"] for r in listing] == [PINNED_CONFIG_SHA256] * 2
 
     def test_rerun_is_idempotent(self, dataset, tmp_path):
         manifest_path, config_path = dataset
@@ -700,12 +725,64 @@ def _probe_substitution_table_is_a_list(tmp_path, dataset):
     return _generate_with_config(tmp_path, dataset, {"generator": generator}), 1
 
 
-# the field each run-config probe's one-line error must name
+def _config_probe(name, config):
+    def probe(tmp_path, dataset):
+        return _generate_with_config(tmp_path, dataset, config), 1
+
+    probe.__name__ = f"_probe_{name}"
+    return probe
+
+
+def _manifest_probe(name, manifest):
+    def probe(tmp_path, dataset):
+        manifest_path, config_path = dataset
+        manifest_path.write_text(json.dumps(manifest))
+        return _generate(manifest_path, config_path, tmp_path / "out"), 1
+
+    probe.__name__ = f"_probe_{name}"
+    return probe
+
+
+# the field each run-config or manifest probe's one-line error must name
 _FIELD_AT_FAULT = {
     _probe_one_value_range: "blur_sigma_range",
     _probe_one_value_prior_range: "mean_range[1]",
     _probe_three_value_range: "blur_sigma_range",
     _probe_substitution_table_is_a_list: "substitution_table",
+    _config_probe("fractional_count", {"samples_per_subject": 1.7}): "samples_per_subject",
+    _config_probe("bool_count", {"samples_per_subject": True}): "samples_per_subject",
+    _config_probe("string_seed", {"master_seed": "x"}): "master_seed",
+    _config_probe("fractional_lattice", {"generator": {"elastic_grid": [2.9, 2, 2]}}):
+        "elastic_grid[0]",
+    _config_probe("string_lattice", {"generator": {"elastic_grid": ["a", 2, 2]}}):
+        "elastic_grid[0]",
+    _config_probe("fractional_table_value",
+                  {"generator": {"substitution_table": {"48": 2.5, "49": 2}}}):
+        "substitution_table[48]",
+    _config_probe("negative_table_key",
+                  {"generator": {"substitution_table": {"-1": 3, "48": 2, "49": 2}}}):
+        "substitution_table key -1",
+    _config_probe("table_key_past_uint16",
+                  {"generator": {"substitution_table": {"70000": 3, "48": 2, "49": 2}}}):
+        "substitution_table key 70000",
+    _config_probe("non_numeric_table_key", {"generator": {"substitution_table": {"abc": 2}}}):
+        "substitution_table key abc",
+    _config_probe("string_sulcus_label_start",
+                  {"generator": {"substitution_table": {"48": 2, "49": 2},
+                                 "sulcus_label_start": "48"}}): "sulcus_label_start",
+    _config_probe("string_normalize",
+                  {"generator": {"substitution_table": {"48": 2, "49": 2}, "normalize": "no"}}):
+        "normalize",
+    _config_probe("generator_is_a_list", {"generator": [1, 2]}): "generator",
+    # labels 2 and 3 are present, so a reader that truncated 1.5 to 1 would generate
+    _config_probe("fractional_prior_label", {"priors": [
+        {"label": label, "mean_range": [1, 2], "std_range": [0, 1]} for label in (1.5, 2, 3)
+    ]}): "label",
+    _config_probe("priors_is_an_object", {"priors": {"label": 1}}): "priors",
+    _config_probe("numeric_output_dir", {"output_dir": 5}): "output_dir",
+    _manifest_probe("entries_is_an_object", {"entries": {"a": 1}}): "entries",
+    _manifest_probe("numeric_label_map_path", {"entries": [{"id": "a", "label_map_path": 5}]}):
+        "label_map_path",
 }
 
 
@@ -744,6 +821,14 @@ def _probe_check_unknown_fault(tmp_path, dataset):
     return ["check", "--inject-fault", "no-such-check"], 1
 
 
+def _probe_zero_jobs(tmp_path, dataset):
+    return _generate(*dataset, tmp_path / "out") + ["--jobs", "0"], 1
+
+
+def _probe_negative_jobs(tmp_path, dataset):
+    return _generate(*dataset, tmp_path / "out") + ["--jobs", "-2"], 1
+
+
 _PROBES = (
     _probe_evaluate_out_in_missing_dir,
     _probe_evaluate_csv_in_missing_dir,
@@ -758,6 +843,8 @@ _PROBES = (
     _probe_negative_radius,
     _probe_evaluate_missing_dir,
     _probe_check_unknown_fault,
+    _probe_zero_jobs,
+    _probe_negative_jobs,
     *_FIELD_AT_FAULT,
 )
 

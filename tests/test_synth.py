@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -219,6 +220,12 @@ class TestSubstituteSulci:
         with pytest.raises(MissingSubstitutionError) as err:
             substitute_sulci(labels_from(data), {48: 2, 49: 2})
         assert err.value.label == 300
+
+    @pytest.mark.parametrize("table", [{-1: 3}, {70000: 2}, {48: 70000}], ids=str)
+    def test_label_outside_uint16_rejected(self, labels_from, table):
+        # a lookup table of 65536 entries would wrap -1 to 65535 or index past its end
+        with pytest.raises(ValueError, match=r"substitution_table.* must be in 0\.\.65535"):
+            substitute_sulci(labels_from(np.full((2, 2, 2), 2, dtype=np.uint16)), table)
 
     def test_threshold_is_configurable(self, labels_from):
         data = np.full((2, 2, 2), 30, dtype=np.uint16)
@@ -519,11 +526,12 @@ class TestConfigSerialization:
     def test_round_trip(self, tmp_path):
         config = default_generator_config(rotation_range=(-5.0, 5.0))
         path = tmp_path / "config.json"
-        import json
-
         path.write_text(json.dumps(config.to_dict()))
-        back = GeneratorConfig.from_json(path)
-        assert back == config
+        with open(path) as fh:
+            assert GeneratorConfig.from_dict(json.load(fh)) == config
+
+    def test_every_field_has_a_reader(self):
+        assert set(synth._GENERATOR_READERS) == set(GeneratorConfig.__dataclass_fields__)
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError):
@@ -536,10 +544,9 @@ class TestConfigSerialization:
     def test_priors_round_trip(self, tmp_path):
         priors = default_priors()
         path = tmp_path / "priors.json"
-        import json
-
         path.write_text(json.dumps(priors.to_entries()))
-        assert TissuePriors.from_json(path) == priors
+        with open(path) as fh:
+            assert TissuePriors.from_entries(json.load(fh)) == priors
 
     def test_priors_reject_unknown_entry_field(self):
         entry = {"label": 1, "mean_range": [1, 2], "std_range": [0, 1], "std_rnage": [5, 9]}

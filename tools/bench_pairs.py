@@ -14,7 +14,9 @@ once in each checkout on seed k, for BENCHMARK.json's ``run_seconds``, the
 parent first in odd pairs and the change first in even ones. Each side runs
 its own ``perfbench/``. The summary gives each end-to-end metric's median and
 quartiles per side and how many pairs the change won (ties count for
-neither side); the direction of "better" comes from BENCHMARK.json.
+neither side); the direction of "better" comes from BENCHMARK.json. Under
+``operations`` it gives each side's total operations attempted and failed
+over its runs.
 ``--trace-seed S`` adds one traced run per side and workload on seed S,
 whose per-layer metrics land under ``layers``. If a run fails, the file is
 still written, with every run made so far and the failed one under
@@ -83,10 +85,16 @@ def spread(values: list[float]) -> dict:
 
 
 def summarize(runs: list[dict], better: dict[str, str]) -> dict:
-    """Per metric: each side's median and quartiles, and the change's wins over pairs."""
+    """Per metric: each side's median and quartiles, and the change's wins over pairs.
+
+    Under ``operations``: each side's total operations attempted and failed.
+    """
     parent = [r for r in runs if r["side"] == "parent"]
     change = [r for r in runs if r["side"] == "change"]
-    summary = {}
+    summary = {"operations": {
+        side: {key: sum(r[key] for r in rows) for key in ("attempted", "failed")}
+        for side, rows in (("parent", parent), ("change", change))
+    }}
     for metric, direction in better.items():
         sign = 1.0 if direction == "higher" else -1.0
         wins = sum(sign * (c[metric] - p[metric]) > 0 for p, c in zip(parent, change))
