@@ -86,9 +86,9 @@ def _fields_of(path: Path):
 
 
 def _path(value, name: str, base: Path) -> Path:
-    """A path field: a string, read relative to ``base`` unless absolute."""
-    if not isinstance(value, (str, Path)):
-        raise ValueError(f"{name} must be a string, got {value!r}")
+    """A path field: a non-empty string, read relative to ``base`` unless absolute."""
+    if not isinstance(value, (str, Path)) or value == "":
+        raise ValueError(f"{name} must be a non-empty string, got {value!r}")
     return base / value
 
 
@@ -119,12 +119,14 @@ class DatasetManifest:
             if not isinstance(raws, list) or not raws or not all(isinstance(r, dict) for r in raws):
                 raise ValueError(f"entries must be a non-empty list of objects in {path}")
             for raw in raws:
-                sid = str(raw["id"])
+                sid = raw["id"]  # a prefix of the file names written under --out
+                if not isinstance(sid, str) or sid in ("", ".", "..") or "/" in sid or "\\" in sid:
+                    raise ValueError(f"id must be a file name with no path separator, got {sid!r}")
                 if sid in entries:
                     raise ValueError(f"duplicate manifest id {sid!r}")
                 label_path = _path(raw["label_map_path"], "label_map_path", root)
                 tissue = raw.get("tissue_map_path")
-                tissue_path = _path(tissue, "tissue_map_path", root) if tissue else None
+                tissue_path = None if tissue is None else _path(tissue, "tissue_map_path", root)
                 for p in filter(None, (label_path, tissue_path)):
                     if not p.exists():
                         raise ValueError(f"manifest path does not exist: {p}")
@@ -146,8 +148,8 @@ class RunConfig:
         samples = _int(self.samples_per_subject, "samples_per_subject", low=1)
         object.__setattr__(self, "samples_per_subject", samples)
         object.__setattr__(self, "master_seed", _int(self.master_seed, "master_seed"))
-        out = self.output_dir
-        object.__setattr__(self, "output_dir", _path(out, "output_dir", Path()) if out else None)
+        out = None if self.output_dir is None else _path(self.output_dir, "output_dir", Path())
+        object.__setattr__(self, "output_dir", out)
 
     @classmethod
     def from_json(cls, path) -> "RunConfig":

@@ -94,7 +94,7 @@ def _axis_pairs(value, name: str):
 
 def _lattice(value, name: str) -> tuple[int, int, int]:
     """A control lattice: three node counts, each at least 2."""
-    if not isinstance(value, (list, tuple)) or len(value) != 3:
+    if not isinstance(value, (list, tuple, np.ndarray)) or len(value) != 3:
         raise ValueError(f"{name} must be three entries >= 2, got {value!r}")
     return tuple(_int(g, f"{name}[{i}]", low=2) for i, g in enumerate(value))
 
@@ -110,8 +110,9 @@ def _record(data, fields, name: str) -> dict:
 
 
 def _int(value, name: str, low: int | None = None, high: int | None = None) -> int:
-    """A whole number: an integer or a whole float, never a bool or a fraction."""
-    if isinstance(value, float) and value.is_integer():
+    """A whole number: an int, a whole float or a decimal string; never a bool or a fraction."""
+    digits = isinstance(value, str) and value.isascii() and value.removeprefix("-").isdecimal()
+    if digits or (isinstance(value, (float, np.floating)) and value.is_integer()):
         value = int(value)
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise ValueError(f"{name} must be a whole number, got {value!r}")
@@ -126,11 +127,10 @@ _nonnegative_pair = partial(_pair, low_floor=0.0)
 
 
 def _label_table(table, name: str) -> dict[int, int]:
-    """A {label: label} table; a JSON object's keys arrive as decimal strings."""
+    """A {label: label} table, such as a JSON object with decimal-string keys."""
     if not isinstance(table, dict):
         raise ValueError(f"{name} must be a JSON object, got {table!r}")
-    key = {k: int(k) if str(k).removeprefix("-").isdecimal() else k for k in table}
-    return {_label(key[k], f"{name} key {k}"): _label(v, f"{name}[{k}]") for k, v in table.items()}
+    return {_label(k, f"{name} key {k}"): _label(v, f"{name}[{k}]") for k, v in table.items()}
 
 
 def _bool(value, name: str) -> bool:
@@ -141,15 +141,18 @@ def _bool(value, name: str) -> bool:
 
 @dataclass(frozen=True)
 class TissuePriors:
-    """Per-label Gaussian hyper-ranges: label -> (mean_range, std_range)."""
+    """Per-label Gaussian hyper-ranges, label -> (mean_range, std_range), as a dict or pairs."""
 
     entries: dict[int, tuple[tuple[float, float], tuple[float, float]]]
 
     def __post_init__(self):
-        clean = {
-            _label(k, "label"): (_pair(m, f"mean_range[{k}]"), _pair(s, f"std_range[{k}]", 0.0))
-            for k, (m, s) in self.entries.items()
-        }
+        pairs = self.entries.items() if isinstance(self.entries, dict) else self.entries
+        clean = {}
+        for k, (m, s) in pairs:
+            label = _label(k, "label")
+            if label in clean:
+                raise ValueError(f"duplicate prior for label {label}")
+            clean[label] = (_pair(m, f"mean_range[{label}]"), _pair(s, f"std_range[{label}]", 0.0))
         object.__setattr__(self, "entries", clean)
 
     def __contains__(self, label: int) -> bool:
@@ -163,14 +166,8 @@ class TissuePriors:
         """Build from a list of {label, mean_range, std_range} records."""
         if not isinstance(entries, (list, tuple)):
             raise ValueError(f"priors must be a list of entries, got {type(entries).__name__}")
-        table = {}
-        for e in entries:
-            _record(e, ("label", "mean_range", "std_range"), "prior entry")
-            label = _label(e["label"], "label")
-            if label in table:
-                raise ValueError(f"duplicate prior for label {label}")
-            table[label] = (e["mean_range"], e["std_range"])
-        return cls(table)
+        records = [_record(e, ("label", "mean_range", "std_range"), "prior entry") for e in entries]
+        return cls([(e["label"], (e["mean_range"], e["std_range"])) for e in records])
 
     def to_entries(self) -> list[dict]:
         return [

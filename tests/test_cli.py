@@ -769,7 +769,7 @@ _FIELD_AT_FAULT = {
         "substitution_table key abc",
     _config_probe("string_sulcus_label_start",
                   {"generator": {"substitution_table": {"48": 2, "49": 2},
-                                 "sulcus_label_start": "48"}}): "sulcus_label_start",
+                                 "sulcus_label_start": "forty-eight"}}): "sulcus_label_start",
     _config_probe("string_normalize",
                   {"generator": {"substitution_table": {"48": 2, "49": 2}, "normalize": "no"}}):
         "normalize",
@@ -780,9 +780,19 @@ _FIELD_AT_FAULT = {
     ]}): "label",
     _config_probe("priors_is_an_object", {"priors": {"label": 1}}): "priors",
     _config_probe("numeric_output_dir", {"output_dir": 5}): "output_dir",
+    _config_probe("zero_output_dir", {"output_dir": 0}): "output_dir",
+    _config_probe("empty_output_dir", {"output_dir": ""}): "output_dir",
     _manifest_probe("entries_is_an_object", {"entries": {"a": 1}}): "entries",
     _manifest_probe("numeric_label_map_path", {"entries": [{"id": "a", "label_map_path": 5}]}):
         "label_map_path",
+    _manifest_probe("false_tissue_map_path", {"entries": [
+        {"id": "s1", "label_map_path": "s1_labels.nii.gz", "tissue_map_path": False}
+    ]}): "tissue_map_path",
+    # an id is a prefix of the file names written under --out
+    **{_manifest_probe(f"{name}_id", {"entries": [{"id": sid, "label_map_path": "s1.nii.gz"}]}):
+       "id"
+       for name, sid in [("parent_dir", "../escaped"), ("null", None), ("nested", "a/b"),
+                         ("backslash", "a\\b"), ("empty", ""), ("dot", "."), ("number", 7)]},
 }
 
 

@@ -556,3 +556,25 @@ class TestConfigSerialization:
     def test_priors_reject_negative_std(self):
         with pytest.raises(ValueError):
             TissuePriors({1: ((0.0, 1.0), (-1.0, 1.0))})
+
+    def test_priors_reject_a_label_given_twice(self):
+        entries = [{"label": l, "mean_range": [1, 2], "std_range": [0, 1]} for l in (1, 1.0)]
+        with pytest.raises(ValueError, match="duplicate prior for label 1"):
+            TissuePriors.from_entries(entries)
+
+    def test_whole_numbers_are_read_in_every_form(self):
+        # JSON object keys arrive as strings, and numpy scalars come from arrays
+        config = GeneratorConfig(
+            elastic_grid=np.array([6, 5, 4]),
+            bias_grid=(np.float32(3.0), "3", 3.0),
+            substitution_table={"48": "2", np.int64(49): 2.0},
+            sulcus_label_start="48",
+        )
+        assert config.elastic_grid == (6, 5, 4) and config.bias_grid == (3, 3, 3)
+        assert config.substitution_table == {48: 2, 49: 2}
+        assert type(config.sulcus_label_start) is int and config.sulcus_label_start == 48
+
+    @pytest.mark.parametrize("value", ["4.8", "1e2", " 48", "\u0664\u0668", True, 48.5])
+    def test_non_whole_numbers_rejected(self, value):
+        with pytest.raises(ValueError, match="^sulcus_label_start must be a whole number"):
+            GeneratorConfig(sulcus_label_start=value)
