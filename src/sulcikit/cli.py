@@ -248,7 +248,10 @@ def cmd_generate(args) -> int:
 
     def produce(task):
         labels, seed, img_path, seg_path, record = task
-        image, seg = generate_sample(labels, run.priors, run.generator, seed)
+        try:
+            image, seg = generate_sample(labels, run.priors, run.generator, seed)
+        except (MissingPriorError, MissingSubstitutionError) as exc:
+            raise ConfigError(f"subject {record['id']!r} ({record['source']}): {exc}") from exc
         write_nifti(image, img_path)
         write_nifti(seg, seg_path)
         return record
@@ -308,9 +311,12 @@ def cmd_postprocess(args) -> int:
 
 
 def _nifti_stems(directory: Path) -> dict[str, Path]:
+    """The NIfTI files in ``directory`` by stem; two files of one stem are an error."""
     stems = {}
     for path in sorted(directory.iterdir()):
         stem = _strip_nifti_suffix(path.name)
+        if stem in stems:
+            raise ValueError(f"{stems[stem]} and {path} share the stem {stem!r}; keep one")
         if stem is not None:
             stems[stem] = path
     return stems
@@ -324,9 +330,10 @@ def cmd_evaluate(args) -> int:
     pred = _nifti_stems(pred_dir)
     gt = _nifti_stems(gt_dir)
     matched = sorted(set(pred) & set(gt))
-    for stem in sorted(set(pred) - set(gt)):
+    unmatched = {"pred": sorted(set(pred) - set(gt)), "gt": sorted(set(gt) - set(pred))}
+    for stem in unmatched["pred"]:
         _log(f"evaluate: warning: prediction {stem} has no ground truth")
-    for stem in sorted(set(gt) - set(pred)):
+    for stem in unmatched["gt"]:
         _log(f"evaluate: warning: ground truth {stem} has no prediction")
     if not matched:
         _log("evaluate: no matching prediction/ground-truth pairs")
@@ -344,14 +351,7 @@ def cmd_evaluate(args) -> int:
         summary = None
 
     rows = [r.to_dict() for r in reports]
-    doc = {
-        "pairs": rows,
-        "summary": summary,
-        "unmatched": {
-            "pred": sorted(set(pred) - set(gt)),
-            "gt": sorted(set(gt) - set(pred)),
-        },
-    }
+    doc = {"pairs": rows, "summary": summary, "unmatched": unmatched}
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if args.out:
         Path(args.out).write_text(text)
@@ -383,8 +383,15 @@ def cmd_check(args) -> int:
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ConfigError instead of exiting 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sulcikit",
         description="Synthetic data generation, post-processing and evaluation "
         "for 3D sulcus segmentation pipelines.",
@@ -402,9 +409,12 @@ def build_parser() -> argparse.ArgumentParser:
     post = sub.add_parser("postprocess", help="clean raw binary predictions")
     post.add_argument("--in", dest="inputs", nargs="+", required=True, metavar="PATH",
                       help="input mask NIfTI file(s)")
-    post.add_argument("--radius", type=int, default=1, help="dilation radius (voxels)")
-    post.add_argument("--connectivity", type=int, choices=(6, 18, 26), default=26)
-    post.add_argument("--keep", type=int, default=2, help="components to keep")
+    defaults = PostprocConfig()
+    post.add_argument("--radius", type=int, default=defaults.dilation_radius,
+                      help="dilation radius (voxels)")
+    post.add_argument("--connectivity", type=int, default=defaults.connectivity,
+                      help="neighbourhood connectivity: 6, 18 or 26")
+    post.add_argument("--keep", type=int, default=defaults.keep, help="components to keep")
     post.set_defaults(func=cmd_postprocess)
 
     ev = sub.add_parser("evaluate", help="compare predictions against ground truth")
@@ -422,8 +432,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    # argparse names the command in the namespace before parsing its flags, so
+    # a usage error is reported under the command once argv names a valid one
+    args = argparse.Namespace(command="sulcikit")
     try:
+        build_parser().parse_args(argv, args)
         return args.func(args)
     except tuple(_EXIT_CODES) as exc:
         code = next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))

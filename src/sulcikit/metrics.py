@@ -1,8 +1,9 @@
 """Segmentation evaluation: Dice, Hausdorff distance, volume and surface area.
 
 Hausdorff distances are symmetric max-min Euclidean distances between
-foreground voxel centres, measured in millimetres via the grid spacing (pass
-unit spacing for voxel units). The implementation uses an exact Euclidean
+foreground voxel centres, measured in millimetres via the grid spacing; every
+metric reads the spacing from the masks' grid, so for voxel units build the
+masks on a unit-spacing grid. The implementation uses an exact Euclidean
 feature transform to find each voxel's nearest counterpart and recomputes
 the distance from the index offsets, so values match brute-force pairwise
 computation. Volume and surface area are voxel-based proxies: foreground
@@ -89,16 +90,6 @@ def dice(x: BinaryMask, y: BinaryMask) -> float:
     return 2.0 * overlap / (nx + ny)
 
 
-def _spacing(mask: BinaryMask, spacing) -> np.ndarray:
-    return np.asarray(mask.grid.spacing if spacing is None else spacing, dtype=np.float64)
-
-
-def _box(nonzero: np.ndarray) -> tuple[slice, slice, slice]:
-    """Slices of the bounding box of a non-empty boolean array."""
-    lo, hi = _bounding_box(nonzero)
-    return tuple(slice(a, b + 1) for a, b in zip(lo, hi))
-
-
 def _directed_hausdorff(a: np.ndarray, b: np.ndarray, spacing: np.ndarray) -> float:
     """max over a-voxels of the distance to the nearest b-voxel (mm)."""
     from scipy import ndimage  # here, so that importing sulcikit does not load SciPy
@@ -112,10 +103,9 @@ def _directed_hausdorff(a: np.ndarray, b: np.ndarray, spacing: np.ndarray) -> fl
     return float(dists.max())
 
 
-def hausdorff(x: BinaryMask, y: BinaryMask, spacing=None) -> float:
-    """Symmetric Hausdorff distance between foreground voxel centres.
+def hausdorff(x: BinaryMask, y: BinaryMask) -> float:
+    """Symmetric Hausdorff distance between foreground voxel centres (mm).
 
-    Distances use grid spacing unless an explicit ``spacing`` is given.
     Raises EmptySetError naming the empty side.
     """
     require_same_grid(x, y)
@@ -123,30 +113,30 @@ def hausdorff(x: BinaryMask, y: BinaryMask, spacing=None) -> float:
         raise EmptySetError("first")
     if y.count == 0:
         raise EmptySetError("second")
-    sp = _spacing(x, spacing)
+    sp = np.asarray(x.grid.spacing)
     # every nearest counterpart lies in the joint bounding box
-    box = _box(x.voxels | y.voxels)
+    box = _bounding_box(x.voxels | y.voxels)
     a, b = x.voxels[box], y.voxels[box]
     return max(_directed_hausdorff(a, b, sp), _directed_hausdorff(b, a, sp))
 
 
-def voxel_volume(mask: BinaryMask, spacing=None) -> float:
+def voxel_volume(mask: BinaryMask) -> float:
     """Foreground voxel count times the voxel volume (mm^3)."""
-    sp = _spacing(mask, spacing)
-    return mask.count * float(sp[0] * sp[1] * sp[2])
+    sx, sy, sz = mask.grid.spacing
+    return mask.count * (sx * sy * sz)
 
 
-def voxel_surface_area(mask: BinaryMask, spacing=None) -> float:
+def voxel_surface_area(mask: BinaryMask) -> float:
     """Total area of exposed voxel faces (mm^2).
 
     A face is exposed when a foreground voxel borders background or the
     volume boundary along that axis.
     """
-    sp = _spacing(mask, spacing)
     if not mask.voxels.any():
         return 0.0
+    sp = np.asarray(mask.grid.spacing)
     # outside its bounding box the mask is background: same transitions
-    data = mask.voxels[_box(mask.voxels)]
+    data = mask.voxels[_bounding_box(mask.voxels)]
     area = 0.0
     for ax in range(3):
         face = float(np.prod(np.delete(sp, ax)))

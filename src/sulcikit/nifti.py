@@ -36,14 +36,6 @@ __all__ = ["read_nifti", "write_nifti"]
 _HEADER_SIZE = 348
 _NIFTI2_HEADER_SIZE = 540
 _VOX_OFFSET = 352
-# (zlib level, strategy) of the deflate stream per written dtype. Intensity
-# noise has no repeats but zero runs, which Z_RLE finds without a match search
-# (about half of level 6's time, within a few percent of its size); label maps
-# and masks are runs and repeated rows, which level 1 finds at about a third of
-# level 6's time, in about twice its (small) size.
-_DEFLATE_INTENSITY = (1, zlib.Z_RLE)
-_DEFLATE_INTEGER = (1, zlib.Z_DEFAULT_STRATEGY)
-_MAX_LABEL = np.iinfo(np.uint16).max
 
 # the NIfTI-1 header, little-endian; a big-endian file reads it through
 # .newbyteorder(">"), as with _DATATYPES
@@ -104,6 +96,23 @@ _DATATYPES = {
     512: np.dtype("<u2"),
 }
 
+# volume type -> (datatype code it is stored as, (zlib level, strategy) of its
+# deflate stream). Intensity noise repeats only in zero runs, which Z_RLE finds
+# without a match search (half of level 6's time, within a few percent of its
+# size); label maps and masks are runs and repeated rows, which level 1 finds
+# in a third of level 6's time, at about twice its (small) size.
+_STORAGE = {
+    IntensityVolume: (16, (1, zlib.Z_RLE)),
+    LabelVolume: (512, (1, zlib.Z_DEFAULT_STRATEGY)),
+    BinaryMask: (2, (1, zlib.Z_DEFAULT_STRATEGY)),
+}
+
+# read_nifti's kind -> (volume type returned, error raised for voxels the type rejects)
+_KINDS = {
+    "intensity": (IntensityVolume, NonFiniteError),
+    "labels": (LabelVolume, NonIntegerLabelsError),
+}
+
 
 def _read_bytes(path: Path) -> bytes:
     raw = path.read_bytes()
@@ -151,9 +160,7 @@ def _quaternion_affine(hdr) -> np.ndarray:
 def _resolve_affine(hdr) -> np.ndarray:
     if int(hdr["sform_code"]) > 0:
         affine = np.eye(4)
-        affine[0] = np.asarray(hdr["srow_x"], dtype=np.float64)
-        affine[1] = np.asarray(hdr["srow_y"], dtype=np.float64)
-        affine[2] = np.asarray(hdr["srow_z"], dtype=np.float64)
+        affine[:3] = hdr["srow_x"], hdr["srow_y"], hdr["srow_z"]
         return affine
     if int(hdr["qform_code"]) > 0:
         return _quaternion_affine(hdr)
@@ -166,15 +173,16 @@ def _resolve_affine(hdr) -> np.ndarray:
 def read_nifti(path, kind: str = "intensity"):
     """Read a single-file NIfTI-1 volume.
 
-    ``kind`` selects the returned type: ``"intensity"`` (IntensityVolume,
-    float32) or ``"labels"`` (LabelVolume, uint16, raising
-    NonIntegerLabelsError when the stored values are not integers in
-    0..65535). Intensities that are not finite as float32 raise
-    NonFiniteError. A malformed header (a non-finite affine included) or a
-    truncated file raises CorruptHeaderError.
+    ``kind`` selects the returned type, which decides the voxel values it
+    holds: ``"intensity"`` (IntensityVolume, float32; values not finite as
+    float32 raise NonFiniteError) or ``"labels"`` (LabelVolume, uint16; values
+    not integers in 0..65535 raise NonIntegerLabelsError). Both name the file.
+    A malformed header (a non-finite affine included) or a truncated file
+    raises CorruptHeaderError.
     """
-    if kind not in ("intensity", "labels"):
+    if kind not in _KINDS:
         raise ValueError(f"kind must be 'intensity' or 'labels', got {kind!r}")
+    volume_type, rejected = _KINDS[kind]
     raw = _read_bytes(Path(path))
     hdr, order = _parse_header(raw)
 
@@ -228,43 +236,31 @@ def read_nifti(path, kind: str = "intensity"):
     except ValueError as exc:
         raise CorruptHeaderError(f"header geometry invalid: {exc}") from exc
 
-    if kind == "labels":
-        if np.issubdtype(data.dtype, np.floating):
-            if not (np.isfinite(data).all() and np.array_equal(data, np.round(data))):
-                raise NonIntegerLabelsError(f"{path}: voxel values are not finite integers")
-            data = data.astype(np.int64)
-        if data.size and (int(data.min()) < 0 or int(data.max()) > _MAX_LABEL):
-            raise NonIntegerLabelsError(f"{path}: values outside 0..{_MAX_LABEL} cannot be labels")
-        return LabelVolume(grid, data)
-    with np.errstate(over="ignore"):
-        data = data.astype(np.float32)
-    if not np.isfinite(data).all():
-        raise NonFiniteError(f"{path}: voxel values are not finite in float32")
-    return IntensityVolume(grid, data)
+    if kind == "labels" and np.issubdtype(data.dtype, np.floating):
+        if not (np.isfinite(data).all() and np.array_equal(data, np.round(data))):
+            raise NonIntegerLabelsError(f"{path}: voxel values are not finite integers")
+        data = data.astype(np.int64)
+    try:
+        # a value past float32's range becomes inf in the cast, which the type rejects
+        with np.errstate(over="ignore"):
+            return volume_type(grid, data)
+    except ValueError as exc:
+        raise rejected(f"{path}: {exc}") from exc
 
 
 def _build_header(volume, datatype: int, bitpix: int) -> bytes:
     hdr = np.zeros((), dtype=_HEADER_DTYPE)
     hdr["sizeof_hdr"] = _HEADER_SIZE
     hdr["regular"] = b"r"
-    dim = np.ones(8, dtype=np.int16)
-    dim[0] = 3
-    dim[1:4] = volume.grid.shape
-    hdr["dim"] = dim
+    hdr["dim"] = [3, *volume.grid.shape, 1, 1, 1, 1]
     hdr["datatype"] = datatype
     hdr["bitpix"] = bitpix
-    pixdim = np.zeros(8, dtype=np.float32)
-    pixdim[0] = 1.0
-    pixdim[1:4] = volume.grid.spacing
-    hdr["pixdim"] = pixdim
+    hdr["pixdim"] = [1.0, *volume.grid.spacing, 0.0, 0.0, 0.0, 0.0]
     hdr["vox_offset"] = _VOX_OFFSET
     hdr["scl_slope"] = 1.0
     hdr["xyzt_units"] = 2  # NIFTI_UNITS_MM
     hdr["sform_code"] = 2  # aligned
-    affine = volume.grid.affine
-    hdr["srow_x"] = affine[0].astype(np.float32)
-    hdr["srow_y"] = affine[1].astype(np.float32)
-    hdr["srow_z"] = affine[2].astype(np.float32)
+    hdr["srow_x"], hdr["srow_y"], hdr["srow_z"] = volume.grid.affine[:3]
     hdr["magic"] = b"n+1"
     return hdr.tobytes()
 
@@ -277,16 +273,13 @@ def write_nifti(volume, path) -> None:
     ``path`` only once fully written; on failure no temp file is left.
     """
     path = Path(path)
-    if isinstance(volume, IntensityVolume):
-        dtype, datatype, deflate = "<f4", 16, _DEFLATE_INTENSITY
-    elif isinstance(volume, LabelVolume):
-        dtype, datatype, deflate = "<u2", 512, _DEFLATE_INTEGER
-    elif isinstance(volume, BinaryMask):
-        dtype, datatype, deflate = "u1", 2, _DEFLATE_INTEGER
+    for volume_type, (datatype, deflate) in _STORAGE.items():
+        if isinstance(volume, volume_type):
+            break
     else:
         raise TypeError(f"cannot write {type(volume).__name__} as NIfTI")
     # cast straight into Fortran order, whose transpose is the voxel bytes
-    data = volume.voxels.astype(dtype, order="F")
+    data = volume.voxels.astype(_DATATYPES[datatype], order="F")
     header = _build_header(volume, datatype, 8 * data.itemsize)
     payload = b"".join((header, b"\x00" * (_VOX_OFFSET - _HEADER_SIZE), data.T))
     if path.name.endswith(".gz"):

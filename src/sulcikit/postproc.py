@@ -15,7 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .volume import BinaryMask, LabelVolume
+from .volume import MAX_LABEL, BinaryMask, LabelVolume
 
 __all__ = [
     "ComponentLabeling",
@@ -81,7 +81,7 @@ def _grow_box(voxels: np.ndarray, axes, width: int) -> np.ndarray:
     return voxels
 
 
-def dilate(mask: BinaryMask, radius: int, connectivity: int = 26) -> BinaryMask:
+def dilate(mask: BinaryMask, radius: int, connectivity=PostprocConfig.connectivity) -> BinaryMask:
     """Binary dilation with the connectivity's structuring element, ``radius`` times.
 
     Equal bitwise to SciPy's ``binary_dilation`` with the 6/18/26 element,
@@ -123,10 +123,12 @@ def _ranked_components(voxels: np.ndarray, connectivity: int):
     return raw, ids[order], counts[order]
 
 
-def connected_components(mask: BinaryMask, connectivity: int = 26) -> ComponentLabeling:
+def connected_components(
+    mask: BinaryMask, connectivity=PostprocConfig.connectivity
+) -> ComponentLabeling:
     """Label connected components under 6/18/26-connectivity."""
     raw, ranked, sizes = _ranked_components(mask.voxels, connectivity)
-    if len(ranked) > np.iinfo(np.uint16).max:
+    if len(ranked) > MAX_LABEL:
         raise ValueError(f"too many components for a uint16 label map: {len(ranked)}")
     lut = np.zeros(len(ranked) + 1, dtype=np.uint16)
     lut[ranked] = np.arange(1, len(ranked) + 1, dtype=np.uint16)

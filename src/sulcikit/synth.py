@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import MissingPriorError, MissingSubstitutionError
 from .volume import (
+    MAX_LABEL,
     IntensityVolume,
     LabelVolume,
     VoxelGrid,
@@ -122,7 +123,7 @@ def _int(value, name: str, low: int | None = None, high: int | None = None) -> i
     return int(value)
 
 
-_label = partial(_int, low=0, high=65535)
+_label = partial(_int, low=0, high=MAX_LABEL)
 _nonnegative_pair = partial(_pair, low_floor=0.0)
 
 
@@ -365,7 +366,7 @@ def deform_labels(labels: LabelVolume, affine: np.ndarray, field_: DeformationFi
         for axis in range(3):
             src[..., axis] += affine[axis, 3]
             src[..., axis] += centre[axis]
-        out[x0:x1] = nearest_sample(labels.voxels, src, fill=0)
+        out[x0:x1] = nearest_sample(labels.voxels, src)
     return labels.with_voxels(out)
 
 
@@ -384,7 +385,7 @@ def substitute_sulci(
     for label in labels.labels_present():
         if label >= sulcus_label_start and label not in table:
             raise MissingSubstitutionError(label)
-    lut = np.arange(65536, dtype=np.uint16)
+    lut = np.arange(MAX_LABEL + 1, dtype=np.uint16)
     for src, dst in table.items():
         lut[src] = dst
     return labels.with_voxels(lut[labels.voxels])

@@ -31,6 +31,8 @@ __all__ = [
 ]
 
 _SPACING_RTOL = 1e-5
+_AFFINE_ATOL = 1e-5  # how far two affines' entries may differ on one geometry
+MAX_LABEL = np.iinfo(np.uint16).max  # the largest label: LabelVolume voxels are uint16
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,21 +70,20 @@ class VoxelGrid:
         object.__setattr__(self, "affine", affine)
 
     @classmethod
-    def from_spacing(cls, shape, spacing=(1.0, 1.0, 1.0), origin=(0.0, 0.0, 0.0)) -> "VoxelGrid":
-        """Axis-aligned grid with a diagonal affine and the given origin."""
+    def from_spacing(cls, shape, spacing=(1.0, 1.0, 1.0)) -> "VoxelGrid":
+        """Axis-aligned grid with a diagonal affine, voxel 0 at the world origin."""
         affine = np.eye(4)
         affine[:3, :3] = np.diag(spacing)
-        affine[:3, 3] = origin
         return cls(tuple(shape), tuple(spacing), affine)
 
     @property
     def n_voxels(self) -> int:
         return int(np.prod(self.shape))
 
-    def same_geometry(self, other: "VoxelGrid", tol: float = 1e-5) -> bool:
-        """True when shapes match and affines agree within ``tol``."""
+    def same_geometry(self, other: "VoxelGrid") -> bool:
+        """True when shapes match and affines agree within ``_AFFINE_ATOL``."""
         return self.shape == other.shape and bool(
-            np.allclose(self.affine, other.affine, rtol=0.0, atol=tol)
+            np.allclose(self.affine, other.affine, rtol=0.0, atol=_AFFINE_ATOL)
         )
 
 
@@ -126,32 +127,30 @@ class IntensityVolume(_GridVolume):
     def __post_init__(self):
         super().__post_init__()
         if not np.isfinite(self.voxels).all():
-            raise ValueError("intensity volume contains NaN or Inf")
+            raise ValueError("intensity values are not finite as float32")
 
 
 @dataclass(frozen=True, eq=False)
 class LabelVolume(_GridVolume):
-    """Integer label map (uint16) on a voxel grid; label 0 is background."""
+    """Integer label map (uint16, labels 0..MAX_LABEL) on a voxel grid; label 0 is background."""
 
     _dtype = np.uint16
 
     def __post_init__(self):
         voxels = np.asarray(self.voxels)
-        if not np.issubdtype(voxels.dtype, np.integer) and not np.issubdtype(
-            voxels.dtype, np.bool_
-        ):
+        if not (np.issubdtype(voxels.dtype, np.integer) or voxels.dtype == np.bool_):
             raise ValueError(f"label voxels must be integers, got {voxels.dtype}")
-        if voxels.size and (voxels.min() < 0 or voxels.max() > np.iinfo(np.uint16).max):
-            raise ValueError("labels must fit in uint16")
+        if voxels.size and (voxels.min() < 0 or voxels.max() > MAX_LABEL):
+            raise ValueError(f"label values must be in 0..{MAX_LABEL}")
         super().__post_init__()
 
     def labels_present(self) -> list[int]:
         """Sorted list of labels occurring in the volume.
 
         One linear pass: each voxel marks its label in a table over every
-        uint16 value, with no sort and no widened copy of the volume.
+        label value, with no sort and no widened copy of the volume.
         """
-        seen = np.zeros(np.iinfo(np.uint16).max + 1, dtype=bool)
+        seen = np.zeros(MAX_LABEL + 1, dtype=bool)
         seen[self.voxels.ravel()] = True
         return [int(v) for v in np.flatnonzero(seen)]
 
@@ -233,10 +232,10 @@ def _separable_apply(axis_taps, values: np.ndarray) -> np.ndarray:
     return np.einsum("ia,jb,kc,abc->ijk", *mats, values, optimize=True)
 
 
-def nearest_sample(values: np.ndarray, coords: np.ndarray, fill=0) -> np.ndarray:
+def nearest_sample(values: np.ndarray, coords: np.ndarray) -> np.ndarray:
     """Nearest-voxel-centre lookup at fractional coordinates (``_nearest_taps``).
 
-    Coordinates whose nearest centre lies outside the volume read as ``fill``.
+    Coordinates whose nearest centre lies outside the volume read as 0.
     """
     values = np.asarray(values)
     coords = np.asarray(coords, dtype=np.float64)
@@ -249,23 +248,18 @@ def nearest_sample(values: np.ndarray, coords: np.ndarray, fill=0) -> np.ndarray
         flat *= size
         flat += idx
     out = values.ravel()[flat]
-    out[~inside] = np.asarray(fill, dtype=values.dtype)
+    out[~inside] = 0
     return out
 
 
-def _bounding_box(nonzero: np.ndarray):
-    """Per-axis first and last index of the True voxels: ``(lo, hi)`` lists.
-
-    ``nonzero`` must hold at least one True voxel.
-    """
-    lo = []
-    hi = []
+def _bounding_box(nonzero: np.ndarray) -> tuple[slice, slice, slice]:
+    """Slices of the bounding box of the True voxels; ``nonzero`` must hold one."""
+    box = []
     for ax in range(3):
         axes = tuple(a for a in range(3) if a != ax)
         present = np.flatnonzero(nonzero.any(axis=axes))
-        lo.append(int(present[0]))
-        hi.append(int(present[-1]))
-    return lo, hi
+        box.append(slice(int(present[0]), int(present[-1]) + 1))
+    return tuple(box)
 
 
 def crop_to_content(volume, margin: int = 0):
@@ -280,16 +274,17 @@ def crop_to_content(volume, margin: int = 0):
     nonzero = data != 0
     if not nonzero.any():
         raise EmptyVolumeError("cannot crop an all-zero volume")
-    lo, hi = _bounding_box(nonzero)
-    lo = [max(a - margin, 0) for a in lo]
-    hi = [min(b + margin, n - 1) for b, n in zip(hi, data.shape)]
-    sl = tuple(slice(a, b + 1) for a, b in zip(lo, hi))
-    cropped = data[sl]
-    origin = volume.grid.affine @ np.array([lo[0], lo[1], lo[2], 1.0])
+    box = tuple(
+        slice(max(s.start - margin, 0), min(s.stop + margin, n))
+        for s, n in zip(_bounding_box(nonzero), data.shape)
+    )
+    lo = tuple(s.start for s in box)
+    cropped = data[box]
+    origin = volume.grid.affine @ np.array([*lo, 1.0])
     affine = np.array(volume.grid.affine)
     affine[:3, 3] = origin[:3]
     grid = VoxelGrid(cropped.shape, volume.grid.spacing, affine)
-    return type(volume)(grid, cropped), (lo[0], lo[1], lo[2])
+    return type(volume)(grid, cropped), lo
 
 
 def resample(volume, target_shape, mode: str = "trilinear"):

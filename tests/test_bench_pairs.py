@@ -35,10 +35,43 @@ def test_summary_totals_each_sides_operations(bench_pairs):
             ("change", 11, 2, 0.3), ("parent", 9, 0, 0.2),
         ]
     ]
-    summary = bench_pairs.summarize(runs, {"item_s_p50": "lower"})
+    summary = bench_pairs.summarize(runs, [{"name": "item_s_p50", "better": "lower",
+                                            "bound": 0.25}])
     assert summary["operations"] == {"parent": {"attempted": 19, "failed": 0},
                                      "change": {"attempted": 23, "failed": 3}}
     assert summary["item_s_p50"]["change_wins"] == "1/2"
+
+
+def _alternating(parent, change, metric="item_s_p50"):
+    runs = []
+    for p, c in zip(parent, change):
+        runs += [{"side": "parent", "attempted": 1, "failed": 0, metric: p},
+                 {"side": "change", "attempted": 1, "failed": 0, metric: c}]
+    return runs
+
+
+@pytest.mark.parametrize(
+    "better, parent, change, worse_by, expected",
+    [
+        # medians 1.0 -> 1.1: 10 % slower, within the 25 % bound
+        ("lower", [0.98, 1.0, 1.02, 0.99, 1.01], [1.08, 1.1, 1.12, 1.09, 1.11], 0.1, "ok"),
+        # medians 1.0 -> 1.5: 50 % slower, past the bound
+        ("lower", [0.98, 1.0, 1.02, 0.99, 1.01], [1.48, 1.5, 1.52, 1.49, 1.51], 0.5, "worse"),
+        # a rate that halves is worse by 50 %
+        ("higher", [9.8, 10.0, 10.2, 9.9, 10.1], [4.8, 5.0, 5.2, 4.9, 5.1], 0.5, "worse"),
+        # parent quartiles 0.5..1.5 around a median of 1.0: spread 100 % > 25 %
+        ("lower", [0.4, 0.5, 1.0, 1.5, 1.6], [1.0, 1.1, 1.2, 1.3, 1.4], 0.2, "unresolved"),
+        # the same spread, but every change run beats every parent run
+        ("lower", [0.4, 0.5, 1.0, 1.5, 1.6], [0.1, 0.2, 0.3, 0.2, 0.1], -0.8, "ok"),
+    ],
+    ids=["ok", "worse", "worse-higher", "unresolved", "wide-but-every-run-wins"],
+)
+def test_summary_gives_the_gate_verdict(bench_pairs, better, parent, change, worse_by, expected):
+    summary = bench_pairs.summarize(_alternating(parent, change),
+                                    [{"name": "item_s_p50", "better": better, "bound": 0.25}])
+    row = summary["item_s_p50"]
+    assert row["worse_by"] == pytest.approx(worse_by)
+    assert row["verdict"] == expected
 
 
 def test_failed_run_keeps_runs_made_so_far(bench_pairs, tmp_path, monkeypatch):

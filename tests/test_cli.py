@@ -16,7 +16,7 @@ from sulcikit.errors import (
     SulcikitError,
 )
 from sulcikit.nifti import read_nifti, write_nifti
-from sulcikit.postproc import connected_components
+from sulcikit.postproc import PostprocConfig, connected_components
 from sulcikit.presets import default_generator_config, make_phantom
 from sulcikit.volume import BinaryMask, VoxelGrid
 
@@ -365,6 +365,29 @@ class TestGenerate:
         assert main(["generate", "--manifest", str(manifest_path), "--config",
                      str(config), "--out", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize(
+        "label, message",
+        [(7, "tissue label 7 has no intensity prior"),
+         (50, "sulcus label 50 has no substitution entry")],
+        ids=["prior", "substitution"],
+    )
+    def test_unmapped_label_names_its_subject(
+        self, dataset, tmp_path, capsys, jobs, label, message
+    ):
+        manifest_path, config_path = dataset
+        s2 = manifest_path.parent / "s2_labels.nii.gz"
+        voxels = np.array(read_nifti(s2, kind="labels").voxels)
+        voxels[voxels == 3] = label
+        write_nifti(make_phantom(shape=voxels.shape).with_voxels(voxels), s2)
+        out = tmp_path / "out"
+        assert main(_generate(manifest_path, config_path, out) + ["--jobs", jobs]) == 1
+        assert capsys.readouterr().err == (
+            f"generate: configuration error: subject 's2' ({s2}): {message}\n"
+        )
+        listing = json.loads((out / "manifest.json").read_text())["samples"]
+        assert [(r["id"], r["sample"]) for r in listing] == [("s1", 0), ("s1", 1)]
+
     def test_substitution_table_default_depends_on_generator_block(self, tmp_path):
         # as the README states: a generator block that omits the table gets {},
         # and only a config with no generator block gets the phantom's table
@@ -471,6 +494,10 @@ class TestPostprocess:
         assert main(["postprocess", "--in", str(missing)]) == 2
         assert str(missing) in capsys.readouterr().err
 
+    def test_flag_defaults_are_the_config_defaults(self):
+        args = cli.build_parser().parse_args(["postprocess", "--in", "m.nii"])
+        assert PostprocConfig(args.radius, args.connectivity, args.keep) == PostprocConfig()
+
     def test_flags_are_honoured(self, tmp_path):
         data = np.zeros((20, 8, 8), dtype=bool)
         data[2:5, 3, 3] = True
@@ -573,6 +600,22 @@ class TestEvaluate:
             "id,dsc,hd_mm,pred_volume_mm3,gt_volume_mm3,pred_surface_mm2,gt_surface_mm2",
             "a,0.0,,0.0,8.0,0.0,24.0",  # Hausdorff to an empty prediction is undefined
         ]
+
+    @pytest.mark.parametrize("side", ["pred", "gt"])
+    def test_two_files_of_one_stem_exit_2_naming_both(self, tmp_path, capsys, monkeypatch, side):
+        dirs = dict(zip(("pred", "gt"), self._cohort(tmp_path)))
+        data = np.zeros((6, 6, 6), dtype=bool)
+        data[2, 2, 2] = True
+        for directory in dirs.values():
+            _write_mask(data, directory / "x.nii.gz")
+        _write_mask(data, dirs[side] / "x.nii")
+        monkeypatch.setattr("sulcikit.cli.read_nifti", None)  # no pair may be read
+        assert main(["evaluate", "--pred", str(dirs["pred"]), "--gt", str(dirs["gt"])]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("evaluate: ") and captured.err.count("\n") == 1
+        assert str(dirs[side] / "x.nii") in captured.err
+        assert str(dirs[side] / "x.nii.gz") in captured.err
 
     def test_malformed_header_exits_2(self, tmp_path, capsys, malformed_nifti):
         mutate, _, _ = malformed_nifti
@@ -839,6 +882,66 @@ def _probe_negative_jobs(tmp_path, dataset):
     return _generate(*dataset, tmp_path / "out") + ["--jobs", "-2"], 1
 
 
+def _probe_unknown_connectivity(tmp_path, dataset):
+    pred, _ = _mask_pair(tmp_path)
+    return ["postprocess", "--in", str(pred / "a.nii"), "--connectivity", "7"], 1
+
+
+def _probe_non_integer_radius(tmp_path, dataset):
+    pred, _ = _mask_pair(tmp_path)
+    return ["postprocess", "--in", str(pred / "a.nii"), "--radius", "x"], 1
+
+
+def _probe_non_integer_jobs(tmp_path, dataset):
+    return _generate(*dataset, tmp_path / "out") + ["--jobs", "x"], 1
+
+
+def _probe_non_integer_seed(tmp_path, dataset):
+    return _generate(*dataset, tmp_path / "out") + ["--seed", "x"], 1
+
+
+def _probe_unknown_flag(tmp_path, dataset):
+    pred, gt = _mask_pair(tmp_path)
+    return ["evaluate", "--pred", str(pred), "--gt", str(gt), "--no-such-flag"], 1
+
+
+def _probe_unknown_top_level_flag(tmp_path, dataset):
+    return ["--no-such-flag"], 1
+
+
+def _probe_missing_manifest_flag(tmp_path, dataset):
+    return ["generate", "--out", str(tmp_path / "out")], 1
+
+
+def _probe_unknown_command(tmp_path, dataset):
+    return ["frobnicate"], 1
+
+
+def _probe_no_command(tmp_path, dataset):
+    return [], 1
+
+
+# usage errors: argparse would exit 2 with a usage block
+_FLAG_PROBES = (
+    _probe_unknown_connectivity,
+    _probe_non_integer_radius,
+    _probe_non_integer_jobs,
+    _probe_non_integer_seed,
+    _probe_unknown_flag,
+    _probe_unknown_top_level_flag,
+    _probe_missing_manifest_flag,
+    _probe_unknown_command,
+    _probe_no_command,
+)
+
+_COMMANDS = ("generate", "postprocess", "evaluate", "check")
+
+
+def _command_of(argv):
+    """The prefix of a one-line error: the command, or the program when argv names none."""
+    return argv[0] if argv[:1] and argv[0] in _COMMANDS else "sulcikit"
+
+
 _PROBES = (
     _probe_evaluate_out_in_missing_dir,
     _probe_evaluate_csv_in_missing_dir,
@@ -855,6 +958,7 @@ _PROBES = (
     _probe_check_unknown_fault,
     _probe_zero_jobs,
     _probe_negative_jobs,
+    *_FLAG_PROBES,
     *_FIELD_AT_FAULT,
 )
 
@@ -877,7 +981,16 @@ class TestExitCodes:
         assert code == expected
         assert "Traceback" not in err
         if code:
-            assert err.startswith(f"{argv[0]}: ")
+            kind = "configuration error: " if code == 1 else ""
+            assert err.startswith(f"{_command_of(argv)}: {kind}")
+            assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["--help"], ["generate", "--help"]])
+    def test_help_still_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: sulcikit")
 
     @pytest.mark.parametrize(
         "probe", _FIELD_AT_FAULT, ids=lambda p: p.__name__[len("_probe_"):]

@@ -89,15 +89,6 @@ class TestHausdorff:
         )
         assert value == pytest.approx(np.sqrt(52.0), abs=1e-12)
 
-    def test_explicit_spacing_overrides_grid(self):
-        x = np.zeros((5, 6, 4), dtype=bool)
-        y = np.zeros((5, 6, 4), dtype=bool)
-        x[0, 0, 0] = True
-        y[3, 4, 0] = True
-        assert hausdorff(_mask(x), _mask(y), spacing=(2.0, 1.0, 1.0)) == pytest.approx(
-            np.sqrt(52.0), abs=1e-12
-        )
-
     def test_equals_brute_force_exactly(self):
         rng = np.random.default_rng(3)
         trials = 0

@@ -1,4 +1,5 @@
 import gzip
+import re
 import struct
 import warnings
 import zlib
@@ -151,6 +152,17 @@ class TestRoundTrip:
         back = read_nifti(path, kind="intensity")
         assert np.array_equal(back.voxels.ravel(order="F"), data.astype(np.float32))
 
+    @pytest.mark.parametrize(
+        "code, dtype, value", [(4, "<i2", -1), (8, "<i4", 65536)], ids=["negative", "past-uint16"]
+    )
+    def test_out_of_range_labels_name_the_file(self, tmp_path, code, dtype, value):
+        data = np.arange(27)
+        data[13] = value
+        path = self._external_dtype_file(tmp_path, code, dtype, data)
+        message = f"{path}: label values must be in 0..65535"
+        with pytest.raises(NonIntegerLabelsError, match=f"^{re.escape(message)}$"):
+            read_nifti(path, kind="labels")
+
     def test_int32_external_file(self, tmp_path):
         data = np.arange(27) * 1000 - 9999
         path = self._external_dtype_file(tmp_path, 8, "<i4", data)
@@ -300,9 +312,10 @@ class TestHeaderValidation:
         path = tmp_path / "nf.nii"
         write_nifti(vol, path)
         _patch(path, offset, struct.pack("<f", value))
+        message = f"{path}: intensity values are not finite as float32"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NonFiniteError):
+            with pytest.raises(NonFiniteError, match=f"^{re.escape(message)}$"):
                 read_nifti(path)
 
 

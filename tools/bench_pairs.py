@@ -14,7 +14,12 @@ once in each checkout on seed k, for BENCHMARK.json's ``run_seconds``, the
 parent first in odd pairs and the change first in even ones. Each side runs
 its own ``perfbench/``. The summary gives each end-to-end metric's median and
 quartiles per side and how many pairs the change won (ties count for
-neither side); the direction of "better" comes from BENCHMARK.json. Under
+neither side); the direction of "better" and the bound come from
+BENCHMARK.json. It also gives ``worse_by``, the relative change of the
+median (positive when worse), and a ``verdict`` against the bound: ``ok``,
+``worse`` (``worse_by`` past the bound) or ``unresolved`` (the parent's
+quartile spread, relative to its median, is wider than the bound, and not
+every change run beats every parent run). Under
 ``operations`` it gives each side's total operations attempted and failed
 over its runs.
 ``--trace-seed S`` adds one traced run per side and workload on seed S,
@@ -84,8 +89,19 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
-    """Per metric: each side's median and quartiles, and the change's wins over pairs.
+def verdict(parent: list[float], change: list[float], sign: float, bound: float) -> dict:
+    """``worse_by`` and ``verdict`` of one metric; ``sign`` is +1 when higher is better."""
+    p, c = spread(parent), spread(change)
+    worse_by = sign * (p["median"] - c["median"]) / p["median"]
+    clear_win = min(sign * v for v in change) > max(sign * v for v in parent)
+    if (p["q3"] - p["q1"]) / p["median"] > bound and not clear_win:
+        return {"worse_by": worse_by, "verdict": "unresolved"}
+    return {"worse_by": worse_by, "verdict": "worse" if worse_by > bound else "ok"}
+
+
+def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
+    """Per BENCHMARK.json end-to-end metric: each side's median and quartiles,
+    the change's wins over pairs, ``worse_by`` and the ``verdict``.
 
     Under ``operations``: each side's total operations attempted and failed.
     """
@@ -95,13 +111,15 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
         side: {key: sum(r[key] for r in rows) for key in ("attempted", "failed")}
         for side, rows in (("parent", parent), ("change", change))
     }}
-    for metric, direction in better.items():
-        sign = 1.0 if direction == "higher" else -1.0
-        wins = sum(sign * (c[metric] - p[metric]) > 0 for p, c in zip(parent, change))
-        summary[metric] = {
-            "parent": spread([r[metric] for r in parent]),
-            "change": spread([r[metric] for r in change]),
+    for metric in end_to_end:
+        name, sign = metric["name"], 1.0 if metric["better"] == "higher" else -1.0
+        before, after = [r[name] for r in parent], [r[name] for r in change]
+        wins = sum(sign * (c - p) > 0 for p, c in zip(before, after))
+        summary[name] = {
+            "parent": spread(before),
+            "change": spread(after),
             "change_wins": f"{wins}/{len(parent)}",
+            **verdict(before, after, sign, metric["bound"]),
         }
     return summary
 
@@ -149,7 +167,8 @@ def main(argv=None) -> int:
                                      **{m: out["metrics"][m]["value"] for m in better}})
                         print(f"{name} seed {seed} {side}: "
                               + " ".join(f"{m}={runs[-1][m]:.4f}" for m in better), flush=True)
-                doc["workloads"][name] = {"summary": summarize(runs, better), "runs": runs}
+                doc["workloads"][name] = {"summary": summarize(runs, bench["end_to_end"]),
+                                          "runs": runs}
                 if args.trace_seed is not None:
                     doc["workloads"][name]["layers"] = {
                         side: {m: v["value"] for m, v in
