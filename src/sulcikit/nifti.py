@@ -29,7 +29,7 @@ from .errors import (
     NonIntegerLabelsError,
     UnsupportedDatatypeError,
 )
-from .volume import BinaryMask, IntensityVolume, LabelVolume, VoxelGrid
+from .volume import MAX_LABEL, BinaryMask, IntensityVolume, LabelVolume, VoxelGrid
 
 __all__ = ["read_nifti", "write_nifti"]
 
@@ -239,7 +239,8 @@ def read_nifti(path, kind: str = "intensity"):
     if kind == "labels" and np.issubdtype(data.dtype, np.floating):
         if not (np.isfinite(data).all() and np.array_equal(data, np.round(data))):
             raise NonIntegerLabelsError(f"{path}: voxel values are not finite integers")
-        data = data.astype(np.int64)
+        # clipped just past the label range, so that no value overflows int64 in the cast
+        data = np.clip(data, -1, MAX_LABEL + 1).astype(np.int64)
     try:
         # a value past float32's range becomes inf in the cast, which the type rejects
         with np.errstate(over="ignore"):

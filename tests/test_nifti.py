@@ -300,6 +300,17 @@ class TestHeaderValidation:
             with pytest.raises(NonIntegerLabelsError, match="not finite"):
                 read_nifti(path, kind="labels")
 
+    @pytest.mark.parametrize("value", [1e30, -1e30, 65536.0])
+    def test_float_labels_past_the_range_rejected_without_warning(self, tmp_path, value):
+        vol = IntensityVolume(VoxelGrid.from_spacing((2, 2, 2)), np.ones((2, 2, 2), np.float32))
+        path = tmp_path / "big.nii"
+        write_nifti(vol, path)
+        _patch(path, 352, struct.pack("<f", value))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no "invalid value encountered in cast"
+            with pytest.raises(NonIntegerLabelsError, match="must be in 0..65535"):
+                read_nifti(path, kind="labels")
+
     @pytest.mark.parametrize(
         "offset, value",
         [(352, float("inf")), (352, float("nan")), (112, 3e38)],
