@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import sys
 import time
@@ -36,8 +37,8 @@ from .metrics import aggregate, evaluate_pair
 from .nifti import read_nifti, write_atomic, write_nifti
 from .postproc import PostprocConfig, postprocess_cs
 from .presets import default_generator_config, default_priors
-from .synth import GeneratorConfig, TissuePriors, _int, _record, generate_sample, mix_seed
-from .volume import BinaryMask, LabelVolume, require_same_grid
+from .synth import GeneratorConfig, TissuePriors, _record, generate_sample, mix_seed
+from .volume import BinaryMask, LabelVolume, _int, require_same_grid
 
 __all__ = ["main", "entrypoint", "DatasetManifest", "ManifestEntry", "RunConfig"]
 
@@ -105,7 +106,6 @@ class ManifestEntry:
 class DatasetManifest:
     """Subject list for generation; ids unique, all paths must exist."""
 
-    root: Path
     entries: tuple[ManifestEntry, ...]
 
     @classmethod
@@ -131,7 +131,7 @@ class DatasetManifest:
                     if not p.exists():
                         raise ValueError(f"manifest path does not exist: {p}")
                 entries[sid] = ManifestEntry(sid, label_path, tissue_path)
-        return cls(root, tuple(entries.values()))
+        return cls(tuple(entries.values()))
 
 
 @dataclass(frozen=True)
@@ -354,16 +354,17 @@ def cmd_evaluate(args) -> int:
     doc = {"pairs": rows, "summary": summary, "unmatched": unmatched}
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        write_atomic(args.out, text.encode())
         _log(f"evaluate: report written to {args.out}")
     else:
         sys.stdout.write(text)
 
     if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-            writer.writeheader()
-            writer.writerows(rows)  # csv writes None as an empty cell
+        table = io.StringIO()  # csv ends each row with "\r\n"; StringIO keeps it
+        writer = csv.DictWriter(table, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)  # csv writes None as an empty cell
+        write_atomic(args.csv, table.getvalue().encode())
         _log(f"evaluate: per-pair CSV written to {args.csv}")
     return EXIT_OK
 

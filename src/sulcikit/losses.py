@@ -27,7 +27,7 @@ from .errors import (
     ZeroVectorError,
 )
 from .oracles import central_difference, max_rel_error
-from .volume import _GridVolume, _owned, require_same_grid
+from .volume import _GridVolume, _int, _owned, _real, require_same_grid
 
 __all__ = [
     "EmbeddingBatch",
@@ -113,8 +113,7 @@ def _neg_log_softmax(rows: np.ndarray, temperature: float) -> np.ndarray:
     row excludes its own similarity (+inf on the diagonal) and subtracts its
     maximum before the log-sum-exp, so tiny temperatures stay finite.
     """
-    if temperature <= 0:
-        raise ValueError(f"temperature must be > 0, got {temperature}")
+    temperature = _real(temperature, "temperature", above=0)
     unit, _ = _unit_rows(rows)
     logits = (unit @ unit.T) / temperature
     np.fill_diagonal(logits, -np.inf)
@@ -130,8 +129,10 @@ def nt_xent_pair(batch, i: int, j: int, temperature: float = DEFAULT_TEMPERATURE
     """
     rows = _rows(batch)
     n = rows.shape[0]
-    if not (0 <= i < n and 0 <= j < n):
-        raise IndexOutOfRangeError(f"indices ({i}, {j}) outside batch of {n} rows")
+    i, j = _int(i, "i"), _int(j, "j")
+    for name, index in (("i", i), ("j", j)):
+        if not 0 <= index < n:
+            raise IndexOutOfRangeError(f"{name} {index} outside batch of {n} rows")
     if i == j:
         raise IndexOutOfRangeError("anchor and positive must differ")
     return float(_neg_log_softmax(rows, temperature)[i, j])
@@ -156,6 +157,7 @@ def contrastive_loss_grad(batch, temperature: float = DEFAULT_TEMPERATURE) -> np
     """
     rows = _rows(batch)
     n = rows.shape[0]
+    temperature = _real(temperature, "temperature", above=0)
     p = np.exp(-_neg_log_softmax(rows, temperature))
     unit, norms = _unit_rows(rows)
     # d loss / d logit is softmax - onehot; each row's softmax sums to one,
@@ -187,22 +189,19 @@ def _overlap_terms(p: np.ndarray, g: np.ndarray) -> tuple[float, float, float]:
     return tp, float(g.sum()) - tp, float(p.sum()) - tp
 
 
-def _weights(loss: str, alpha: float, beta: float, smooth: float) -> tuple[float, float, float]:
-    """Weights of (tp, fn, fp) in the Tversky ratio; validates every loss parameter."""
-    if smooth < 0:
-        raise ValueError(f"smooth must be >= 0, got {smooth}")
+def _weights(loss: str, alpha: float, beta: float) -> tuple[float, float, float]:
+    """Weights of (tp, fn, fp) in the Tversky ratio."""
     if loss == "dice":
         return 2.0, 1.0, 1.0
     if loss != "tversky":
         raise ValueError(f"loss must be 'dice' or 'tversky', got {loss!r}")
-    if alpha < 0 or beta < 0:
-        raise ValueError(f"alpha and beta must be >= 0, got {alpha}, {beta}")
-    return 1.0, alpha, beta
+    return 1.0, _real(alpha, "alpha", low=0), _real(beta, "beta", low=0)
 
 
 def _ratio(loss: str, pred, target, alpha: float, beta: float, smooth: float):
     """Target array, (tp, fn, fp) weights, and the numerator and denominator of the ratio."""
-    k, a, b = _weights(loss, alpha, beta, smooth)
+    smooth = _real(smooth, "smooth", low=0)
+    k, a, b = _weights(loss, alpha, beta)
     p, g = _pred_target(pred, target)
     tp, fn, fp = _overlap_terms(p, g)
     den = ((k * tp + a * fn) + b * fp) + smooth
@@ -255,9 +254,10 @@ def seg_loss_grad(
 
 def multitask_loss(seg: float, contrastive: float) -> float:
     """Unweighted sum of the segmentation and contrastive losses."""
-    if not (np.isfinite(seg) and np.isfinite(contrastive)):
-        raise NonFiniteError(f"losses must be finite, got {seg}, {contrastive}")
-    return float(seg) + float(contrastive)
+    try:
+        return _real(seg, "seg") + _real(contrastive, "contrastive")
+    except ValueError as exc:
+        raise NonFiniteError(str(exc)) from exc
 
 
 def _loss_and_gradient(loss_id: str, point: dict):
@@ -268,16 +268,14 @@ def _loss_and_gradient(loss_id: str, point: dict):
     """
     if loss_id == "contrastive":
         x = np.array(point["batch"], dtype=np.float64)
-        tau = float(point.get("temperature", DEFAULT_TEMPERATURE))
+        tau = point.get("temperature", DEFAULT_TEMPERATURE)
         return (lambda a: contrastive_loss(a, tau)), x, contrastive_loss_grad(x, tau)
     if loss_id in ("dice", "tversky"):
         x = np.array(point["pred"], dtype=np.float64)
         target = np.asarray(point["target"], dtype=np.float64)
-        smooth = float(point.get("smooth", DEFAULT_SMOOTH))
-        alpha = float(point.get("alpha", 0.5))
-        beta = float(point.get("beta", 0.5))
-        analytic = seg_loss_grad(loss_id, x, target, alpha, beta, smooth)
-        return (lambda a: _seg_loss(loss_id, a, target, alpha, beta, smooth)), x, analytic
+        params = point.get("alpha", 0.5), point.get("beta", 0.5), point.get("smooth", DEFAULT_SMOOTH)
+        analytic = seg_loss_grad(loss_id, x, target, *params)
+        return (lambda a: _seg_loss(loss_id, a, target, *params)), x, analytic
     raise ValueError(f"unknown loss_id {loss_id!r}")
 
 
@@ -290,8 +288,7 @@ def finite_difference_check(loss_id: str, point: dict, eps: float = 1e-4) -> flo
       tversky     -- dice keys plus "alpha" and "beta"
     The relative error denominator is max(|analytic|, |numeric|, 1e-8).
     """
-    if eps <= 0:
-        raise ValueError(f"eps must be > 0, got {eps}")
+    eps = _real(eps, "eps", above=0)
     func, x, analytic = _loss_and_gradient(loss_id, point)
     return max_rel_error(analytic, central_difference(func, x, eps))
 
@@ -329,10 +326,8 @@ def optimize_embeddings_demo(
     and after the last, so the trajectory has steps + 1 records. Pure
     function of its arguments.
     """
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    if step_size <= 0:
-        raise ValueError(f"step_size must be > 0, got {step_size}")
+    steps = _int(steps, "steps", low=1)
+    step_size = _real(step_size, "step_size", above=0)
     x = np.array(_rows(batch_init), dtype=np.float64)
     trajectory = []
     for _ in range(steps):

@@ -10,12 +10,12 @@ output is always a subset of the input and the chain is idempotent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import partial, reduce
 from itertools import combinations
 
 import numpy as np
 
-from .volume import MAX_LABEL, BinaryMask, LabelVolume
+from .volume import MAX_LABEL, BinaryMask, LabelVolume, _int
 
 __all__ = [
     "ComponentLabeling",
@@ -29,10 +29,19 @@ __all__ = [
 _CONNECTIVITY_RANK = {6: 1, 18: 2, 26: 3}
 
 
-def _connectivity_rank(connectivity: int) -> int:
+def _connectivity(value, name: str = "connectivity") -> int:
+    connectivity = _int(value, name)
     if connectivity not in _CONNECTIVITY_RANK:
-        raise ValueError(f"connectivity must be 6, 18 or 26, got {connectivity}")
-    return _CONNECTIVITY_RANK[connectivity]
+        raise ValueError(f"{name} must be 6, 18 or 26, got {connectivity}")
+    return connectivity
+
+
+# how PostprocConfig reads each of its fields: reader(value, field name)
+_POSTPROC_READERS = {
+    "dilation_radius": partial(_int, low=0),
+    "connectivity": _connectivity,
+    "keep": partial(_int, low=1),
+}
 
 
 @dataclass(frozen=True)
@@ -44,11 +53,8 @@ class PostprocConfig:
     keep: int = 2
 
     def __post_init__(self):
-        if self.dilation_radius < 0:
-            raise ValueError(f"dilation_radius must be >= 0, got {self.dilation_radius}")
-        _connectivity_rank(self.connectivity)
-        if self.keep < 1:
-            raise ValueError(f"keep must be >= 1, got {self.keep}")
+        for name, read in _POSTPROC_READERS.items():
+            object.__setattr__(self, name, read(getattr(self, name), name))
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,11 +96,10 @@ def dilate(mask: BinaryMask, radius: int, connectivity=PostprocConfig.connectivi
     three axis segments, three in-plane squares, or the cube. ``radius``
     cubes compose into one cube ``2 * radius + 1`` wide.
     """
-    if radius < 0:
-        raise ValueError(f"radius must be >= 0, got {radius}")
+    radius = _int(radius, "radius", low=0)
+    rank = _CONNECTIVITY_RANK[_connectivity(connectivity)]
     if radius == 0:
         return mask
-    rank = _connectivity_rank(connectivity)
     steps, width = (1, radius) if rank == 3 else (radius, 1)
     voxels = mask.voxels
     for _ in range(steps):
@@ -113,7 +118,7 @@ def _ranked_components(voxels: np.ndarray, connectivity: int):
     """
     from scipy import ndimage  # here, so that importing sulcikit does not load SciPy
 
-    structure = ndimage.generate_binary_structure(3, _connectivity_rank(connectivity))
+    structure = ndimage.generate_binary_structure(3, _CONNECTIVITY_RANK[connectivity])
     raw, _ = ndimage.label(voxels, structure=structure)
     fg = np.flatnonzero(raw)
     fg_ids = raw.ravel()[fg]
@@ -127,7 +132,7 @@ def connected_components(
     mask: BinaryMask, connectivity=PostprocConfig.connectivity
 ) -> ComponentLabeling:
     """Label connected components under 6/18/26-connectivity."""
-    raw, ranked, sizes = _ranked_components(mask.voxels, connectivity)
+    raw, ranked, sizes = _ranked_components(mask.voxels, _connectivity(connectivity))
     if len(ranked) > MAX_LABEL:
         raise ValueError(f"too many components for a uint16 label map: {len(ranked)}")
     lut = np.zeros(len(ranked) + 1, dtype=np.uint16)

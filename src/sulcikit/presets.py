@@ -48,18 +48,17 @@ def default_generator_config(**overrides) -> GeneratorConfig:
 
 def make_phantom(shape=(48, 48, 40), spacing=(1.0, 1.0, 1.0)) -> LabelVolume:
     """Deterministic toy head: nested tissue shells plus two sulcus ribbons."""
-    shape = tuple(int(s) for s in shape)
     grid = VoxelGrid.from_spacing(shape, spacing)
-    centre = (np.asarray(shape, dtype=np.float64) - 1.0) / 2.0
+    centre = (np.asarray(grid.shape, dtype=np.float64) - 1.0) / 2.0
     # broadcastable 1-D index grids, shapes (nx,1,1), (1,ny,1) and (1,1,nz),
     # never a full (*shape, 3) coordinate array
-    x, y, z = np.ix_(*(np.arange(s, dtype=np.float64) for s in shape))
+    x, y, z = np.ix_(*(np.arange(s, dtype=np.float64) for s in grid.shape))
     dx, dy, dz = x - centre[0], y - centre[1], z - centre[2]
     # np.linalg.norm's order over a length-3 axis, so the shells are unchanged
     radius = np.sqrt((dx * dx + dy * dy) + dz * dz)
-    r_head = min(shape) / 2.0 - 2.0
+    r_head = min(grid.shape) / 2.0 - 2.0
 
-    labels = np.zeros(shape, dtype=np.uint16)
+    labels = np.zeros(grid.shape, dtype=np.uint16)
     labels[radius < 0.90 * r_head] = CSF
     labels[radius < 0.80 * r_head] = GM
     labels[radius < 0.55 * r_head] = WM

@@ -10,6 +10,8 @@ reproducible and parallelizes without affecting results.
 Labels at or above ``sulcus_label_start`` (default 48) are treated as sulcus
 labels: they are substituted away for intensity synthesis but retained in
 the emitted segmentation, which may therefore overlap tissue anatomically.
+
+Numbers are read by ``volume``'s readers, which the run-config readers here build on.
 """
 
 from __future__ import annotations
@@ -27,9 +29,13 @@ from .volume import (
     IntensityVolume,
     LabelVolume,
     VoxelGrid,
+    _int,
+    _label,
     _linear_taps,
     _owned,
+    _real,
     _separable_apply,
+    _triple,
     nearest_sample,
     require_same_grid,
 )
@@ -62,42 +68,27 @@ _SLAB_ROWS = 16
 
 def mix_seed(seed: int, index: int) -> int:
     """Derive an independent child seed from (seed, index), splitmix64-style."""
-    z = (int(seed) + (int(index) + 1) * 0x9E3779B97F4A7C15) & _MASK64
+    z = (_int(seed, "seed") + (_int(index, "index") + 1) * 0x9E3779B97F4A7C15) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
 
 
-def _pair(value, name: str, low_floor: float | None = None) -> tuple[float, float]:
-    try:
-        lo, hi = (float(v) for v in value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must be two numbers (low, high), got {value!r}") from None
+def _pair(value, name: str, low: float | None = None) -> tuple[float, float]:
+    """A (low, high) range: two finite reals from a list, tuple or array, low <= high."""
+    if not isinstance(value, (list, tuple, np.ndarray)) or len(value) != 2:
+        raise ValueError(f"{name} must be two numbers (low, high), got {value!r}")
+    lo, hi = _real(value[0], f"{name} low", low=low), _real(value[1], f"{name} high")
     if lo > hi:
         raise ValueError(f"{name} low {lo} exceeds high {hi}")
-    if low_floor is not None and lo < low_floor:
-        raise ValueError(f"{name} low {lo} below {low_floor}")
     return lo, hi
 
 
 def _axis_pairs(value, name: str):
-    """Normalize a range spec to one (low, high) pair per axis.
-
-    Accepts a single pair, broadcast to all three axes, or three pairs.
-    """
-    value = list(value) if isinstance(value, (list, tuple, np.ndarray)) else [value]
-    if len(value) == 2 and np.isscalar(value[0]):
+    """One (low, high) pair per axis: a single pair, broadcast to all three axes, or three pairs."""
+    if isinstance(value, (list, tuple, np.ndarray)) and len(value) == 2 and np.isscalar(value[0]):
         return (_pair(value, name),) * 3
-    if len(value) == 3:
-        return tuple(_pair(v, f"{name}[{i}]") for i, v in enumerate(value))
-    raise ValueError(f"{name} must be (low, high) or three such pairs")
-
-
-def _lattice(value, name: str) -> tuple[int, int, int]:
-    """A control lattice: three node counts, each at least 2."""
-    if not isinstance(value, (list, tuple, np.ndarray)) or len(value) != 3:
-        raise ValueError(f"{name} must be three entries >= 2, got {value!r}")
-    return tuple(_int(g, f"{name}[{i}]", low=2) for i, g in enumerate(value))
+    return _triple(value, name, _pair)
 
 
 def _record(data, fields, name: str) -> dict:
@@ -110,21 +101,8 @@ def _record(data, fields, name: str) -> dict:
     return data
 
 
-def _int(value, name: str, low: int | None = None, high: int | None = None) -> int:
-    """A whole number: an int, a whole float or a decimal string; never a bool or a fraction."""
-    digits = isinstance(value, str) and value.isascii() and value.removeprefix("-").isdecimal()
-    if digits or (isinstance(value, (float, np.floating)) and value.is_integer()):
-        value = int(value)
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-        raise ValueError(f"{name} must be a whole number, got {value!r}")
-    if (low is not None and value < low) or (high is not None and value > high):
-        bounds = f">= {low}" if high is None else f"in {low}..{high}"
-        raise ValueError(f"{name} must be {bounds}, got {value}")
-    return int(value)
-
-
-_label = partial(_int, low=0, high=MAX_LABEL)
-_nonnegative_pair = partial(_pair, low_floor=0.0)
+_nonnegative_pair = partial(_pair, low=0.0)
+_lattice = partial(_triple, low=2)  # a control lattice: three node counts, each at least 2
 
 
 def _label_table(table, name: str) -> dict[int, int]:
@@ -155,12 +133,6 @@ class TissuePriors:
                 raise ValueError(f"duplicate prior for label {label}")
             clean[label] = (_pair(m, f"mean_range[{label}]"), _pair(s, f"std_range[{label}]", 0.0))
         object.__setattr__(self, "entries", clean)
-
-    def __contains__(self, label: int) -> bool:
-        return int(label) in self.entries
-
-    def ranges(self, label: int):
-        return self.entries[int(label)]
 
     @classmethod
     def from_entries(cls, entries) -> "TissuePriors":
@@ -382,6 +354,7 @@ def substitute_sulci(
     emitted segmentation.
     """
     table = _label_table(substitution_table, "substitution_table")
+    sulcus_label_start = _label(sulcus_label_start, "sulcus_label_start")
     for label in labels.labels_present():
         if label >= sulcus_label_start and label not in table:
             raise MissingSubstitutionError(label)
@@ -401,12 +374,12 @@ def sample_intensities(
     """
     present = [l for l in tissue_labels.labels_present() if l != 0]
     for label in present:
-        if label not in priors:
+        if label not in priors.entries:
             raise MissingPriorError(label)
     rng = np.random.default_rng(rng_seed)
     params = {}
     for label in present:
-        mean_range, std_range = priors.ranges(label)
+        mean_range, std_range = priors.entries[label]
         params[label] = (rng.uniform(*mean_range), rng.uniform(*std_range))
     noise = rng.standard_normal(size=tissue_labels.grid.shape)
     out = np.zeros(tissue_labels.grid.shape, dtype=np.float64)
@@ -431,8 +404,7 @@ def gaussian_blur(image: IntensityVolume, sigma: float) -> IntensityVolume:
     length n, index i reads m = i mod 2n, or 2n - 1 - m when m >= n.
     sigma = 0 returns the input unchanged.
     """
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
+    sigma = _real(sigma, "sigma", low=0)
     if sigma == 0:
         return image
     kernel = _gaussian_kernel(sigma)
@@ -520,10 +492,9 @@ def generate_views(
     Results are identical whether computed serially or with a thread pool,
     since every view derives from its own seed.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n, jobs = _int(n, "n", low=1), _int(jobs, "jobs", low=1)
     seeds = [mix_seed(seed, i) for i in range(n)]
-    if jobs <= 1:
+    if jobs == 1:
         return [generate_sample(labels, priors, config, s) for s in seeds]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(lambda s: generate_sample(labels, priors, config, s), seeds))

@@ -4,11 +4,14 @@ Voxel arrays are indexed ``[x, y, z]`` and stored x-fastest on disk. All
 volume types are immutable after construction: each holds a read-only array
 that no writable array shares (``_owned``), so instances are safe to share
 across threads.
+
+The package's number readers (``_int``, ``_real``, ``_triple``, ``_label``) live here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -35,6 +38,43 @@ _AFFINE_ATOL = 1e-5  # how far two affines' entries may differ on one geometry
 MAX_LABEL = np.iinfo(np.uint16).max  # the largest label: LabelVolume voxels are uint16
 
 
+def _int(value, name: str, low: int | None = None, high: int | None = None) -> int:
+    """A whole number: an int, a whole float or a decimal string; never a bool or a fraction."""
+    digits = isinstance(value, str) and value.isascii() and value.removeprefix("-").isdecimal()
+    if digits or (isinstance(value, (float, np.floating)) and value.is_integer()):
+        value = int(value)
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    if (low is not None and value < low) or (high is not None and value > high):
+        bounds = f">= {low}" if high is None else f"in {low}..{high}"
+        raise ValueError(f"{name} must be {bounds}, got {value}")
+    return int(value)
+
+
+_label = partial(_int, low=0, high=MAX_LABEL)
+
+
+def _real(value, name: str, low: float | None = None, above: float | None = None) -> float:
+    """A finite real, as ``float()`` reads it but never a bool; ``>= low`` and ``> above``."""
+    try:
+        real = np.nan if isinstance(value, (bool, np.bool_)) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        real = np.nan
+    if not np.isfinite(real):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    if (low is not None and real < low) or (above is not None and real <= above):
+        bound = f">= {low}" if above is None else f"> {above}"
+        raise ValueError(f"{name} must be {bound}, got {real}")
+    return real
+
+
+def _triple(value, name: str, read=_int, **bounds) -> tuple:
+    """Three numbers from a list, tuple or array, entry i read as ``read(v, name[i], **bounds)``."""
+    if not isinstance(value, (list, tuple, np.ndarray)) or len(value) != 3:
+        raise ValueError(f"{name} must have three entries, got {value!r}")
+    return tuple(read(v, f"{name}[{i}]", **bounds) for i, v in enumerate(value))
+
+
 @dataclass(frozen=True, eq=False)
 class VoxelGrid:
     """Geometry of a 3D volume: shape (voxels), spacing (mm) and world affine.
@@ -48,22 +88,16 @@ class VoxelGrid:
     affine: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        shape = tuple(int(s) for s in self.shape)
-        spacing = tuple(float(s) for s in self.spacing)
+        shape = _triple(self.shape, "shape", low=1)
         affine = np.array(self.affine, dtype=np.float64)
-        if len(shape) != 3 or any(s < 1 for s in shape):
-            raise ValueError(f"shape must be 3 positive integers, got {shape}")
-        if len(spacing) != 3 or any(s <= 0 for s in spacing):
-            raise ValueError(f"spacing must be 3 positive reals, got {spacing}")
         if affine.shape != (4, 4):
             raise ValueError("affine must be a 4x4 matrix")
         if not np.isfinite(affine).all():
             raise ValueError("affine contains NaN or Inf")
+        spacing = _triple(self.spacing, "spacing", _real, above=0)
         norms = np.linalg.norm(affine[:3, :3], axis=0)
         if not np.allclose(norms, spacing, rtol=_SPACING_RTOL, atol=0.0):
-            raise ValueError(
-                f"affine column norms {norms} do not match spacing {spacing}"
-            )
+            raise ValueError(f"affine column norms {norms} do not match spacing {spacing}")
         affine.flags.writeable = False
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "spacing", spacing)
@@ -72,9 +106,8 @@ class VoxelGrid:
     @classmethod
     def from_spacing(cls, shape, spacing=(1.0, 1.0, 1.0)) -> "VoxelGrid":
         """Axis-aligned grid with a diagonal affine, voxel 0 at the world origin."""
-        affine = np.eye(4)
-        affine[:3, :3] = np.diag(spacing)
-        return cls(tuple(shape), tuple(spacing), affine)
+        spacing = _triple(spacing, "spacing", _real, above=0)
+        return cls(shape, spacing, np.diag([*spacing, 1.0]))
 
     @property
     def n_voxels(self) -> int:
@@ -268,8 +301,7 @@ def crop_to_content(volume, margin: int = 0):
     Returns ``(cropped, offset)`` where ``offset`` maps cropped indices back
     to the original volume. Raises EmptyVolumeError if everything is zero.
     """
-    if margin < 0:
-        raise ValueError("margin must be >= 0")
+    margin = _int(margin, "margin", low=0)
     data = volume.voxels
     nonzero = data != 0
     if not nonzero.any():
@@ -295,9 +327,7 @@ def resample(volume, target_shape, mode: str = "trilinear"):
     outside the source (when upsampling puts the outer target centres beyond
     the outer source centres); it reads as 0. Nearest reads always land inside.
     """
-    target_shape = tuple(int(t) for t in target_shape)
-    if any(t < 1 for t in target_shape):
-        raise ValueError(f"target_shape entries must be >= 1, got {target_shape}")
+    target_shape = _triple(target_shape, "target_shape", low=1)
     if mode not in ("trilinear", "nearest"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "trilinear" and isinstance(volume, (LabelVolume, BinaryMask)):
@@ -331,6 +361,5 @@ def resample(volume, target_shape, mode: str = "trilinear"):
 
 def binarize(labels: LabelVolume, label_set) -> BinaryMask:
     """Mask of voxels whose label belongs to ``label_set``."""
-    wanted = np.asarray(sorted(int(l) for l in label_set), dtype=np.uint16)
-    mask = np.isin(labels.voxels, wanted)
-    return BinaryMask(labels.grid, mask)
+    wanted = np.asarray([_label(l, "label_set") for l in label_set], dtype=np.uint16)
+    return BinaryMask(labels.grid, np.isin(labels.voxels, wanted))

@@ -1,4 +1,5 @@
 import json
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -600,6 +601,28 @@ class TestEvaluate:
             "id,dsc,hd_mm,pred_volume_mm3,gt_volume_mm3,pred_surface_mm2,gt_surface_mm2",
             "a,0.0,,0.0,8.0,0.0,24.0",  # Hausdorff to an empty prediction is undefined
         ]
+        assert csv_file.read_bytes().count(b"\r\n") == 2  # the csv module's row ends
+
+    @pytest.mark.parametrize("flag", ["--out", "--csv"])
+    def test_interrupted_write_leaves_no_partial_file(self, tmp_path, flag):
+        """A write cut short, here by a 64-byte file-size limit as a full disk
+        would, exits 2 and leaves neither a file under the final name nor a temp file."""
+        pred, gt = self._cohort(tmp_path)
+        data = np.zeros((6, 6, 6), dtype=bool)
+        data[2:4, 2:4, 2:4] = True
+        for stem in ("a", "b", "c"):
+            _write_mask(data, pred / f"{stem}.nii.gz")
+            _write_mask(data, gt / f"{stem}.nii.gz")
+        src = Path(cli.__file__).parents[1]  # ``python -m`` puts its cwd on sys.path
+        done = subprocess.run(
+            [sys.executable, "-m", "sulcikit.cli", "evaluate", "--pred", str(pred),
+             "--gt", str(gt), flag, str(tmp_path / "report")],
+            cwd=src, capture_output=True, text=True, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (64, 64)),
+        )
+        assert done.returncode == 2
+        assert done.stderr.startswith("evaluate: ") and "Traceback" not in done.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["gt", "pred"]
 
     @pytest.mark.parametrize("side", ["pred", "gt"])
     def test_two_files_of_one_stem_exit_2_naming_both(self, tmp_path, capsys, monkeypatch, side):
@@ -786,6 +809,19 @@ def _manifest_probe(name, manifest):
     return probe
 
 
+def _prior_config(field, value):
+    """Valid priors for the phantom's tissue labels, with label 1's ``field`` set to ``value``."""
+    priors = [{"label": label, "mean_range": [1, 2], "std_range": [0, 1]} for label in (1, 2, 3)]
+    priors[0][field] = value
+    return {"priors": priors}
+
+
+# NaN and Infinity (which json reads and writes), a digit string in place of a
+# pair, which a reader that iterated it would take as [1, 2], and a bool
+_BAD_RANGES = {
+    "nan": [float("nan"), 1], "infinity": [0, float("inf")], "digit_string": "12", "bool": [True, 1],
+}
+
 # the field each run-config or manifest probe's one-line error must name
 _FIELD_AT_FAULT = {
     _probe_one_value_range: "blur_sigma_range",
@@ -817,6 +853,11 @@ _FIELD_AT_FAULT = {
                   {"generator": {"substitution_table": {"48": 2, "49": 2}, "normalize": "no"}}):
         "normalize",
     _config_probe("generator_is_a_list", {"generator": [1, 2]}): "generator",
+    **{_config_probe(f"{field}_{kind}", {"generator": {field: value}}): field
+       for field in ("rotation_range", "elastic_std_range", "blur_sigma_range", "bias_std_range")
+       for kind, value in _BAD_RANGES.items()},
+    **{_config_probe(f"prior_{field}_{kind}", _prior_config(field, value)): f"{field}[1]"
+       for field in ("mean_range", "std_range") for kind, value in _BAD_RANGES.items()},
     # labels 2 and 3 are present, so a reader that truncated 1.5 to 1 would generate
     _config_probe("fractional_prior_label", {"priors": [
         {"label": label, "mean_range": [1, 2], "std_range": [0, 1]} for label in (1.5, 2, 3)
