@@ -76,7 +76,7 @@ def mix_seed(seed: int, index: int) -> int:
 
 def _pair(value, name: str, low: float | None = None) -> tuple[float, float]:
     """A (low, high) range: two finite reals from a list, tuple or array, low <= high."""
-    if not isinstance(value, (list, tuple, np.ndarray)) or len(value) != 2:
+    if not (isinstance(value, (list, tuple)) or getattr(value, "ndim", 0) > 0) or len(value) != 2:
         raise ValueError(f"{name} must be two numbers (low, high), got {value!r}")
     lo, hi = _real(value[0], f"{name} low", low=low), _real(value[1], f"{name} high")
     if lo > hi:

@@ -70,7 +70,7 @@ def _real(value, name: str, low: float | None = None, above: float | None = None
 
 def _triple(value, name: str, read=_int, **bounds) -> tuple:
     """Three numbers from a list, tuple or array, entry i read as ``read(v, name[i], **bounds)``."""
-    if not isinstance(value, (list, tuple, np.ndarray)) or len(value) != 3:
+    if not (isinstance(value, (list, tuple)) or getattr(value, "ndim", 0) > 0) or len(value) != 3:
         raise ValueError(f"{name} must have three entries, got {value!r}")
     return tuple(read(v, f"{name}[{i}]", **bounds) for i, v in enumerate(value))
 

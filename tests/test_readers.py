@@ -21,7 +21,7 @@ from sulcikit.losses import (
 )
 from sulcikit.postproc import PostprocConfig, connected_components, dilate
 from sulcikit.presets import default_generator_config, default_priors, make_phantom
-from sulcikit.synth import gaussian_blur, generate_views, mix_seed
+from sulcikit.synth import GeneratorConfig, gaussian_blur, generate_views, mix_seed
 from sulcikit.volume import (
     BinaryMask,
     IntensityVolume,
@@ -150,7 +150,7 @@ class TestReal:
 
 
 class TestTriple:
-    @pytest.mark.parametrize("value", [(1, 2), [1, 2, 3, 4], "123", 5, None])
+    @pytest.mark.parametrize("value", [(1, 2), [1, 2, 3, 4], "123", 5, None, np.array(3)])
     def test_rejects_anything_but_three_entries(self, value):
         with pytest.raises(ValueError, match="^shape must have three entries"):
             _triple(value, "shape", low=1)
@@ -161,6 +161,12 @@ class TestTriple:
         assert _triple([1, "0.5", 2], "spacing", _real, above=0) == (1.0, 0.5, 2.0)
         with pytest.raises(ValueError, match=r"^shape\[2\] must be >= 1, got 0$"):
             _triple((1, 1, 0), "shape", low=1)
+
+
+@pytest.mark.parametrize("value", [np.array(1.0), "12", [1], (1, 2, 3), True, None])
+def test_range_is_exactly_two_numbers(value):
+    with pytest.raises(ValueError, match="^blur_sigma_range must be two numbers"):
+        GeneratorConfig(blur_sigma_range=value)
 
 
 def test_int_and_real_disagree_only_on_fractions():
