@@ -1,6 +1,8 @@
 """sulcikit: synthetic data generation, losses, post-processing and metrics
 for 3D sulcus segmentation pipelines built on numpy/scipy."""
 
+__version__ = "0.2.0"
+
 from . import errors
 from .volume import (
     VoxelGrid,
@@ -78,5 +80,3 @@ __all__ = [
     "voxel_surface_area", "evaluate_pair", "aggregate", "make_phantom",
     "default_priors", "default_generator_config", "run_checks", "CheckResult",
 ]
-
-__version__ = "0.1.0"

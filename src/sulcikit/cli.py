@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from . import checks as checks_mod
 from .errors import (
     ConfigError,
@@ -35,7 +36,7 @@ from .errors import (
 )
 from .metrics import aggregate, evaluate_pair
 from .nifti import read_nifti, write_atomic, write_nifti
-from .postproc import PostprocConfig, postprocess_cs
+from .postproc import _POSTPROC_READERS, PostprocConfig, postprocess_cs
 from .presets import default_generator_config, default_priors
 from .synth import GeneratorConfig, TissuePriors, _record, generate_sample, mix_seed
 from .volume import BinaryMask, LabelVolume, _int, require_same_grid
@@ -59,6 +60,8 @@ _EXIT_CODES = {
 }
 
 _NIFTI_SUFFIXES = (".nii.gz", ".nii")
+# postprocess: PostprocConfig field -> the flag that sets it
+_POSTPROC_FLAGS = {"dilation_radius": "radius", "connectivity": "connectivity", "keep": "keep"}
 # shortest time between two manifest rewrites during a generate run
 _MANIFEST_INTERVAL_S = 1.0
 
@@ -84,6 +87,15 @@ def _fields_of(path: Path):
         yield
     except KeyError as exc:
         raise ValueError(f"{path}: missing field {exc.args[0]!r}") from exc
+
+
+def _flag_value(text: str):
+    """A flag's text as the JSON value it spells, so ``--seed 7.0`` is read as
+    ``"master_seed": 7.0`` is; text that spells none stays a string."""
+    try:
+        return json.loads(text)
+    except ValueError:
+        return text
 
 
 def _path(value, name: str, base: Path) -> Path:
@@ -174,6 +186,14 @@ def _read_mask(path) -> BinaryMask:
     return BinaryMask(labels.grid, labels.voxels != 0)
 
 
+def _source_sha256(entry: ManifestEntry) -> str:
+    """sha256 of the subject's label map file bytes, then its tissue map's if it has one."""
+    digest = hashlib.sha256(entry.label_map_path.read_bytes())
+    if entry.tissue_map_path is not None:
+        digest.update(entry.tissue_map_path.read_bytes())
+    return digest.hexdigest()
+
+
 def _load_subject_labels(entry: ManifestEntry) -> LabelVolume:
     """Combined label map; a separate sulci map overlays the tissue map."""
     labels = read_nifti(entry.label_map_path, kind="labels")
@@ -194,9 +214,10 @@ def _load_subject_labels(entry: ManifestEntry) -> LabelVolume:
 def cmd_generate(args) -> int:
     with _configuration():
         jobs = _int(args.jobs, "--jobs", low=1)
+        seed = None if args.seed is None else _int(args.seed, "--seed")
         manifest = DatasetManifest.from_json(args.manifest)
         run = RunConfig.from_json(args.config) if args.config else RunConfig()
-        master_seed = run.master_seed if args.seed is None else args.seed
+        master_seed = run.master_seed if seed is None else seed
         out_dir = Path(args.out) if args.out else run.output_dir
         if out_dir is None:
             raise ValueError("no output directory: pass --out or set output_dir in the config")
@@ -211,7 +232,8 @@ def cmd_generate(args) -> int:
         except (ValueError, KeyError, TypeError) as exc:
             _log(f"generate: ignoring unreadable manifest {manifest_path}: {exc}")
 
-    # a record made under another generator config or other priors is stale
+    # a record made under another generator config, other priors, another
+    # release or from other source bytes is stale
     config_sha256 = hashlib.sha256(json.dumps(
         {"generator": run.generator.to_dict(), "priors": run.priors.to_entries()},
         sort_keys=True,
@@ -221,6 +243,7 @@ def cmd_generate(args) -> int:
     cache: dict[str, LabelVolume] = {}
     for idx, entry in enumerate(manifest.entries):
         subject_seed = mix_seed(master_seed, idx)
+        source_sha256 = _source_sha256(entry)
         for sample in range(run.samples_per_subject):
             seed = mix_seed(subject_seed, sample)
             stem = f"{entry.id}_{sample:03d}"
@@ -232,6 +255,8 @@ def cmd_generate(args) -> int:
                 "image": f"{stem}_img.nii.gz",
                 "labels": f"{stem}_seg.nii.gz",
                 "config_sha256": config_sha256,
+                "sulcikit_version": __version__,
+                "source_sha256": source_sha256,
             }
             img_path = out_dir / record["image"]
             seg_path = out_dir / record["labels"]
@@ -294,7 +319,11 @@ def _write_manifest(path: Path, records: list[dict]) -> None:
 
 def cmd_postprocess(args) -> int:
     with _configuration():
-        config = PostprocConfig(args.radius, args.connectivity, args.keep)
+        # each flag is read by its field's reader, under the flag's name
+        config = PostprocConfig(**{
+            name: _POSTPROC_READERS[name](getattr(args, flag), f"--{flag}")
+            for name, flag in _POSTPROC_FLAGS.items()
+        })
     paths = [Path(p) for p in args.inputs]
     stems = [_strip_nifti_suffix(path.name) for path in paths]
     for path, stem in zip(paths, stems):
@@ -402,20 +431,21 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("generate", help="generate synthetic image/label pairs")
     gen.add_argument("--manifest", required=True, help="dataset manifest JSON")
     gen.add_argument("--config", help="run config JSON (generator, priors, counts)")
-    gen.add_argument("--seed", type=int, help="master seed (overrides config)")
+    gen.add_argument("--seed", type=_flag_value, help="master seed (overrides config)")
     gen.add_argument("--out", help="output directory (overrides config)")
-    gen.add_argument("--jobs", type=int, default=1, help="worker threads")
+    gen.add_argument("--jobs", type=_flag_value, default=1, help="worker threads")
     gen.set_defaults(func=cmd_generate)
 
     post = sub.add_parser("postprocess", help="clean raw binary predictions")
     post.add_argument("--in", dest="inputs", nargs="+", required=True, metavar="PATH",
                       help="input mask NIfTI file(s)")
     defaults = PostprocConfig()
-    post.add_argument("--radius", type=int, default=defaults.dilation_radius,
+    post.add_argument("--radius", type=_flag_value, default=defaults.dilation_radius,
                       help="dilation radius (voxels)")
-    post.add_argument("--connectivity", type=int, default=defaults.connectivity,
+    post.add_argument("--connectivity", type=_flag_value, default=defaults.connectivity,
                       help="neighbourhood connectivity: 6, 18 or 26")
-    post.add_argument("--keep", type=int, default=defaults.keep, help="components to keep")
+    post.add_argument("--keep", type=_flag_value, default=defaults.keep,
+                      help="components to keep")
     post.set_defaults(func=cmd_postprocess)
 
     ev = sub.add_parser("evaluate", help="compare predictions against ground truth")

@@ -31,6 +31,7 @@ from .volume import (
     VoxelGrid,
     _int,
     _label,
+    _gather_axis,
     _linear_taps,
     _owned,
     _real,
@@ -220,16 +221,20 @@ class GeneratorConfig:
 
 @dataclass(frozen=True, eq=False)
 class DeformationField:
-    """Dense per-voxel displacement, in voxel units, on a grid."""
+    """Displacement in voxel units on a control lattice of ``(gx, gy, gz, 3)`` nodes.
+
+    The lattice is corner-aligned with the grid and read trilinearly: its
+    first and last nodes along an axis sit on the first and last voxels. A
+    lattice of one node per voxel is a dense field, read back exactly.
+    """
 
     grid: VoxelGrid
     displacement: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         disp = _owned(self.displacement, np.float32, np.shape(self.displacement))
-        expected = self.grid.shape + (3,)
-        if disp.shape != expected:
-            raise ValueError(f"displacement shape {disp.shape} != {expected}")
+        if disp.ndim != 4 or disp.shape[3] != 3 or 0 in disp.shape:
+            raise ValueError(f"displacement must be a (gx, gy, gz, 3) lattice, got {disp.shape}")
         if not np.isfinite(disp).all():
             raise ValueError("displacement contains NaN or Inf")
         object.__setattr__(self, "displacement", disp)
@@ -276,69 +281,98 @@ def sample_affine(config: GeneratorConfig, rng_seed: int) -> np.ndarray:
     )
 
 
-def _upsample_lattice(control: np.ndarray, full_shape) -> np.ndarray:
-    """Trilinear upsampling from a control lattice corner-aligned with the volume."""
-    axis_taps = []
-    for s, g in zip(full_shape, control.shape):
-        stretch = (g - 1) / (s - 1) if s > 1 else 0.0
-        axis_taps.append(_linear_taps(g, np.arange(s, dtype=np.float64) * stretch))
-    return _separable_apply(axis_taps, control)
+def _lattice_taps(n_nodes: int, n_voxels: int):
+    """Linear taps from each voxel to a lattice corner-aligned with the axis.
+
+    None when the axis has one node per voxel: its taps would read every
+    node back exactly (stretch 1, frac 0), so the axis is left as it is.
+    """
+    if n_nodes == n_voxels:
+        return None
+    stretch = (n_nodes - 1) / (n_voxels - 1) if n_voxels > 1 else 0.0
+    return _linear_taps(n_nodes, np.arange(n_voxels, dtype=np.float64) * stretch)
+
+
+def _upsample(values: np.ndarray, axis_taps) -> np.ndarray:
+    """Gather each axis's lattice taps in turn, skipping the axes without any.
+
+    The last axis goes first, so the widest gather, the last, copies whole
+    contiguous planes."""
+    for axis in (2, 1, 0):
+        if axis_taps[axis] is not None:
+            values = _gather_axis(values, axis, axis_taps[axis])
+    return values
+
+
+def _lattice_slabs(lattice_shape, shape):
+    """Slabs of ``_SLAB_ROWS`` rows along axis 0, each with the lattice rows it reads.
+
+    Yields ``(rows, nodes, axis_taps)``: the slab's slice of voxel rows, the
+    slice of lattice rows that its taps read, and the taps that ``_upsample``
+    applies to those lattice rows to read the lattice trilinearly over the
+    slab, the lattice corner-aligned with ``shape``.
+    """
+    row_taps, *plane_taps = (_lattice_taps(g, n) for g, n in zip(lattice_shape, shape))
+    for x0 in range(0, shape[0], _SLAB_ROWS):
+        rows = slice(x0, min(x0 + _SLAB_ROWS, shape[0]))
+        if row_taps is None:
+            yield rows, rows, [None, *plane_taps]
+            continue
+        taps = [(idx[rows], w[rows]) for idx, w in row_taps]
+        lo = min(int(idx[0]) for idx, _ in taps)
+        hi = max(int(idx[-1]) for idx, _ in taps) + 1
+        yield rows, slice(lo, hi), [[(idx - lo, w) for idx, w in taps], *plane_taps]
 
 
 def sample_elastic(config: GeneratorConfig, grid: VoxelGrid, rng_seed: int) -> DeformationField:
-    """Random smooth displacement field.
+    """Random smooth displacement, drawn on the elastic control lattice.
 
-    Control-point displacements are i.i.d. N(0, sigma) per component with
-    sigma ~ U(elastic_std_range), then upsampled trilinearly to the full
-    grid (control lattice corner-aligned with the volume).
+    Node displacements are i.i.d. N(0, sigma) per component with sigma ~
+    U(elastic_std_range); ``deform_labels`` reads them trilinearly at each
+    voxel, so no per-voxel field is made.
     """
     rng = np.random.default_rng(rng_seed)
     sigma = rng.uniform(*config.elastic_std_range)
-    control = rng.standard_normal(size=config.elastic_grid + (3,)) * sigma
-    # each component is cast straight into its float32 slot, the cast that
-    # DeformationField would otherwise make of a stacked float64 copy
-    disp = np.empty(grid.shape + (3,), dtype=np.float32)
-    for c in range(3):
-        disp[..., c] = _upsample_lattice(control[..., c], grid.shape)
-    disp.flags.writeable = False  # hand the fresh array over: the field takes it uncopied
-    return DeformationField(grid, disp)
+    return DeformationField(grid, rng.standard_normal(size=config.elastic_grid + (3,)) * sigma)
 
 
 def deform_labels(labels: LabelVolume, affine: np.ndarray, field_: DeformationField) -> LabelVolume:
     """Backward-warp a label map through the composed transform.
 
     Output voxel x reads the nearest source label at
-    ``centre + A @ (x + u(x) - centre)``: the displacement field applies
-    first, then the affine acts about the volume centre. Reads outside the
-    volume give background 0; output geometry equals the input geometry.
+    ``centre + A @ (x + u(x) - centre)``, with ``u`` the field's lattice
+    read trilinearly: the displacement applies first, then the affine acts
+    about the volume centre. Reads outside the volume give background 0;
+    output geometry equals the input geometry.
 
-    The output is filled in fixed slabs of ``_SLAB_ROWS`` rows along axis 0,
-    so the working memory beyond the output does not grow with axis 0.
+    Upsampling is linear, so the affine acts on the lattice: coordinate k is
+    ``centre_k + t_k + sum_j A_kj (x_j - centre_j) + up(A U)_k(x)``, the
+    affine part an outer sum of one 1-D term per axis. The output is filled
+    in slabs of ``_SLAB_ROWS`` rows along axis 0, each composing ``A U`` on
+    only the lattice rows it reads, so the working memory beyond the output
+    does not grow with axis 0.
     """
     require_same_grid(labels, field_)
     affine = np.asarray(affine, dtype=np.float64)
+    linear, shift = affine[:3, :3], affine[:3, 3]
     shape = labels.grid.shape
     centre = (np.asarray(shape, dtype=np.float64) - 1.0) / 2.0
+    offsets = [np.arange(n, dtype=np.float64) - c for n, c in zip(shape, centre)]
+    lattice = field_.displacement
     out = np.empty(shape, dtype=labels.voxels.dtype)
-    for x0 in range(0, shape[0], _SLAB_ROWS):
-        x1 = min(x0 + _SLAB_ROWS, shape[0])
-        disp = field_.displacement[x0:x1]
-        # x + u(x) - centre into a single (rows, ny, nz, 3) array; the offsets
-        # are added one axis at a time, a scalar per strided pass, since a
-        # broadcast over the length-3 last axis runs one tiny loop per voxel
-        pos = np.empty(disp.shape, dtype=np.float64)
-        for axis, (lo, hi) in enumerate(((x0, x1), (0, shape[1]), (0, shape[2]))):
-            along = np.arange(lo, hi, dtype=np.float64).reshape((-1,) + (1,) * (2 - axis))
-            np.add(along, disp[..., axis], out=pos[..., axis])
-            pos[..., axis] -= centre[axis]
-        # the 3x3 product stays one matmul: an element-wise rewrite sums in
-        # another order and moves coordinates by an ulp
-        src = pos @ affine[:3, :3].T
-        del pos
-        for axis in range(3):
-            src[..., axis] += affine[axis, 3]
-            src[..., axis] += centre[axis]
-        out[x0:x1] = nearest_sample(labels.voxels, src)
+    for rows, nodes, axis_taps in _lattice_slabs(lattice.shape[:3], shape):
+        # (3, lattice rows, gy, gz): component k of A U on the rows the slab reads
+        composed = np.tensordot(linear, lattice[nodes], axes=([1], [3]))
+        coords = []
+        for k in range(3):
+            coord = _upsample(composed[k], axis_taps)
+            plane = ((centre[k] + shift[k]) + linear[k, 0] * offsets[0][rows, None]) + (
+                linear[k, 1] * offsets[1]
+            )
+            coord += plane[:, :, None]
+            coord += linear[k, 2] * offsets[2]
+            coords.append(coord)
+        out[rows] = nearest_sample(labels.voxels, coords)
     return labels.with_voxels(out)
 
 
@@ -427,16 +461,18 @@ def apply_bias_field(
 
     A log-field is drawn i.i.d. N(0, sigma_b) on the bias control lattice
     with sigma_b ~ U(bias_std_range), upsampled trilinearly, exponentiated
-    and applied voxel-wise.
+    and applied voxel-wise, one slab of rows at a time.
     """
     rng = np.random.default_rng(rng_seed)
     sigma = rng.uniform(*config.bias_std_range)
     control = rng.standard_normal(size=config.bias_grid) * sigma
-    # exponentiate and multiply in the upsampled buffer: no full temporaries
-    bias = _upsample_lattice(control, image.grid.shape)
-    np.exp(bias, out=bias)
-    bias *= image.voxels
-    return image.with_voxels(bias)
+    out = np.empty(image.grid.shape, dtype=np.float32)
+    for rows, nodes, axis_taps in _lattice_slabs(control.shape, image.grid.shape):
+        bias = np.exp(_upsample(control[nodes], axis_taps))
+        bias *= image.voxels[rows]
+        out[rows] = bias  # the float64 product rounded to float32, as the volume would
+    out.flags.writeable = False  # hand the fresh array over: the volume takes it uncopied
+    return image.with_voxels(out)
 
 
 def normalize_intensity(image: IntensityVolume) -> IntensityVolume:
@@ -463,9 +499,8 @@ def generate_sample(
     affine = sample_affine(config, mix_seed(seed, 1))
     field_ = sample_elastic(config, labels.grid, mix_seed(seed, 2))
     deformed = deform_labels(labels, affine, field_)
-    # the field and the synthesis-only map are dropped once used, so neither is
-    # held through the full-volume blur and bias stages
-    del field_
+    # the synthesis-only map is dropped once painted, so it is not held
+    # through the full-volume blur and bias stages
     image = sample_intensities(
         substitute_sulci(deformed, config.substitution_table, config.sulcus_label_start),
         priors,

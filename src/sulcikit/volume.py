@@ -230,7 +230,8 @@ def _nearest_taps(n_src: int, positions: np.ndarray):
     Returns ``[(index, inside)]``: the index clipped into ``[0, n_src)``, and
     a bool weight, False where the unclipped index lies outside the axis.
     """
-    idx = np.floor(positions + 0.5).astype(np.int64)
+    idx = np.add(positions, 0.5)
+    idx = np.floor(idx, out=idx).astype(np.int64)
     inside = (idx >= 0) & (idx < n_src)
     np.clip(idx, 0, n_src - 1, out=idx)
     return [(idx, inside)]
@@ -239,21 +240,29 @@ def _nearest_taps(n_src: int, positions: np.ndarray):
 def _gather_axis(values: np.ndarray, axis: int, taps) -> np.ndarray:
     """Apply one axis's taps by gathering: the weighted sum of each tap's reads.
 
-    A bool weight keeps the values' dtype."""
+    Each tap's reads are weighted in place when they already have the
+    product's dtype, so a tap costs one gathered array. A bool weight keeps
+    the values' dtype."""
     shape = [1, 1, 1]
     shape[axis] = -1
+
+    def read(idx, w):
+        tap, w = np.take(values, idx, axis=axis), w.reshape(shape)
+        return np.multiply(tap, w, out=tap if tap.dtype == np.result_type(tap, w) else None)
+
     (idx, w), *rest = taps
-    out = np.take(values, idx, axis=axis) * w.reshape(shape)
+    out = read(idx, w)
     for idx, w in rest:
-        out += np.take(values, idx, axis=axis) * w.reshape(shape)
+        out += read(idx, w)
     return out
 
 
 def _separable_apply(axis_taps, values: np.ndarray) -> np.ndarray:
     """Apply each axis's taps as one dense ``(out_i, in_i)`` matrix, in one BLAS contraction.
 
-    Taps of one row that land on one column (clipped or reflected) add in the
-    order given; with einsum's order, that pins the generator's bytes."""
+    The Gaussian blur's applier. Taps of one row that land on one column
+    (reflected) add in the order given; with einsum's order, that pins the
+    blur's bytes."""
     values = np.asarray(values, dtype=np.float64)
     mats = []
     for n_src, taps in zip(values.shape, axis_taps):
@@ -265,24 +274,25 @@ def _separable_apply(axis_taps, values: np.ndarray) -> np.ndarray:
     return np.einsum("ia,jb,kc,abc->ijk", *mats, values, optimize=True)
 
 
-def nearest_sample(values: np.ndarray, coords: np.ndarray) -> np.ndarray:
+def nearest_sample(values: np.ndarray, coords) -> np.ndarray:
     """Nearest-voxel-centre lookup at fractional coordinates (``_nearest_taps``).
 
-    Coordinates whose nearest centre lies outside the volume read as 0.
+    ``coords`` holds one array of source coordinates per axis of ``values``,
+    all of one shape, the shape of the result. Coordinates whose nearest
+    centre lies outside the volume read as 0.
     """
     values = np.asarray(values)
-    coords = np.asarray(coords, dtype=np.float64)
-    # one axis at a time into a flat C-order index: no (N, 3) temporaries
-    flat = np.zeros(coords.shape[:-1], dtype=np.int64)
-    inside = np.ones(coords.shape[:-1], dtype=bool)
-    for axis, size in enumerate(values.shape):
-        [(idx, inside_axis)] = _nearest_taps(size, coords[..., axis])
-        inside &= inside_axis
+    (flat, inside), *rest = (
+        _nearest_taps(size, np.asarray(positions, dtype=np.float64))[0]
+        for size, positions in zip(values.shape, coords)
+    )
+    # one axis at a time into a flat C-order index
+    for size, (idx, inside_axis) in zip(values.shape[1:], rest):
         flat *= size
         flat += idx
+        inside &= inside_axis
     out = values.ravel()[flat]
-    out[~inside] = 0
-    return out
+    return np.multiply(out, inside, out=out)  # as a bool weight reads: 0 outside
 
 
 def _bounding_box(nonzero: np.ndarray) -> tuple[slice, slice, slice]:

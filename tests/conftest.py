@@ -66,17 +66,24 @@ def trilinear_oracle():
 
 
 @pytest.fixture
-def deform_oracle():
-    def oracle(labels, affine, displacement):
+def deform_oracle(trilinear_oracle):
+    def oracle(labels, affine, lattice):
         """Per voxel: read the label nearest ``centre + A @ (x + u(x) - centre)``.
 
-        Ties round up (``floor(p + 0.5)``); reads outside the volume give 0.
+        ``u(x)`` is the displacement lattice read by ``trilinear_oracle`` at x's
+        lattice coordinates, the lattice corner-aligned with the volume; a
+        lattice of one node per voxel reads each node at frac 0. Ties round up
+        (``floor(p + 0.5)``); reads outside the volume give 0.
         """
         shape = labels.shape
+        lattice = np.asarray(lattice, dtype=np.float64)
+        stretch = [(g - 1) / (n - 1) if n > 1 else 0.0 for g, n in zip(lattice.shape, shape)]
         centre = [(s - 1) / 2.0 for s in shape]
         out = np.zeros(shape, dtype=labels.dtype)
         for x in np.ndindex(*shape):
-            d = [x[i] + float(displacement[x][i]) - centre[i] for i in range(3)]
+            node = np.array([x[i] * stretch[i] for i in range(3)])
+            u = [trilinear_oracle(lattice[..., i], node) for i in range(3)]
+            d = [x[i] + u[i] - centre[i] for i in range(3)]
             p = [centre[i] + sum(affine[i][j] * d[j] for j in range(3)) + affine[i][3]
                  for i in range(3)]
             idx = tuple(int(np.floor(c + 0.5)) for c in p)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import resource
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sulcikit
 from sulcikit import cli
 from sulcikit.checks import CHECK_NAMES
 from sulcikit.cli import main
@@ -192,6 +194,48 @@ class TestGenerate:
         assert "(4 new)" in capsys.readouterr().err
         assert (out / "manifest.json").read_bytes() == written
 
+    def test_records_carry_version_and_source_hash(self, dataset, tmp_path):
+        manifest_path, config_path = dataset
+        out = tmp_path / "out"
+        assert main(_generate(manifest_path, config_path, out)) == 0
+        for record in json.loads((out / "manifest.json").read_text())["samples"]:
+            source = (manifest_path.parent / f"{record['id']}_labels.nii.gz").read_bytes()
+            assert record["sulcikit_version"] == sulcikit.__version__
+            assert record["source_sha256"] == hashlib.sha256(source).hexdigest()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_changed_source_regenerates(self, dataset, tmp_path, capsys, jobs):
+        manifest_path, config_path = dataset
+        out = tmp_path / "out"
+        args = _generate(manifest_path, config_path, out) + ["--jobs", jobs]
+        assert main(args) == 0
+        before = {name: (out / name).read_bytes() for name in _volume_files(out)}
+        # same geometry and file name, tissue 1 relabelled as tissue 2
+        phantom = make_phantom(shape=PHANTOM_SHAPE)
+        relabelled = phantom.with_voxels(np.where(phantom.voxels == 1, 2, phantom.voxels))
+        write_nifti(relabelled, manifest_path.parent / "s1_labels.nii.gz")
+        capsys.readouterr()
+        assert main(args) == 0
+        assert "(2 new)" in capsys.readouterr().err
+        after = {name: (out / name).read_bytes() for name in _volume_files(out)}
+        assert [n for n in before if after[n] != before[n]] == [
+            "s1_000_img.nii.gz", "s1_000_seg.nii.gz", "s1_001_img.nii.gz", "s1_001_seg.nii.gz"
+        ]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_changed_version_regenerates(self, dataset, tmp_path, capsys, monkeypatch, jobs):
+        manifest_path, config_path = dataset
+        out = tmp_path / "out"
+        args = _generate(manifest_path, config_path, out) + ["--jobs", jobs]
+        monkeypatch.setattr(cli, "__version__", "0.1.0")
+        assert main(args) == 0
+        monkeypatch.undo()
+        capsys.readouterr()
+        assert main(args) == 0
+        assert "(4 new)" in capsys.readouterr().err
+        listing = json.loads((out / "manifest.json").read_text())["samples"]
+        assert {r["sulcikit_version"] for r in listing} == {sulcikit.__version__}
+
     def test_rerun_after_killed_write_serves_intact_files(
         self, dataset, tmp_path, monkeypatch, fail_mid_write
     ):
@@ -343,6 +387,29 @@ class TestGenerate:
                      str(root / "c.json"), "--out", str(out)]) == 0
         seg = read_nifti(out / "s_000_seg.nii.gz", kind="labels")
         assert 48 in seg.labels_present() or 49 in seg.labels_present()
+
+    def test_changed_tissue_map_regenerates(self, tmp_path, capsys):
+        root = tmp_path / "d"
+        root.mkdir()
+        phantom = make_phantom(shape=PHANTOM_SHAPE)
+        tissues = phantom.with_voxels(np.where(phantom.voxels >= 48, 0, phantom.voxels))
+        sulci = phantom.with_voxels(np.where(phantom.voxels >= 48, phantom.voxels, 0))
+        write_nifti(tissues, root / "tissue.nii.gz")
+        write_nifti(sulci, root / "sulci.nii.gz")
+        (root / "m.json").write_text(json.dumps({
+            "entries": [{"id": "s", "label_map_path": "sulci.nii.gz",
+                         "tissue_map_path": "tissue.nii.gz"}],
+        }))
+        (root / "c.json").write_text(json.dumps({"samples_per_subject": 2}))
+        argv = ["generate", "--manifest", str(root / "m.json"), "--config", str(root / "c.json"),
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 0
+        # the label map is unchanged; only the tissue map under it changes
+        write_nifti(tissues.with_voxels(np.where(tissues.voxels == 1, 2, tissues.voxels)),
+                    root / "tissue.nii.gz")
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert "(2 new)" in capsys.readouterr().err
 
     def test_missing_manifest_is_config_error(self, tmp_path):
         assert main(["generate", "--manifest", str(tmp_path / "nope.json"),
@@ -510,6 +577,66 @@ class TestPostprocess:
                      "--connectivity", "6", "--keep", "1"]) == 0
         out = read_nifti(tmp_path / "m_pp.nii.gz", kind="labels")
         assert int((out.voxels != 0).sum()) == 3  # only the largest blob survives
+
+
+# integer flag -> (command, a malformed value, the start of its message)
+_BAD_INTEGER_FLAGS = {
+    "--seed": ("generate", "7.5", "must be a whole number, got 7.5"),
+    "--jobs": ("generate", "0.0", "must be >= 1, got 0"),
+    "--radius": ("postprocess", "1.5", "must be a whole number, got 1.5"),
+    "--connectivity": ("postprocess", "8", "must be 6, 18 or 26, got 8"),
+    "--keep": ("postprocess", "true", "must be a whole number, got True"),
+}
+
+
+class TestIntegerFlags:
+    """Integer flags are read by volume._int, the rule of a run config's integers."""
+
+    def test_whole_float_seed_and_jobs_read_as_the_config_reads_them(self, dataset, tmp_path):
+        manifest_path, config_path = dataset
+        runs = {
+            "ints": ["--seed", "7", "--jobs", "2"],
+            "floats": ["--seed", "7.0", "--jobs", "2.0"],
+            "config": [],
+        }
+        for name, flags in runs.items():
+            if not flags:
+                config_path.write_text(json.dumps({"samples_per_subject": 2, "master_seed": 7.0}))
+            assert main(_generate(manifest_path, config_path, tmp_path / name) + flags) == 0
+        names = sorted(p.name for p in (tmp_path / "ints").iterdir())
+        for name in runs:
+            assert sorted(p.name for p in (tmp_path / name).iterdir()) == names
+            for file in names:
+                assert (tmp_path / name / file).read_bytes() == (
+                    tmp_path / "ints" / file).read_bytes()
+
+    def test_whole_float_postprocess_flags_read_as_integers(self, tmp_path):
+        data = np.zeros((20, 8, 8), dtype=bool)
+        data[2:5, 3, 3] = True
+        data[9:11, 3, 3] = True
+        written = {}
+        for name, values in (("ints", ("0", "6", "1")), ("floats", ("0.0", "6.0", "1.0"))):
+            path = tmp_path / f"{name}.nii.gz"
+            _write_mask(data, path)
+            flags = [f for pair in zip(("--radius", "--connectivity", "--keep"), values)
+                     for f in pair]
+            assert main(["postprocess", "--in", str(path), *flags]) == 0
+            written[name] = read_nifti(tmp_path / f"{name}_pp.nii.gz", kind="labels").voxels
+        assert np.array_equal(written["ints"], written["floats"])
+        assert int(np.count_nonzero(written["ints"])) == 3
+
+    @pytest.mark.parametrize("flag", _BAD_INTEGER_FLAGS)
+    def test_bad_value_names_its_flag(self, dataset, tmp_path, capsys, flag):
+        command, value, message = _BAD_INTEGER_FLAGS[flag]
+        if command == "generate":
+            argv = _generate(*dataset, tmp_path / "out")
+        else:
+            pred, _ = _mask_pair(tmp_path)
+            argv = ["postprocess", "--in", str(pred / "a.nii")]
+        assert main(argv + [flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err == f"{command}: configuration error: {flag} {message}\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestEvaluate:

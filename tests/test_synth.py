@@ -24,7 +24,12 @@ from sulcikit.synth import (
     sample_intensities,
     substitute_sulci,
 )
-from sulcikit.synth import _upsample_lattice
+
+
+def upsample_lattice(control, shape):
+    """The control lattice read trilinearly over a volume of ``shape``, slab by slab."""
+    slabs = synth._lattice_slabs(control.shape, shape)
+    return np.concatenate([synth._upsample(control[nodes], taps) for _, nodes, taps in slabs])
 
 
 def identity_config(**overrides):
@@ -75,7 +80,7 @@ class TestSampleAffine:
 class TestSampleElastic:
     def test_zero_std_gives_zero_field(self, unit_grid):
         field = sample_elastic(identity_config(), unit_grid((6, 6, 6)), rng_seed=1)
-        assert np.array_equal(field.displacement, np.zeros((6, 6, 6, 3), dtype=np.float32))
+        assert np.array_equal(field.displacement, np.zeros((10, 10, 10, 3), dtype=np.float32))
 
     def test_same_seed_bit_identical(self, unit_grid):
         config = default_generator_config()
@@ -88,33 +93,27 @@ class TestSampleElastic:
         grid = unit_grid((5, 5, 5))
         field = sample_elastic(config, grid, rng_seed=3)
 
-        # replicate the documented draw order to recover the control lattice
-        rng = np.random.default_rng(3)
-        sigma = rng.uniform(2.0, 2.0)
-        control = rng.standard_normal(size=(2, 2, 2, 3)) * sigma
+        # the lattice read at every voxel, as the warp reads it, against direct
+        # trilinear evaluation: lattice coords x/4, so the last voxel sits
+        # exactly on lattice index 1
+        for c in range(3):
+            read = upsample_lattice(field.displacement[..., c], grid.shape)
+            for x, y, z in np.ndindex(5, 5, 5):
+                expected = trilinear_oracle(field.displacement[..., c], np.array([x, y, z]) / 4.0)
+                assert read[x, y, z] == pytest.approx(expected, abs=1e-6)
 
-        # direct trilinear evaluation at every voxel: lattice coords x/4, so
-        # the last voxel sits exactly on lattice index 1
-        for x, y, z in np.ndindex(5, 5, 5):
-            t = np.array([x, y, z]) / 4.0
-            for c in range(3):
-                expected = trilinear_oracle(control[..., c], t)
-                assert field.displacement[x, y, z, c] == pytest.approx(expected, abs=1e-6)
-
-    def test_field_equals_stacked_components(self, unit_grid):
+    def test_field_is_the_drawn_lattice(self, unit_grid):
         config = default_generator_config(elastic_grid=(3, 4, 3))
         grid = unit_grid((9, 7, 5))
         field = sample_elastic(config, grid, rng_seed=6)
 
+        # replicate the documented draw order to recover the control lattice
         rng = np.random.default_rng(6)
         sigma = rng.uniform(*config.elastic_std_range)
         control = rng.standard_normal(size=(3, 4, 3, 3)) * sigma
-        expected = np.stack(
-            [_upsample_lattice(control[..., c], grid.shape) for c in range(3)], axis=-1
-        ).astype(np.float32)
         assert field.displacement.dtype == np.float32
         assert field.displacement.flags.c_contiguous
-        assert np.array_equal(field.displacement, expected)
+        assert np.array_equal(field.displacement, control.astype(np.float32))
 
     def test_rejects_degenerate_lattice(self):
         for field in ("elastic_grid", "bias_grid"):
@@ -190,6 +189,36 @@ class TestDeformLabels:
             np.moveaxis(expected, axis, 0)[-1] = 0  # the last slice reads outside
         assert np.array_equal(out.voxels, expected)
         assert np.array_equal(deform_oracle(data, np.eye(4), displacement), expected)
+
+
+    def test_one_node_per_voxel_lattice_reads_back_exactly(self, labels_from, deform_oracle):
+        # a dense field is a lattice of one node per voxel: its taps have stretch 1
+        # and frac 0, so every node is read as it is
+        shape = (9, 7, 5)
+        rng = np.random.default_rng(15)
+        lattice = (rng.standard_normal(shape + (3,)) * 2.0).astype(np.float32)
+        for c in range(3):
+            assert np.array_equal(upsample_lattice(lattice[..., c], shape), lattice[..., c])
+            for axis, n in enumerate(shape):
+                taps = synth._linear_taps(n, np.arange(n, dtype=np.float64))
+                read = synth._gather_axis(lattice[..., c].astype(np.float64), axis, taps)
+                assert np.array_equal(read, lattice[..., c])
+        data = rng.integers(1, 10, shape, dtype=np.uint16)
+        vol = labels_from(data)
+        affine = sample_affine(GeneratorConfig(rotation_range=(-30.0, 30.0)), 15)
+        out = deform_labels(vol, affine, DeformationField(vol.grid, lattice))
+        assert np.array_equal(out.voxels, deform_oracle(data, affine, lattice))
+
+    @pytest.mark.parametrize("shape", [(4, 4, 4), (4, 4, 4, 2), (0, 4, 4, 3)], ids=str)
+    def test_field_rejects_what_is_not_a_lattice(self, unit_grid, shape):
+        with pytest.raises(ValueError, match=r"displacement must be a \(gx, gy, gz, 3\) lattice"):
+            DeformationField(unit_grid((4, 4, 4)), np.zeros(shape, dtype=np.float32))
+
+    def test_field_rejects_non_finite_nodes(self, unit_grid):
+        lattice = np.zeros((2, 2, 2, 3), dtype=np.float32)
+        lattice[1, 0, 1, 2] = np.nan
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            DeformationField(unit_grid((4, 4, 4)), lattice)
 
 
 class TestSubstituteSulci:
@@ -346,20 +375,20 @@ class TestGaussianBlur:
 
 
 class TestUpsampleLattice:
-    # taken before lattice upsampling passed taps to the shared matrix applier:
-    # elastic and bias fields depend on these float64 bytes
+    # taken when lattice upsampling moved from the matrix applier to gathered
+    # taps (release 0.2.0): the bias field depends on these float64 bytes
     UPSAMPLED_SHA256 = {
-        ((2, 2, 2), (1, 5, 9)): "73f4db75fa8165dc9c2b767ce2c162609e1cf699249d9cfbc1968a7d938650bb",
-        ((4, 4, 4), (37, 52, 29)): "31165ccc94808f90d62e5137acac24bb9f2cf6cbe3b9d219acb18f7052a3b687",
-        ((10, 10, 10), (40, 48, 40)): "2cfbd1ed69236ee87811c8b615b5359bf838b49aeb48b56cf7e547a78125e315",
-        ((3, 7, 2), (12, 9, 7)): "c7a36c1c554ce9ddbff2fa40f5a6a964d88e50e34b40f7e939c7d66793f2127b",
+        ((2, 2, 2), (1, 5, 9)): "c165a584f4f43193abf77d5d7064db7d2cd96b64eb70f5f6ad942bdc1fe0d764",
+        ((4, 4, 4), (37, 52, 29)): "10960b1ab9cc8c593bbf632a584f0aac83096c11c0b318f191dd839c94102840",
+        ((10, 10, 10), (40, 48, 40)): "90d5e1941fef780b50d7dac22ee96395a3d519235baaccbb9e56aa15588dfe3f",
+        ((3, 7, 2), (12, 9, 7)): "51bf66061d25e3fa0cdfa2c9ca79e0c442190519a4ca6c349376b7f58b424324",
         ((5, 5, 5), (5, 5, 5)): "e3621ce4e79477ca20e10bfeda83a5dbc100f6f2c0ba274b6807562b63bcf757",
         ((4, 4, 4), (3, 2, 1)): "eaa1f3c62303e62ee3fe6b67d2652c6cd8063296a1ecd1ea5e6520277fce7511",
     }
 
     @pytest.mark.parametrize("lattice, shape", sorted(UPSAMPLED_SHA256))
     def test_bytes_pinned(self, lattice, shape):
-        out = _upsample_lattice(scrambled_ramp(lattice, np.float64), shape)
+        out = upsample_lattice(scrambled_ramp(lattice, np.float64), shape)
         assert out.shape == shape
         digest = hashlib.sha256(out.tobytes()).hexdigest()
         assert digest == self.UPSAMPLED_SHA256[(lattice, shape)]
@@ -439,8 +468,9 @@ class TestGenerateSample:
 
     # sha256 of (image, label) voxel bytes at seeds 0-2 on a 20x24x18 phantom with
     # the shipped priors and config, as computed before linear interpolation moved
-    # to two-tap gathers: the lattice upsampling that elastic and bias share must
-    # keep "same seed, same bytes"
+    # to two-tap gathers. Release 0.2.0 (labels warped from the elastic lattice, the
+    # bias lattice gathered) left all six unchanged; a later change to the lattice
+    # reads must keep "same seed, same bytes" or re-take them with a release note
     GENERATED_SHA256 = {
         0: ("febe2d425b9ebac655380110c29ab0f9daab4501597700ded4cbf70aa24f0e58",
             "39e902dc569458cd26fd41a23fbee83373cc020eb55e8ca82dc481d7275d97c2"),

@@ -9,6 +9,9 @@ from sulcikit.volume import (
     IntensityVolume,
     LabelVolume,
     VoxelGrid,
+    _gather_axis,
+    _linear_taps,
+    _nearest_taps,
     binarize,
     crop_to_content,
     nearest_sample,
@@ -209,8 +212,7 @@ class TestResample:
         positions = [
             (np.arange(t) + 0.5) * s / t - 0.5 for s, t in zip(src.shape, target)
         ]
-        coords = np.stack(np.meshgrid(*positions, indexing="ij"), axis=-1)
-        expected = nearest_sample(src, coords)
+        expected = nearest_sample(src, np.meshgrid(*positions, indexing="ij"))
         assert out.voxels.dtype == np.uint16
         assert np.array_equal(out.voxels, expected)
 
@@ -278,6 +280,29 @@ class TestResample:
             before = vol.grid.shape[ax] * vol.grid.spacing[ax]
             after = out.grid.shape[ax] * out.grid.spacing[ax]
             assert after == pytest.approx(before)
+
+
+class TestGatherAxis:
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "dtype, taps",
+        [(np.float32, _linear_taps), (np.float64, _linear_taps), (np.uint16, _nearest_taps)],
+    )
+    def test_equals_the_sum_of_weighted_reads_bitwise(self, axis, dtype, taps):
+        # in-place weighting keeps the bytes and dtype of ``take * w`` summed tap by tap
+        values = (np.random.default_rng(15).random((5, 6, 7)) * 50).astype(dtype)
+        n = values.shape[axis]
+        positions = np.linspace(-0.7, n - 0.2, 2 * n + 1)
+        shape = [1, 1, 1]
+        shape[axis] = -1
+        axis_taps = taps(n, positions)
+        reads = [np.take(values, idx, axis=axis) * w.reshape(shape) for idx, w in axis_taps]
+        expected = reads[0]
+        for read in reads[1:]:
+            expected = expected + read
+        out = _gather_axis(values, axis, axis_taps)
+        assert out.dtype == expected.dtype
+        assert np.array_equal(out, expected)
 
 
 class TestBinarize:
