@@ -360,19 +360,22 @@ def deform_labels(labels: LabelVolume, affine: np.ndarray, field_: DeformationFi
     offsets = [np.arange(n, dtype=np.float64) - c for n, c in zip(shape, centre)]
     lattice = field_.displacement
     out = np.empty(shape, dtype=labels.voxels.dtype)
-    for rows, nodes, axis_taps in _lattice_slabs(lattice.shape[:3], shape):
+    for rows, nodes, (row_taps, *plane_taps) in _lattice_slabs(lattice.shape[:3], shape):
         # (3, lattice rows, gy, gz): component k of A U on the rows the slab reads
         composed = np.tensordot(linear, lattice[nodes], axes=([1], [3]))
-        coords = []
-        for k in range(3):
-            coord = _upsample(composed[k], axis_taps)
-            plane = ((centre[k] + shift[k]) + linear[k, 0] * offsets[0][rows, None]) + (
-                linear[k, 1] * offsets[1]
-            )
-            coord += plane[:, :, None]
+
+        def coordinate(k):
+            # each voxel's row taps sum to 1, so the y and z terms are added
+            # on the few lattice rows, before the row gather
+            coord = _upsample(composed[k], [None, *plane_taps])
+            coord += (linear[k, 1] * offsets[1])[:, None]
             coord += linear[k, 2] * offsets[2]
-            coords.append(coord)
-        out[rows] = nearest_sample(labels.voxels, coords)
+            if row_taps is not None:
+                coord = _gather_axis(coord, 0, row_taps)
+            coord += ((centre[k] + shift[k]) + linear[k, 0] * offsets[0][rows])[:, None, None]
+            return coord
+
+        out[rows] = nearest_sample(labels.voxels, (coordinate(k) for k in range(3)))
     return labels.with_voxels(out)
 
 

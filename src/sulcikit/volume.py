@@ -232,7 +232,8 @@ def _nearest_taps(n_src: int, positions: np.ndarray):
     """
     idx = np.add(positions, 0.5)
     idx = np.floor(idx, out=idx).astype(np.int64)
-    inside = (idx >= 0) & (idx < n_src)
+    # a negative index reads as a huge unsigned one, so one compare tests both ends
+    inside = idx.view(np.uint64) < n_src
     np.clip(idx, 0, n_src - 1, out=idx)
     return [(idx, inside)]
 
@@ -277,17 +278,19 @@ def _separable_apply(axis_taps, values: np.ndarray) -> np.ndarray:
 def nearest_sample(values: np.ndarray, coords) -> np.ndarray:
     """Nearest-voxel-centre lookup at fractional coordinates (``_nearest_taps``).
 
-    ``coords`` holds one array of source coordinates per axis of ``values``,
-    all of one shape, the shape of the result. Coordinates whose nearest
+    ``coords`` yields one array of source coordinates per axis of
+    ``values``, all of one shape, the shape of the result; each is read once. Coordinates whose nearest
     centre lies outside the volume read as 0.
     """
     values = np.asarray(values)
-    (flat, inside), *rest = (
+    taps = (
         _nearest_taps(size, np.asarray(positions, dtype=np.float64))[0]
         for size, positions in zip(values.shape, coords)
     )
-    # one axis at a time into a flat C-order index
-    for size, (idx, inside_axis) in zip(values.shape[1:], rest):
+    # one axis at a time into a flat C-order index, each axis's coordinates
+    # read only once the previous axis is folded in
+    flat, inside = next(taps)
+    for size, (idx, inside_axis) in zip(values.shape[1:], taps):
         flat *= size
         flat += idx
         inside &= inside_axis
