@@ -279,8 +279,8 @@ def nearest_sample(values: np.ndarray, coords) -> np.ndarray:
     """Nearest-voxel-centre lookup at fractional coordinates (``_nearest_taps``).
 
     ``coords`` yields one array of source coordinates per axis of
-    ``values``, all of one shape, the shape of the result; each is read once. Coordinates whose nearest
-    centre lies outside the volume read as 0.
+    ``values``, all of one shape, the shape of the result; each is read
+    once. Coordinates whose nearest centre lies outside the volume read as 0.
     """
     values = np.asarray(values)
     taps = (
