@@ -232,7 +232,7 @@ def read_nifti(path, kind: str = "intensity"):
 
     affine = _resolve_affine(hdr)
     try:
-        grid = VoxelGrid(shape, tuple(np.linalg.norm(affine[:3, :3], axis=0)), affine)
+        grid = VoxelGrid(shape, affine)
     except ValueError as exc:
         raise CorruptHeaderError(f"header geometry invalid: {exc}") from exc
 

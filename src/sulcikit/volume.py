@@ -3,7 +3,8 @@
 Voxel arrays are indexed ``[x, y, z]`` and stored x-fastest on disk. All
 volume types are immutable after construction: each holds a read-only array
 that no writable array shares (``_owned``), so instances are safe to share
-across threads.
+across threads. A grid is its shape and its affine; its spacing is read from
+the affine, and crops and resamples re-index the affine (``_reindexed``).
 
 The package's number readers (``_int``, ``_real``, ``_triple``, ``_label``) live here.
 """
@@ -33,7 +34,6 @@ __all__ = [
     "require_same_grid",
 ]
 
-_SPACING_RTOL = 1e-5
 _AFFINE_ATOL = 1e-5  # how far two affines' entries may differ on one geometry
 MAX_LABEL = np.iinfo(np.uint16).max  # the largest label: LabelVolume voxels are uint16
 
@@ -77,15 +77,16 @@ def _triple(value, name: str, read=_int, **bounds) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class VoxelGrid:
-    """Geometry of a 3D volume: shape (voxels), spacing (mm) and world affine.
+    """Geometry of a 3D volume: its shape (voxels) and its world affine.
 
-    The affine is a finite 4x4 matrix mapping voxel indices to world millimetres;
-    the norm of each of its first three columns must match the spacing.
+    The affine is a finite 4x4 matrix mapping voxel indices to world
+    millimetres. The spacing (mm) is read from it, never passed: the norms of
+    its first three columns, each of which must be positive.
     """
 
     shape: tuple[int, int, int]
-    spacing: tuple[float, float, float]
     affine: np.ndarray = field(repr=False)
+    spacing: tuple[float, float, float] = field(init=False)
 
     def __post_init__(self):
         shape = _triple(self.shape, "shape", low=1)
@@ -94,30 +95,20 @@ class VoxelGrid:
             raise ValueError("affine must be a 4x4 matrix")
         if not np.isfinite(affine).all():
             raise ValueError("affine contains NaN or Inf")
-        spacing = _triple(self.spacing, "spacing", _real, above=0)
-        norms = np.linalg.norm(affine[:3, :3], axis=0)
-        if not np.allclose(norms, spacing, rtol=_SPACING_RTOL, atol=0.0):
-            raise ValueError(f"affine column norms {norms} do not match spacing {spacing}")
+        spacing = _triple(np.linalg.norm(affine[:3, :3], axis=0), "spacing", _real, above=0)
         affine.flags.writeable = False
         object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "spacing", spacing)
         object.__setattr__(self, "affine", affine)
+        object.__setattr__(self, "spacing", spacing)
 
     @classmethod
     def from_spacing(cls, shape, spacing=(1.0, 1.0, 1.0)) -> "VoxelGrid":
         """Axis-aligned grid with a diagonal affine, voxel 0 at the world origin."""
-        spacing = _triple(spacing, "spacing", _real, above=0)
-        return cls(shape, spacing, np.diag([*spacing, 1.0]))
+        return cls(shape, np.diag([*_triple(spacing, "spacing", _real, above=0), 1.0]))
 
     @property
     def n_voxels(self) -> int:
         return int(np.prod(self.shape))
-
-    def same_geometry(self, other: "VoxelGrid") -> bool:
-        """True when shapes match and affines agree within ``_AFFINE_ATOL``."""
-        return self.shape == other.shape and bool(
-            np.allclose(self.affine, other.affine, rtol=0.0, atol=_AFFINE_ATOL)
-        )
 
 
 def _owned(voxels, dtype, shape) -> np.ndarray:
@@ -200,10 +191,16 @@ class BinaryMask(_GridVolume):
 
 
 def require_same_grid(a, b) -> None:
-    """Raise GridMismatchError unless both volumes share one geometry."""
-    if not a.grid.same_geometry(b.grid):
+    """Raise GridMismatchError unless both volumes' grids share a shape and an affine.
+
+    Two affines agree when every entry is within ``_AFFINE_ATOL`` mm; the
+    error names the largest entry difference."""
+    ga, gb = a.grid, b.grid
+    gap = float(np.abs(ga.affine - gb.affine).max())
+    if ga.shape != gb.shape or gap > _AFFINE_ATOL:
         raise GridMismatchError(
-            f"grids differ: {a.grid.shape}/{a.grid.spacing} vs {b.grid.shape}/{b.grid.spacing}"
+            f"grids differ: {ga.shape}/{ga.spacing} vs {gb.shape}/{gb.spacing},"
+            f" affine entries up to {gap:.6g} mm apart"
         )
 
 
@@ -258,23 +255,6 @@ def _gather_axis(values: np.ndarray, axis: int, taps) -> np.ndarray:
     return out
 
 
-def _separable_apply(axis_taps, values: np.ndarray) -> np.ndarray:
-    """Apply each axis's taps as one dense ``(out_i, in_i)`` matrix, in one BLAS contraction.
-
-    The Gaussian blur's applier. Taps of one row that land on one column
-    (reflected) add in the order given; with einsum's order, that pins the
-    blur's bytes."""
-    values = np.asarray(values, dtype=np.float64)
-    mats = []
-    for n_src, taps in zip(values.shape, axis_taps):
-        rows = np.arange(len(taps[0][0]))
-        mat = np.zeros((len(rows), n_src))
-        for idx, w in taps:
-            np.add.at(mat, (rows, idx), w)
-        mats.append(mat)
-    return np.einsum("ia,jb,kc,abc->ijk", *mats, values, optimize=True)
-
-
 def nearest_sample(values: np.ndarray, coords) -> np.ndarray:
     """Nearest-voxel-centre lookup at fractional coordinates (``_nearest_taps``).
 
@@ -308,6 +288,13 @@ def _bounding_box(nonzero: np.ndarray) -> tuple[slice, slice, slice]:
     return tuple(box)
 
 
+def _reindexed(grid: VoxelGrid, shape, scale, first) -> VoxelGrid:
+    """The grid of ``shape`` whose index t lies at ``grid``'s index ``scale * t + first``."""
+    index_map = np.diag([*scale, 1.0])
+    index_map[:3, 3] = first
+    return VoxelGrid(shape, grid.affine @ index_map)
+
+
 def crop_to_content(volume, margin: int = 0):
     """Crop to the bounding box of nonzero voxels, expanded by ``margin``.
 
@@ -325,11 +312,7 @@ def crop_to_content(volume, margin: int = 0):
     )
     lo = tuple(s.start for s in box)
     cropped = data[box]
-    origin = volume.grid.affine @ np.array([*lo, 1.0])
-    affine = np.array(volume.grid.affine)
-    affine[:3, 3] = origin[:3]
-    grid = VoxelGrid(cropped.shape, volume.grid.spacing, affine)
-    return type(volume)(grid, cropped), lo
+    return type(volume)(_reindexed(volume.grid, cropped.shape, (1, 1, 1), lo), cropped), lo
 
 
 def resample(volume, target_shape, mode: str = "trilinear"):
@@ -361,15 +344,8 @@ def resample(volume, target_shape, mode: str = "trilinear"):
     data = volume.voxels
     for ax in sorted(range(3), key=lambda a: target_shape[a] / src_shape[a]):
         data = _gather_axis(data, ax, taps(src_shape[ax], positions[ax]))
-
-    # index map t -> K t + (K - 1)/2 folded into the affine
-    index_map = np.eye(4)
-    index_map[:3, :3] = np.diag(scale)
-    index_map[:3, 3] = (scale - 1.0) / 2.0
-    affine = volume.grid.affine @ index_map
-    spacing = tuple(sp * k for sp, k in zip(volume.grid.spacing, scale))
-    grid = VoxelGrid(target_shape, spacing, affine)
-    return type(volume)(grid, data)
+    # target index t lies at source index K t + (K - 1)/2
+    return type(volume)(_reindexed(volume.grid, target_shape, scale, (scale - 1.0) / 2.0), data)
 
 
 def binarize(labels: LabelVolume, label_set) -> BinaryMask:

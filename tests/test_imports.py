@@ -8,7 +8,8 @@ import pytest
 import sulcikit
 
 TESTS = Path(__file__).parent
-MODULES = sorted(Path(sulcikit.__file__).parent.glob("*.py")) + sorted(TESTS.glob("*.py"))
+PACKAGE = sorted(Path(sulcikit.__file__).parent.glob("*.py"))
+MODULES = PACKAGE + sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -47,6 +48,72 @@ def test_scan_flags_unused_and_exempts_future_and_all():
         "np.zeros(sys.maxsize)\n"
     )
     assert unused_imports(source) == ["os (line 2)", "dumps (line 4)"]
+
+
+def _defined_names(stmt) -> set:
+    """The names a module-level statement defines: a def, a class or assignment targets."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, ast.AnnAssign):
+        targets = [stmt.target]
+    else:
+        return set()
+    return {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+
+
+def _read_name(node):
+    """The name a node reads, if any: a loaded name, an attribute or an imported name."""
+    if isinstance(node, ast.Name):
+        return node.id if isinstance(node.ctx, ast.Load) else None
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.name if isinstance(node, ast.alias) else None
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level private names that no module reads outside their own definition.
+
+    A private name has one leading underscore; dunders such as ``__all__``
+    are exempt. A read (``_name``), an attribute (``module._name``) and an
+    import (``from .module import _name``) each count as a reference.
+    """
+    defined, referenced = [], set()
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            own = _defined_names(stmt)
+            private = sorted(n for n in own if n.startswith("_") and not n.startswith("__"))
+            defined += [(module, name, stmt.lineno) for name in private]
+            referenced |= {_read_name(node) for node in ast.walk(stmt)} - own
+    return [f"{m}: {name} (line {line})" for m, name, line in defined if name not in referenced]
+
+
+def test_no_dead_private_helpers():
+    # references from the tests do not count: a helper only they call is dead code
+    sources = {path.stem: path.read_text() for path in PACKAGE}
+    assert unreferenced_private_names(sources) == []
+
+
+def test_dead_helper_scan_flags_unread_and_self_reads():
+    sources = {
+        "a": (
+            "__all__ = ['f']\n"
+            "_LIMIT = 3\n"
+            "_UNUSED = 4\n"
+            "def _recurse(n):\n"
+            "    return _recurse(n - 1)\n"
+            "def f():\n"
+            "    _UNUSED = 5\n"
+            "    return _LIMIT\n"
+            "class _Shared:\n"
+            "    pass\n"
+            "def _read():\n"
+            "    pass\n"
+        ),
+        "b": "from .a import _Shared\nfrom . import a\nx = (_Shared, a._read)\n",
+    }
+    assert unreferenced_private_names(sources) == ["a: _UNUSED (line 3)", "a: _recurse (line 4)"]
 
 
 def test_package_and_cli_import_without_scipy_ndimage():

@@ -256,6 +256,15 @@ class TestHeaderValidation:
         with pytest.raises(CorruptHeaderError):
             read_nifti(path)
 
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    def test_zero_srow_column_rejected(self, tmp_path, column):
+        # srow_x, srow_y and srow_z are 16 bytes apart from offset 280; the
+        # sample's affine is the identity, so one entry makes a column zero
+        path = self._write_sample(tmp_path)
+        _patch(path, 280 + 20 * column, struct.pack("<f", 0.0))
+        with pytest.raises(CorruptHeaderError, match=rf"geometry invalid: spacing\[{column}\]"):
+            read_nifti(path)
+
     def test_malformed_header_fields_rejected(self, tmp_path, malformed_nifti):
         mutate, kind, error = malformed_nifti
         path = self._write_sample(tmp_path)

@@ -346,11 +346,11 @@ class TestGaussianBlur:
         out = gaussian_blur(image_from(data), 1.0)
         assert out.voxels.sum() == pytest.approx(2.0, rel=1e-6)
 
-    # the float64 contraction inside the blur, taken before the blur passed
-    # taps to the shared matrix applier. Axes of 1, 2, 5 and 7 voxels are
-    # shorter than the kernel at larger sigma, so reflected taps of one row add
-    # up on one column, in ascending kernel order; the float32 cast would round
-    # a one-ulp change in that sum away, so the pin is taken before it
+    # the float64 contraction inside the blur (what its einsum returns). Axes
+    # of 1, 2, 5 and 7 voxels are shorter than the kernel at larger sigma, so
+    # reflected taps of one row add up on one column, in ascending kernel
+    # order; the float32 cast would round a one-ulp change in that sum away,
+    # so the pin is taken before it
     CONTRACTED_SHA256 = {
         (0.4, (2, 7, 23)): "db9ed157c41ee17084fdf63358dbda2d9dad49460e2876f47576088dd9f3b5b2",
         (0.4, (1, 16, 5)): "d9efd4a9519f9bbf1020f21ae4e12d6fd9e6bc1ca0cc748aa7134f8932d036f9",
@@ -365,9 +365,9 @@ class TestGaussianBlur:
     @pytest.mark.parametrize("sigma, shape", sorted(CONTRACTED_SHA256))
     def test_contraction_bytes_pinned(self, image_from, monkeypatch, sigma, shape):
         contracted = []
-        real = synth._separable_apply
+        real = np.einsum
         monkeypatch.setattr(
-            synth, "_separable_apply", lambda *args: contracted.append(real(*args)) or contracted[0]
+            np, "einsum", lambda *a, **kw: contracted.append(real(*a, **kw)) or contracted[0]
         )
         gaussian_blur(image_from(scrambled_ramp(shape, np.float32)), sigma)
         digest = hashlib.sha256(contracted[0].tobytes()).hexdigest()

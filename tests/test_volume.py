@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sulcikit.errors import EmptyVolumeError, ModeMismatchError
+from sulcikit.errors import EmptyVolumeError, GridMismatchError, ModeMismatchError
 from sulcikit.losses import EmbeddingBatch, ProbabilityVolume
 from sulcikit.synth import DeformationField
 from sulcikit.volume import (
@@ -16,7 +18,16 @@ from sulcikit.volume import (
     crop_to_content,
     nearest_sample,
     resample,
+    require_same_grid,
 )
+
+
+def _rotation(a: float, b: float) -> np.ndarray:
+    """A rotation by ``a`` about z, then by ``b`` about x."""
+    ca, sa, cb, sb = np.cos(a), np.sin(a), np.cos(b), np.sin(b)
+    about_z = np.array([[ca, -sa, 0.0], [sa, ca, 0.0], [0.0, 0.0, 1.0]])
+    about_x = np.array([[1.0, 0.0, 0.0], [0.0, cb, -sb], [0.0, sb, cb]])
+    return about_x @ about_z
 
 
 class TestVoxelGrid:
@@ -28,22 +39,43 @@ class TestVoxelGrid:
         with pytest.raises(ValueError):
             VoxelGrid.from_spacing((4, 4, 4), (1.0, -1.0, 1.0))
 
-    def test_rejects_affine_spacing_mismatch(self):
-        affine = np.diag([2.0, 1.0, 1.0, 1.0])
-        with pytest.raises(ValueError):
-            VoxelGrid((4, 4, 4), (1.0, 1.0, 1.0), affine)
-
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     def test_rejects_non_finite_affine(self, value):
         affine = np.eye(4)
         affine[0, 0] = value
         with pytest.raises(ValueError, match="NaN or Inf"):
-            VoxelGrid((4, 4, 4), (np.inf, 1.0, 1.0), affine)
+            VoxelGrid((4, 4, 4), affine)
 
     def test_column_norms_match_spacing(self):
         grid = VoxelGrid.from_spacing((4, 4, 4), (1.0, 1.0, 1.25))
         norms = np.linalg.norm(grid.affine[:3, :3], axis=0)
         assert np.allclose(norms, grid.spacing, rtol=1e-5)
+
+    # any spacing whose square is a normal float: sqrt(fl(s * s)) == s then
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(st.lists(st.floats(1e-150, 1e150), min_size=3, max_size=3))
+    def test_from_spacing_reads_its_spacing_back_exactly(self, spacing):
+        assert VoxelGrid.from_spacing((2, 3, 4), spacing).spacing == tuple(spacing)
+
+    def test_rotated_grid_reports_its_column_norms(self):
+        affine = np.eye(4)
+        affine[:3, :3] = _rotation(0.3, 0.5) @ np.diag([0.9, 1.1, 1.4])
+        affine[:3, 3] = [-90.0, 12.5, 40.0]
+        grid = VoxelGrid((4, 5, 6), affine)
+        assert grid.spacing == tuple(np.linalg.norm(affine[:3, :3], axis=0))
+        assert np.allclose(grid.spacing, [0.9, 1.1, 1.4], rtol=1e-12, atol=0.0)
+        assert repr(grid) == f"VoxelGrid(shape=(4, 5, 6), spacing={grid.spacing})"
+
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    def test_zero_column_names_its_spacing(self, column):
+        affine = np.eye(4)
+        affine[:3, column] = 0.0
+        with pytest.raises(ValueError, match=rf"^spacing\[{column}\] must be > 0"):
+            VoxelGrid((4, 4, 4), affine)
+
+    def test_spacing_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            VoxelGrid((4, 4, 4), (1.0, 1.0, 1.0), np.eye(4))
 
     def test_immutable(self):
         grid = VoxelGrid.from_spacing((4, 4, 4))
@@ -183,6 +215,21 @@ class TestCropToContent:
         world = cropped.grid.affine @ np.array([0.0, 0.0, 0.0, 1.0])
         assert np.allclose(world[:3], offset)
 
+    def test_rotated_grid_keeps_world_positions(self):
+        affine = np.eye(4)
+        affine[:3, :3] = _rotation(0.7, -0.4) @ np.diag([1.0, 1.0, 1.25])
+        affine[:3, 3] = [30.0, -20.0, 5.0]
+        data = np.zeros((9, 8, 7), dtype=np.uint16)
+        data[2:5, 3:6, 1:4] = 1
+        volume = LabelVolume(VoxelGrid((9, 8, 7), affine), data)
+        cropped, offset = crop_to_content(volume, margin=1)
+        corners = np.array([[0, 0, 0], [1, 2, 3], list(cropped.grid.shape)], dtype=np.float64)
+        for t in corners:
+            world = cropped.grid.affine @ np.array([*t, 1.0])
+            expected = affine @ np.array([*(t + offset), 1.0])
+            assert np.allclose(world, expected, rtol=1e-12, atol=1e-12)
+        assert np.allclose(cropped.grid.spacing, volume.grid.spacing, rtol=1e-12, atol=0.0)
+
 
 class TestResample:
     def test_identity_trilinear_bitwise(self, image_from):
@@ -280,6 +327,60 @@ class TestResample:
             before = vol.grid.shape[ax] * vol.grid.spacing[ax]
             after = out.grid.shape[ax] * out.grid.spacing[ax]
             assert after == pytest.approx(before)
+
+    def test_spacing_is_the_scaled_spacing_exactly(self, image_from):
+        vol = image_from(np.zeros((10, 9, 8), dtype=np.float32), spacing=(1.0, 1.0, 1.25))
+        out = resample(vol, (7, 12, 5), mode="trilinear")
+        assert out.grid.spacing == (1.0 * 10 / 7, 1.0 * 9 / 12, 1.25 * (8 / 5))
+
+    def test_rotated_grid_keeps_world_positions(self):
+        affine = np.eye(4)
+        affine[:3, :3] = _rotation(-0.2, 1.1) @ np.diag([0.8, 1.0, 1.5])
+        affine[:3, 3] = [4.0, 5.0, -6.0]
+        vol = IntensityVolume(VoxelGrid((10, 9, 8), affine), np.zeros((10, 9, 8)))
+        out = resample(vol, (5, 18, 8), mode="trilinear")
+        scale = np.array([10 / 5, 9 / 18, 8 / 8])
+        for t in ([0, 0, 0], [4, 17, 7], [2, 9, 3]):
+            # target voxel t is centred on source index K t + (K - 1)/2
+            source = np.array(t) * scale + (scale - 1.0) / 2.0
+            world = out.grid.affine @ np.array([*t, 1.0])
+            assert np.allclose(world, affine @ np.array([*source, 1.0]), rtol=1e-12, atol=1e-12)
+        expected = np.array(vol.grid.spacing) * scale
+        assert np.allclose(out.grid.spacing, expected, rtol=1e-12, atol=0.0)
+
+
+class TestRequireSameGrid:
+    def _masks(self, affine):
+        voxels = np.ones((4, 4, 4), dtype=bool)
+        return (
+            BinaryMask(VoxelGrid.from_spacing((4, 4, 4)), voxels),
+            BinaryMask(VoxelGrid((4, 4, 4), affine), voxels),
+        )
+
+    @pytest.mark.parametrize(
+        "edit, gap",
+        [((0, 3, 5.0), "5"), ((1, 1, -1.0), "2"), ((2, 3, 2e-5), "2e-05")],
+        ids=["origin-shift", "flipped-axis", "just-past-tolerance"],
+    )
+    def test_same_shape_and_spacing_still_names_the_difference(self, edit, gap):
+        # the halves agree when only the origin or orientation differs, so
+        # the message names the largest affine entry difference
+        row, col, value = edit
+        affine = np.eye(4)
+        affine[row, col] = value
+        a, b = self._masks(affine)
+        message = (
+            "grids differ: (4, 4, 4)/(1.0, 1.0, 1.0) vs (4, 4, 4)/(1.0, 1.0, 1.0),"
+            f" affine entries up to {gap} mm apart"
+        )
+        with pytest.raises(GridMismatchError) as raised:
+            require_same_grid(a, b)
+        assert str(raised.value) == message
+
+    def test_within_tolerance_is_one_grid(self):
+        affine = np.eye(4)
+        affine[:3, 3] = 1e-5  # exactly _AFFINE_ATOL
+        require_same_grid(*self._masks(affine))
 
 
 class TestGatherAxis:
