@@ -3,11 +3,12 @@
 Hausdorff distances are symmetric max-min Euclidean distances between
 foreground voxel centres, measured in millimetres via the grid spacing; every
 metric reads the spacing from the masks' grid, so for voxel units build the
-masks on a unit-spacing grid. The implementation uses an exact Euclidean
-feature transform to find each voxel's nearest counterpart and recomputes
-the distance from the index offsets, so values match brute-force pairwise
-computation. Volume and surface area are voxel-based proxies: foreground
-count times voxel volume, and the summed area of exposed voxel faces.
+masks on a unit-spacing grid. Each directed half searches a KD-tree of the
+other mask's surface voxels from the voxels outside it, re-resolves ties
+near the maximum, and recomputes each distance from its integer voxel
+offset, so values match brute-force pairwise computation. Volume and
+surface area are voxel-based proxies: foreground count times voxel volume,
+and the summed area of exposed voxel faces.
 
 Hausdorff distance and surface area only look at the foreground's bounding
 box (of both masks, for Hausdorff): every nearest counterpart and every
@@ -90,17 +91,45 @@ def dice(x: BinaryMask, y: BinaryMask) -> float:
     return 2.0 * overlap / (nx + ny)
 
 
-def _directed_hausdorff(a: np.ndarray, b: np.ndarray, spacing: np.ndarray) -> float:
-    """max over a-voxels of the distance to the nearest b-voxel (mm)."""
-    from scipy import ndimage  # here, so that importing sulcikit does not load SciPy
+def _mm(delta: np.ndarray, spacing: np.ndarray) -> np.ndarray:
+    """Lengths (mm) of integer voxel offsets, one per row."""
+    return np.sqrt(((delta * spacing) ** 2).sum(axis=-1))
 
-    nearest = ndimage.distance_transform_edt(
-        ~b, sampling=spacing, return_distances=False, return_indices=True
+
+def _directed_hausdorff(a: np.ndarray, b: np.ndarray, spacing: np.ndarray) -> float:
+    """max over a-voxels of the distance to the nearest b-voxel (mm).
+
+    Only a-voxels outside b can be nonzero, and only b's 6-surface voxels
+    (those with a face neighbour outside b, or on the array edge) can be
+    nearest: from any other b-voxel, one step towards the source stays in b
+    and is strictly closer.
+    """
+    from scipy.spatial import cKDTree  # here, so that importing sulcikit does not load SciPy
+
+    sources = np.argwhere(a & ~b)
+    if len(sources) == 0:
+        return 0.0
+    p = np.pad(b, 1)
+    interior = (
+        b & p[:-2, 1:-1, 1:-1] & p[2:, 1:-1, 1:-1] & p[1:-1, :-2, 1:-1]
+        & p[1:-1, 2:, 1:-1] & p[1:-1, 1:-1, :-2] & p[1:-1, 1:-1, 2:]
     )
-    sources = np.argwhere(a)
-    targets = nearest[:, a].T
-    dists = np.sqrt((((sources - targets) * spacing) ** 2).sum(axis=1))
-    return float(dists.max())
+    targets = np.argwhere(b & ~interior)
+    tree = cKDTree(targets * spacing)
+    _, nearest = tree.query(sources * spacing)
+    dists = _mm(sources - targets[nearest], spacing)
+    worst = float(dists.max())
+    # the tree's rounding may pick a tied neighbour whose distance, formed
+    # as above, is an ulp off: re-take the exact minimum of the near-worst
+    # sources, largest first, until no source left can exceed the best one
+    near = np.flatnonzero(dists >= worst * (1.0 - 1e-9))
+    best = 0.0
+    for i in near[np.argsort(-dists[near])]:
+        if best >= dists[i]:
+            break
+        hits = tree.query_ball_point(sources[i] * spacing, worst * (1.0 + 1e-9))
+        best = max(best, float(_mm(sources[i] - targets[hits], spacing).min()))
+    return best
 
 
 def hausdorff(x: BinaryMask, y: BinaryMask) -> float:

@@ -100,6 +100,14 @@ class TestHausdorff:
             trials += 1
             ours = hausdorff(_mask(a), _mask(b))
             assert ours == brute_force_hausdorff(a, b, (1.0, 1.0, 1.0))
+        # tied nearest voxels whose distances round an ulp apart
+        for size, seed in ((0.7, 4), (0.9, 157), (0.3, 136)):
+            rng = np.random.default_rng(seed)
+            a = rng.random((12,) * 3) < 0.25
+            b = rng.random((12,) * 3) < 0.02
+            spacing = (size,) * 3
+            ours = hausdorff(_mask(a, spacing), _mask(b, spacing))
+            assert ours == brute_force_hausdorff(a, b, spacing)
 
     def test_symmetric(self):
         rng = np.random.default_rng(4)
