@@ -7,6 +7,12 @@ multiplicative bias field before min-max normalization. Every stage is a
 pure function of its inputs and an integer seed, so generation is fully
 reproducible and parallelizes without affecting results.
 
+The intensity chain is float32, as the sample files are: the painted
+image, the blur's contraction, the bias product and the normalization each
+hold one float32 volume. Noise is drawn for painted voxels only; the
+background draws nothing. Small float64 values (the per-label draws, the
+blur's matrices, the bias field's slabs) are rounded to float32 once.
+
 Labels at or above ``sulcus_label_start`` (default 48) are treated as sulcus
 labels: they are substituted away for intensity synthesis but retained in
 the emitted segmentation, which may therefore overlap tissue anatomically.
@@ -19,7 +25,6 @@ from __future__ import annotations
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -56,9 +61,14 @@ __all__ = [
     "generate_sample",
     "generate_views",
     "DEFAULT_SULCUS_LABEL_START",
+    "MAX_BLUR_SIGMA",
 ]
 
 DEFAULT_SULCUS_LABEL_START = 48
+
+# the widest blur, in voxels: a kernel of at most 601 taps, wider than a 1 mm
+# head crop's longest axis
+MAX_BLUR_SIGMA = 100.0
 
 _MASK64 = (1 << 64) - 1
 
@@ -74,11 +84,14 @@ def mix_seed(seed: int, index: int) -> int:
     return z ^ (z >> 31)
 
 
-def _pair(value, name: str, low: float | None = None) -> tuple[float, float]:
-    """A (low, high) range: two finite reals from a list, tuple or array, low <= high."""
+def _pair(
+    value, name: str, low: float | None = None, high: float | None = None
+) -> tuple[float, float]:
+    """A (low, high) range: two finite reals from a list, tuple or array, within
+    ``[low, high]`` and with low <= high."""
     if not (isinstance(value, (list, tuple)) or getattr(value, "ndim", 0) > 0) or len(value) != 2:
         raise ValueError(f"{name} must be two numbers (low, high), got {value!r}")
-    lo, hi = _real(value[0], f"{name} low", low=low), _real(value[1], f"{name} high")
+    lo, hi = _real(value[0], f"{name} low", low=low), _real(value[1], f"{name} high", high=high)
     if lo > hi:
         raise ValueError(f"{name} low {lo} exceeds high {hi}")
     return lo, hi
@@ -99,10 +112,6 @@ def _record(data, fields, name: str) -> dict:
     if unknown:
         raise ValueError(f"unknown {name} fields: {sorted(unknown)}")
     return data
-
-
-_nonnegative_pair = partial(_pair, low=0.0)
-_lattice = partial(_triple, low=2)  # a control lattice: three node counts, each at least 2
 
 
 def _label_table(table, name: str) -> dict[int, int]:
@@ -149,20 +158,22 @@ class TissuePriors:
         ]
 
 
-# how GeneratorConfig reads each of its fields: reader(value, field name)
+# how GeneratorConfig reads each of its fields, and the bounds of the field's
+# numbers: reader(value, field name, **bounds). A control lattice has at least
+# 2 nodes per axis
 _GENERATOR_READERS = {
-    "rotation_range": _axis_pairs,
-    "scaling_range": _axis_pairs,
-    "shear_range": _axis_pairs,
-    "translation_range": _axis_pairs,
-    "elastic_grid": _lattice,
-    "elastic_std_range": _nonnegative_pair,
-    "blur_sigma_range": _nonnegative_pair,
-    "bias_grid": _lattice,
-    "bias_std_range": _nonnegative_pair,
-    "substitution_table": _label_table,
-    "sulcus_label_start": _label,
-    "normalize": _bool,
+    "rotation_range": (_axis_pairs, {}),
+    "scaling_range": (_axis_pairs, {}),
+    "shear_range": (_axis_pairs, {}),
+    "translation_range": (_axis_pairs, {}),
+    "elastic_grid": (_triple, {"low": 2}),
+    "elastic_std_range": (_pair, {"low": 0.0}),
+    "blur_sigma_range": (_pair, {"low": 0.0, "high": MAX_BLUR_SIGMA}),
+    "bias_grid": (_triple, {"low": 2}),
+    "bias_std_range": (_pair, {"low": 0.0}),
+    "substitution_table": (_label_table, {}),
+    "sulcus_label_start": (_label, {}),
+    "normalize": (_bool, {}),
 }
 
 
@@ -190,8 +201,8 @@ class GeneratorConfig:
     normalize: bool = True
 
     def __post_init__(self):
-        for name, read in _GENERATOR_READERS.items():
-            object.__setattr__(self, name, read(getattr(self, name), name))
+        for name, (read, bounds) in _GENERATOR_READERS.items():
+            object.__setattr__(self, name, read(getattr(self, name), name, **bounds))
 
     @classmethod
     def identity(cls, **overrides) -> "GeneratorConfig":
@@ -406,7 +417,12 @@ def sample_intensities(
     """Paint each label with draws from its Gaussian intensity model.
 
     Per generated image one (mean, std) pair is drawn per label from the
-    prior ranges; voxels are then i.i.d. N(mean, std). Background stays 0.
+    prior ranges, in ascending label order; voxels are then i.i.d.
+    N(mean, std). The noise is drawn only for painted voxels: after the
+    pairs, ``standard_normal(count)`` per label, in ascending label order,
+    over that label's voxels in C order. Each voxel is the float64
+    ``mean + std * draw`` rounded once to float32. Background draws nothing
+    and stays 0.
     """
     present = [l for l in tissue_labels.labels_present() if l != 0]
     for label in present:
@@ -417,19 +433,12 @@ def sample_intensities(
     for label in present:
         mean_range, std_range = priors.entries[label]
         params[label] = (rng.uniform(*mean_range), rng.uniform(*std_range))
-    noise = rng.standard_normal(size=tissue_labels.grid.shape)
-    out = np.zeros(tissue_labels.grid.shape, dtype=np.float64)
+    out = np.zeros(tissue_labels.grid.shape, dtype=np.float32)
     for label, (mu, sd) in params.items():
         region = tissue_labels.voxels == label
-        out[region] = mu + sd * noise[region]
+        out[region] = mu + sd * rng.standard_normal(np.count_nonzero(region))
+    out.flags.writeable = False  # hand the fresh array over: the volume takes it uncopied
     return IntensityVolume(tissue_labels.grid, out)
-
-
-def _gaussian_kernel(sigma: float) -> np.ndarray:
-    radius = int(3.0 * sigma)
-    offsets = np.arange(-radius, radius + 1, dtype=np.float64)
-    kernel = np.exp(-(offsets**2) / (2.0 * sigma * sigma))
-    return kernel / kernel.sum()
 
 
 def gaussian_blur(image: IntensityVolume, sigma: float) -> IntensityVolume:
@@ -438,18 +447,19 @@ def gaussian_blur(image: IntensityVolume, sigma: float) -> IntensityVolume:
     Boundaries are handled by reflection about the array edge (edge value
     included), repeated for kernels wider than the axis: along an axis of
     length n, index i reads m = i mod 2n, or 2n - 1 - m when m >= n.
-    Each axis's reflected kernel is one dense ``(n, n)`` matrix, and the
-    volume is contracted with the three in one float64 einsum.
-    sigma = 0 returns the input unchanged.
+    Each axis's reflected kernel is one dense ``(n, n)`` matrix, built in
+    float64 and cast to float32, and the float32 volume is contracted with
+    the three in one float32 einsum. A sigma whose support has no offset
+    beside 0 (sigma < 1/3) returns the input unchanged; sigma is at most
+    ``MAX_BLUR_SIGMA`` voxels.
     """
-    sigma = _real(sigma, "sigma", low=0)
-    if sigma == 0:
-        return image
-    kernel = _gaussian_kernel(sigma)
-    radius = len(kernel) // 2
+    sigma = _real(sigma, "sigma", low=0, high=MAX_BLUR_SIGMA)
+    radius = int(3.0 * sigma)
     if radius == 0:
         return image
-    values = np.asarray(image.voxels, dtype=np.float64)
+    offsets = np.arange(-radius, radius + 1, dtype=np.float64)
+    kernel = np.exp(-(offsets**2) / (2.0 * sigma * sigma))
+    kernel /= kernel.sum()
     mats = []
     for n in image.grid.shape:
         # padding the index array reproduces np.pad's reflection for any radius;
@@ -461,8 +471,8 @@ def gaussian_blur(image: IntensityVolume, sigma: float) -> IntensityVolume:
         mat = np.zeros((n, n))
         for k, w in enumerate(kernel):
             np.add.at(mat, (rows, padded[k : k + n]), w)
-        mats.append(mat)
-    return image.with_voxels(np.einsum("ia,jb,kc,abc->ijk", *mats, values, optimize=True))
+        mats.append(mat.astype(np.float32))
+    return image.with_voxels(np.einsum("ia,jb,kc,abc->ijk", *mats, image.voxels, optimize=True))
 
 
 def apply_bias_field(
@@ -487,12 +497,18 @@ def apply_bias_field(
 
 
 def normalize_intensity(image: IntensityVolume) -> IntensityVolume:
-    """Min-max rescale to [0, 1]; a constant image maps to all zeros."""
-    vmin = float(image.voxels.min())
-    vmax = float(image.voxels.max())
+    """Min-max rescale to [0, 1] in float32; a constant image maps to all zeros.
+
+    ``(v - vmin) / (vmax - vmin)``, each step rounded to float32, so the
+    minimum maps to exactly 0 and the maximum to exactly 1.
+    """
+    vmin, vmax = image.voxels.min(), image.voxels.max()
     if vmax == vmin:
         return image.with_voxels(np.zeros(image.grid.shape, dtype=np.float32))
-    return image.with_voxels((image.voxels.astype(np.float64) - vmin) / (vmax - vmin))
+    out = image.voxels - vmin
+    out /= vmax - vmin
+    out.flags.writeable = False
+    return image.with_voxels(out)
 
 
 def generate_sample(

@@ -54,8 +54,12 @@ def _int(value, name: str, low: int | None = None, high: int | None = None) -> i
 _label = partial(_int, low=0, high=MAX_LABEL)
 
 
-def _real(value, name: str, low: float | None = None, above: float | None = None) -> float:
-    """A finite real, as ``float()`` reads it but never a bool; ``>= low`` and ``> above``."""
+def _real(
+    value, name: str, low: float | None = None, above: float | None = None,
+    high: float | None = None,
+) -> float:
+    """A finite real, as ``float()`` reads it but never a bool; ``>= low``, ``> above``
+    and ``<= high``."""
     try:
         real = np.nan if isinstance(value, (bool, np.bool_)) else float(value)
     except (TypeError, ValueError, OverflowError):
@@ -65,6 +69,8 @@ def _real(value, name: str, low: float | None = None, above: float | None = None
     if (low is not None and real < low) or (above is not None and real <= above):
         bound = f">= {low}" if above is None else f"> {above}"
         raise ValueError(f"{name} must be {bound}, got {real}")
+    if high is not None and real > high:
+        raise ValueError(f"{name} must be <= {high}, got {real}")
     return real
 
 
@@ -95,7 +101,11 @@ class VoxelGrid:
             raise ValueError("affine must be a 4x4 matrix")
         if not np.isfinite(affine).all():
             raise ValueError("affine contains NaN or Inf")
-        spacing = _triple(np.linalg.norm(affine[:3, :3], axis=0), "spacing", _real, above=0)
+        # nested hypot scales as it goes, so no column norm squares to 0 or
+        # to inf, and an axis-aligned column reads back exactly: hypot(s, 0) == s
+        linear = affine[:3, :3]
+        norms = np.hypot(np.hypot(linear[0], linear[1]), linear[2])
+        spacing = _triple(norms, "spacing", _real, above=0)
         affine.flags.writeable = False
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "affine", affine)

@@ -980,6 +980,9 @@ _FIELD_AT_FAULT = {
                   {"generator": {"substitution_table": {"48": 2, "49": 2}, "normalize": "no"}}):
         "normalize",
     _config_probe("generator_is_a_list", {"generator": [1, 2]}): "generator",
+    # past MAX_BLUR_SIGMA: the kernel's radius would not be a finite integer
+    _config_probe("blur_sigma_past_the_cap", {"generator": {"blur_sigma_range": [0, 1e308]}}):
+        "blur_sigma_range",
     **{_config_probe(f"{field}_{kind}", {"generator": {field: value}}): field
        for field in ("rotation_range", "elastic_std_range", "blur_sigma_range", "bias_std_range")
        for kind, value in _BAD_RANGES.items()},

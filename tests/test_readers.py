@@ -147,6 +147,9 @@ class TestReal:
             _real(-1, "x", low=0)
         with pytest.raises(ValueError, match=r"^x must be > 0, got 0\.0$"):
             _real(0, "x", above=0)
+        assert _real(2, "x", low=0, high=2) == 2.0
+        with pytest.raises(ValueError, match=r"^x must be <= 2, got 2\.5$"):
+            _real(2.5, "x", low=0, high=2)
 
 
 class TestTriple:

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import sulcikit
 from sulcikit import synth
 from sulcikit.errors import MissingPriorError, MissingSubstitutionError
 from sulcikit.presets import default_generator_config, default_priors, make_phantom
@@ -36,6 +37,24 @@ def identity_config(**overrides):
     return GeneratorConfig.identity(
         substitution_table={48: 2, 49: 2}, **overrides
     )
+
+
+MOVED_BYTES = (
+    "generator bytes moved: that is a release. Bump sulcikit.__version__, add a README"
+    " release note and re-take the pins under the new version; never edit a released"
+    " version's pins"
+)
+
+
+def release_pins(pins: dict) -> dict:
+    """The pins of the running ``sulcikit.__version__``, from a table keyed by release."""
+    if sulcikit.__version__ not in pins:
+        pytest.fail(
+            f"no pins for sulcikit {sulcikit.__version__} (pinned: {sorted(pins)}): generator"
+            " bytes are pinned per release, so a version bump adds its own pins (the last"
+            " release's, when the bump moved no generator byte)"
+        )
+    return pins[sulcikit.__version__]
 
 
 def scrambled_ramp(shape, dtype):
@@ -281,6 +300,22 @@ class TestSampleIntensities:
         assert img.voxels.mean() == pytest.approx(50.0, abs=0.1)
         assert img.voxels.std() == pytest.approx(4.0, abs=0.1)
 
+    def test_draw_layout_rebuilds_the_image_bitwise(self, labels_from):
+        # labels 0, 1, 3 and 7 mixed; label 2 has a prior but no voxel, so draws nothing
+        data = np.array([0, 1, 3, 7], dtype=np.uint16)[np.arange(60).reshape(3, 4, 5) * 7 % 4]
+        priors = TissuePriors({l: ((10.0 * l, 10.0 * l + 5.0), (1.0, 3.0)) for l in (1, 2, 3, 7)})
+        img = sample_intensities(labels_from(data), priors, rng_seed=11)
+
+        rng = np.random.default_rng(11)
+        params = {l: (rng.uniform(*priors.entries[l][0]), rng.uniform(*priors.entries[l][1]))
+                  for l in (1, 3, 7)}
+        expected = np.zeros(data.size, dtype=np.float32)
+        for label, (mu, sd) in params.items():
+            voxels = np.flatnonzero(data.ravel() == label)  # C order
+            expected[voxels] = (mu + sd * rng.standard_normal(voxels.size)).astype(np.float32)
+        assert img.voxels.tobytes() == expected.reshape(data.shape).tobytes()
+        assert (img.voxels[data == 0] == 0).all()
+
     def test_missing_prior_raises(self, labels_from):
         vol = labels_from(np.full((2, 2, 2), 9, dtype=np.uint16))
         with pytest.raises(MissingPriorError) as err:
@@ -292,8 +327,16 @@ class TestGaussianBlur:
     def test_sigma_zero_is_identity(self, image_from):
         rng = np.random.default_rng(20)
         img = image_from(rng.random((5, 5, 5)).astype(np.float32))
-        out = gaussian_blur(img, 0.0)
-        assert np.array_equal(out.voxels, img.voxels)
+        # below 1/3 the support is offset 0 alone; a kernel of 1e-300 would divide 0 by 0
+        for sigma in (0.0, 1e-300, np.nextafter(1.0 / 3.0, 0.0)):
+            out = gaussian_blur(img, sigma)
+            assert np.array_equal(out.voxels, img.voxels)
+
+    @pytest.mark.parametrize("sigma", [np.nextafter(synth.MAX_BLUR_SIGMA, np.inf), 1e308])
+    def test_sigma_past_the_cap_rejected(self, image_from, sigma):
+        img = image_from(np.ones((2, 2, 2), dtype=np.float32))
+        with pytest.raises(ValueError, match=f"^sigma must be <= {synth.MAX_BLUR_SIGMA}, got"):
+            gaussian_blur(img, sigma)
 
     def test_constant_image_invariant(self, image_from):
         img = image_from(np.full((6, 6, 6), 7.5, dtype=np.float32))
@@ -346,23 +389,26 @@ class TestGaussianBlur:
         out = gaussian_blur(image_from(data), 1.0)
         assert out.voxels.sum() == pytest.approx(2.0, rel=1e-6)
 
-    # the float64 contraction inside the blur (what its einsum returns). Axes
-    # of 1, 2, 5 and 7 voxels are shorter than the kernel at larger sigma, so
-    # reflected taps of one row add up on one column, in ascending kernel
-    # order; the float32 cast would round a one-ulp change in that sum away,
-    # so the pin is taken before it
+    # the float32 contraction inside the blur (what its einsum returns), per
+    # release. Axes of 1, 2, 5 and 7 voxels are shorter than the kernel at
+    # larger sigma, so reflected taps of one row add up on one column, in
+    # ascending kernel order, before the matrices are cast to float32
     CONTRACTED_SHA256 = {
-        (0.4, (2, 7, 23)): "db9ed157c41ee17084fdf63358dbda2d9dad49460e2876f47576088dd9f3b5b2",
-        (0.4, (1, 16, 5)): "d9efd4a9519f9bbf1020f21ae4e12d6fd9e6bc1ca0cc748aa7134f8932d036f9",
-        (1.0, (2, 7, 23)): "17ca2c02501ee4ec2014c62a34d0c3218b74a2bd6dffe03e5b5cefdfbfb4aaef",
-        (1.0, (1, 16, 5)): "e0995e49827d044728de0f430aaad5227400fe93a1b23b0cbe156d28d11478ef",
-        (2.5, (2, 7, 23)): "400cb3d0c81a01b0bce9d52e06b368cfd7fa14141e3bcd6bc8231e0bc462aebf",
-        (2.5, (1, 16, 5)): "0d2aff1cc963e3c2f20c8b8a0df3c1e4a4df7242db8495c1e778821e4a4d9e61",
-        (5.0, (2, 7, 23)): "f7a79166ddbf5fafa6fc5ff3e183a482765655a1debe9a3bfa780e74ca8dfa16",
-        (5.0, (1, 16, 5)): "be9db0a87eb47b1017ad28929e96e2c60809350848aca06f0122ee08047395e0",
+        "0.3.0": {
+            (0.4, (2, 7, 23)): "af065ff160b344b8895f96e94163739b554cd133af7067b78461a1091328cb15",
+            (0.4, (1, 16, 5)): "1f03483fd3961c608161d1dbbc153bcae28825002dd0d10552a7605d846c02fd",
+            (1.0, (2, 7, 23)): "a954232f50602cd40fbf8c483450221d7a026617ff47d70106f8f96e4987ddb8",
+            (1.0, (1, 16, 5)): "9177accf095182d2479582636160e81d15b7dd5108b97433569b42bdc66a9b37",
+            (2.5, (2, 7, 23)): "3a7cbd91ba97b436c6e021a2e5ac49a63e18974c2b6fa4e7f7670ce0c5e1278a",
+            (2.5, (1, 16, 5)): "e73835b24c3e480a6f4767db7a2c811e39cb8a75e6c0e0a4281c32c188ea510f",
+            (5.0, (2, 7, 23)): "3dfc0e101f600963820368721278bfc4a938ef5d4bd7833480a02559a097e922",
+            (5.0, (1, 16, 5)): "5931bb6a373fe7340178ffd050e2a1c7bde52a997c6ca8c133c935601c88def7",
+        },
     }
 
-    @pytest.mark.parametrize("sigma, shape", sorted(CONTRACTED_SHA256))
+    @pytest.mark.parametrize(
+        "sigma, shape", sorted(itertools.product((0.4, 1.0, 2.5, 5.0), ((2, 7, 23), (1, 16, 5))))
+    )
     def test_contraction_bytes_pinned(self, image_from, monkeypatch, sigma, shape):
         contracted = []
         real = np.einsum
@@ -371,7 +417,7 @@ class TestGaussianBlur:
         )
         gaussian_blur(image_from(scrambled_ramp(shape, np.float32)), sigma)
         digest = hashlib.sha256(contracted[0].tobytes()).hexdigest()
-        assert digest == self.CONTRACTED_SHA256[(sigma, shape)]
+        assert digest == release_pins(self.CONTRACTED_SHA256)[(sigma, shape)], MOVED_BYTES
 
 
 class TestUpsampleLattice:
@@ -467,25 +513,26 @@ class TestGenerateSample:
         assert not np.array_equal(img_a.voxels, img_c.voxels)
 
     # sha256 of (image, label) voxel bytes at seeds 0-2 on a 20x24x18 phantom with
-    # the shipped priors and config, as computed before linear interpolation moved
-    # to two-tap gathers. Release 0.2.0 (labels warped from the elastic lattice, the
-    # bias lattice gathered) left all six unchanged; a later change to the lattice
-    # reads must keep "same seed, same bytes" or re-take them with a release note
+    # the shipped priors and config, per release. The label halves have held since
+    # before linear interpolation moved to two-tap gathers; release 0.3.0 (the
+    # float32 intensity chain) moved only the image halves
     GENERATED_SHA256 = {
-        0: ("febe2d425b9ebac655380110c29ab0f9daab4501597700ded4cbf70aa24f0e58",
-            "39e902dc569458cd26fd41a23fbee83373cc020eb55e8ca82dc481d7275d97c2"),
-        1: ("aba07abf2b6ebdeb024521239a88e4f2e85db53524b5d295df28f2313d7ff06e",
-            "0d4786c464c9df17965337c44241b95a2f9b01d271cb5d68e7441b74c7161783"),
-        2: ("86467d9f47e972fc31ba39343ef7cb868936ccd388a26666d842845fba7be7f0",
-            "db5cab02e186393e187ce3fd30e2f85deea37d6e3ecc4bf0c306b11a00545762"),
+        "0.3.0": {
+            0: ("44479345b2b8651dd3b7457897eaf9cb554322e4d741c1e036c475f09af02db5",
+                "39e902dc569458cd26fd41a23fbee83373cc020eb55e8ca82dc481d7275d97c2"),
+            1: ("ba24be93d939110b254e00c57a4225bb353e3d8da58d31f356b2c55d81623b1e",
+                "0d4786c464c9df17965337c44241b95a2f9b01d271cb5d68e7441b74c7161783"),
+            2: ("01d98ec4d506323ef06ededa285f51ecb3cf8f0a1ce788e59d44d3c6a3cb78bc",
+                "db5cab02e186393e187ce3fd30e2f85deea37d6e3ecc4bf0c306b11a00545762"),
+        },
     }
 
-    @pytest.mark.parametrize("seed", sorted(GENERATED_SHA256))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_sample_bytes_pinned(self, seed):
         labels = make_phantom(shape=(20, 24, 18))
         image, seg = generate_sample(labels, default_priors(), default_generator_config(), seed)
         digests = tuple(hashlib.sha256(v.voxels.tobytes()).hexdigest() for v in (image, seg))
-        assert digests == self.GENERATED_SHA256[seed]
+        assert digests == release_pins(self.GENERATED_SHA256)[seed], MOVED_BYTES
 
     def test_geometry_preserved(self):
         labels = make_phantom(shape=(16, 16, 14), spacing=(1.0, 1.0, 1.25))

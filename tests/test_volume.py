@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sulcikit.errors import EmptyVolumeError, GridMismatchError, ModeMismatchError
@@ -51,9 +51,12 @@ class TestVoxelGrid:
         norms = np.linalg.norm(grid.affine[:3, :3], axis=0)
         assert np.allclose(norms, grid.spacing, rtol=1e-5)
 
-    # any spacing whose square is a normal float: sqrt(fl(s * s)) == s then
+    # any positive finite spacing: a column norm is a nested hypot, and hypot(s, 0) == s,
+    # with no square to underflow or overflow
     @settings(max_examples=300, derandomize=True, deadline=None, database=None)
-    @given(st.lists(st.floats(1e-150, 1e150), min_size=3, max_size=3))
+    @given(st.lists(st.floats(5e-324, 1.7976931348623157e308), min_size=3, max_size=3))
+    @example([1e-170, 1.0, 1.0])
+    @example([1e170, 1.0, 1.0])
     def test_from_spacing_reads_its_spacing_back_exactly(self, spacing):
         assert VoxelGrid.from_spacing((2, 3, 4), spacing).spacing == tuple(spacing)
 
