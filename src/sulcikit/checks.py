@@ -3,9 +3,8 @@
 Every check compares a library result against an independent reference
 computation from ``sulcikit.oracles`` (brute-force loops, finite differences,
 voxel-by-voxel dilation, flood fill) or a known closed-form value, and
-reports the observed error against its tolerance. ``inject_fault``
-deliberately corrupts one of the gradient checks so harnesses can verify
-that failures are detected and reported.
+reports the observed error against its tolerance. A check's verdict depends
+only on the library code it measures.
 """
 
 from __future__ import annotations
@@ -20,10 +19,8 @@ from . import losses, metrics, postproc, synth
 from .oracles import (
     brute_force_contrastive,
     brute_force_hausdorff,
-    central_difference,
     flood_fill_components,
     grow_by_neighbours,
-    max_rel_error,
     postprocess_by_flood_fill,
 )
 from .presets import PHANTOM_SUBSTITUTIONS, default_generator_config, default_priors, make_phantom
@@ -76,26 +73,18 @@ def _check_degenerate_batch() -> CheckResult:
     )
 
 
-def _grad_check(loss_id: str, fault: bool = False) -> CheckResult:
-    """Analytic gradient vs central differences over 20 seeded inputs.
-
-    With ``fault`` the analytic gradient is shifted by 1e-3 before the
-    comparison, so the check must fail.
-    """
+def _grad_check(loss_id: str) -> CheckResult:
+    """Analytic gradient vs central differences over 20 seeded inputs."""
     worst = 0.0
     for seed in range(20):
         rng = np.random.default_rng(1000 + seed)
         if loss_id == "contrastive":
-            x = rng.standard_normal((8, 8))
-            point = {"batch": x, "temperature": 0.5}
+            point = {"batch": rng.standard_normal((8, 8)), "temperature": 0.5}
         else:
             x = rng.uniform(0.05, 0.95, size=(4, 4, 4))
             target = (rng.random((4, 4, 4)) < 0.4).astype(float)
             point = {"pred": x, "target": target, "smooth": 1.0, "alpha": 0.3, "beta": 0.7}
-        func, x, analytic = losses._loss_and_gradient(loss_id, point)
-        if fault:
-            analytic = analytic + 1e-3
-        worst = max(worst, max_rel_error(analytic, central_difference(func, x, 1e-4)))
+        worst = max(worst, losses.finite_difference_check(loss_id, point))
     return CheckResult(
         f"{loss_id}-gradient", worst < 1e-5, 1e-5, worst, None,
         "max relative error vs central differences over 20 seeded inputs",
@@ -314,28 +303,12 @@ _CHECK_BUILDERS = {
 
 CHECK_NAMES = tuple(_CHECK_BUILDERS)
 
-# checks whose builder accepts ``fault=True``
-_FAULT_MODES = ("contrastive-gradient", "dice-gradient", "tversky-gradient")
 
-
-def run_checks(name_filter: str | None = None, inject_fault: str | None = None) -> list[CheckResult]:
-    """Run the self-check suite, optionally filtered by substring.
-
-    ``inject_fault`` names a check to corrupt deliberately, to verify that
-    failures are surfaced. Only the three gradient checks have a fault mode
-    (their analytic gradient is shifted); any other name, or one the filter
-    excludes, raises ValueError.
-    """
-    if inject_fault is not None and inject_fault not in _FAULT_MODES:
-        raise ValueError(
-            f"check {inject_fault!r} has no fault mode;"
-            f" choose one of {', '.join(_FAULT_MODES)}"
-        )
-    if inject_fault is not None and name_filter and name_filter not in inject_fault:
-        raise ValueError(f"filter {name_filter!r} excludes the faulted check {inject_fault!r}")
-    results = []
-    for name, builder in _CHECK_BUILDERS.items():
-        if name_filter and name_filter not in name:
-            continue
-        results.append(builder(fault=True) if name == inject_fault else builder())
-    return results
+def run_checks(name_filter: str | None = None) -> list[CheckResult]:
+    """Run the self-check suite, in ``CHECK_NAMES`` order, optionally filtered
+    to the checks whose name contains ``name_filter``."""
+    return [
+        builder()
+        for name, builder in _CHECK_BUILDERS.items()
+        if not name_filter or name_filter in name
+    ]

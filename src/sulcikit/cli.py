@@ -399,8 +399,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_check(args) -> int:
-    with _configuration():
-        results = checks_mod.run_checks(args.filter, args.inject_fault)
+    results = checks_mod.run_checks(args.filter)
     if not results:
         raise ConfigError(f"no checks match filter {args.filter!r}")
     for result in results:
@@ -457,7 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     chk = sub.add_parser("check", help="run the self-check suite")
     chk.add_argument("--filter", help="only run checks whose name contains this")
-    chk.add_argument("--inject-fault", dest="inject_fault", help=argparse.SUPPRESS)
     chk.set_defaults(func=cmd_check)
     return parser
 

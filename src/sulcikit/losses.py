@@ -260,25 +260,6 @@ def multitask_loss(seg: float, contrastive: float) -> float:
         raise NonFiniteError(str(exc)) from exc
 
 
-def _loss_and_gradient(loss_id: str, point: dict):
-    """The loss as a function of its first input, that input, and the analytic gradient.
-
-    ``point`` is read as documented in finite_difference_check. The input is
-    a fresh float64 copy, so callers may perturb it in place.
-    """
-    if loss_id == "contrastive":
-        x = np.array(point["batch"], dtype=np.float64)
-        tau = point.get("temperature", DEFAULT_TEMPERATURE)
-        return (lambda a: contrastive_loss(a, tau)), x, contrastive_loss_grad(x, tau)
-    if loss_id in ("dice", "tversky"):
-        x = np.array(point["pred"], dtype=np.float64)
-        target = np.asarray(point["target"], dtype=np.float64)
-        params = point.get("alpha", 0.5), point.get("beta", 0.5), point.get("smooth", DEFAULT_SMOOTH)
-        analytic = seg_loss_grad(loss_id, x, target, *params)
-        return (lambda a: _seg_loss(loss_id, a, target, *params)), x, analytic
-    raise ValueError(f"unknown loss_id {loss_id!r}")
-
-
 def finite_difference_check(loss_id: str, point: dict, eps: float = 1e-4) -> float:
     """Max relative error between an analytic gradient and central differences.
 
@@ -289,7 +270,21 @@ def finite_difference_check(loss_id: str, point: dict, eps: float = 1e-4) -> flo
     The relative error denominator is max(|analytic|, |numeric|, 1e-8).
     """
     eps = _real(eps, "eps", above=0)
-    func, x, analytic = _loss_and_gradient(loss_id, point)
+    # x is a fresh float64 copy of the first input, which central_difference
+    # perturbs in place
+    if loss_id == "contrastive":
+        x = np.array(point["batch"], dtype=np.float64)
+        tau = point.get("temperature", DEFAULT_TEMPERATURE)
+        func = lambda a: contrastive_loss(a, tau)
+        analytic = contrastive_loss_grad(x, tau)
+    elif loss_id in ("dice", "tversky"):
+        x = np.array(point["pred"], dtype=np.float64)
+        target = np.asarray(point["target"], dtype=np.float64)
+        params = point.get("alpha", 0.5), point.get("beta", 0.5), point.get("smooth", DEFAULT_SMOOTH)
+        func = lambda a: _seg_loss(loss_id, a, target, *params)
+        analytic = seg_loss_grad(loss_id, x, target, *params)
+    else:
+        raise ValueError(f"unknown loss_id {loss_id!r}")
     return max_rel_error(analytic, central_difference(func, x, eps))
 
 

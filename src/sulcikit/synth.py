@@ -70,6 +70,10 @@ DEFAULT_SULCUS_LABEL_START = 48
 # head crop's longest axis
 MAX_BLUR_SIGMA = 100.0
 
+# the largest magnitude of a prior's mean or std: painted intensities and
+# their span then stay far inside float32's range (about 3.4e38)
+_MAX_PRIOR = 1e30
+
 _MASK64 = (1 << 64) - 1
 
 # rows along axis 0 that deform_labels warps at a time
@@ -88,12 +92,14 @@ def _pair(
     value, name: str, low: float | None = None, high: float | None = None
 ) -> tuple[float, float]:
     """A (low, high) range: two finite reals from a list, tuple or array, within
-    ``[low, high]`` and with low <= high."""
+    ``[low, high]``, with low <= high and a finite high - low."""
     if not (isinstance(value, (list, tuple)) or getattr(value, "ndim", 0) > 0) or len(value) != 2:
         raise ValueError(f"{name} must be two numbers (low, high), got {value!r}")
     lo, hi = _real(value[0], f"{name} low", low=low), _real(value[1], f"{name} high", high=high)
     if lo > hi:
         raise ValueError(f"{name} low {lo} exceeds high {hi}")
+    if not np.isfinite(hi - lo):
+        raise ValueError(f"{name} high - low must be a finite number, got {hi} - {lo}")
     return lo, hi
 
 
@@ -140,7 +146,10 @@ class TissuePriors:
             label = _label(k, "label")
             if label in clean:
                 raise ValueError(f"duplicate prior for label {label}")
-            clean[label] = (_pair(m, f"mean_range[{label}]"), _pair(s, f"std_range[{label}]", 0.0))
+            clean[label] = (
+                _pair(m, f"mean_range[{label}]", -_MAX_PRIOR, _MAX_PRIOR),
+                _pair(s, f"std_range[{label}]", 0.0, _MAX_PRIOR),
+            )
         object.__setattr__(self, "entries", clean)
 
     @classmethod

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import resource
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import sulcikit
-from sulcikit import cli
+from sulcikit import cli, losses, metrics
 from sulcikit.checks import CHECK_NAMES
 from sulcikit.cli import main
 from sulcikit.errors import (
@@ -790,27 +791,41 @@ class TestCheck:
         fixture = [c for c in doc["checks"] if c["name"] == "nt-xent-fixture"][0]
         assert fixture["observed"] == pytest.approx(0.551445, abs=1e-6)
 
-    @pytest.mark.parametrize("name", ["contrastive-gradient", "dice-gradient", "tversky-gradient"])
-    def test_fault_injection_fails_named_check(self, capsys, name):
-        code = main(["check", "--filter", "gradient", "--inject-fault", name])
+    @staticmethod
+    def _assert_only_failure(capsys, code, name):
+        """``name`` is the one failing check: exit 4, ``passed: false`` and one [FAIL] line."""
         assert code == 4
-        doc = json.loads(capsys.readouterr().out)
-        failing = [c for c in doc["checks"] if not c["passed"]]
-        assert [c["name"] for c in failing] == [name]
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out)
+        assert doc["passed"] is False
+        assert [c["name"] for c in doc["checks"] if c["passed"] is False] == [name]
+        failed = [line for line in captured.err.splitlines() if "[FAIL]" in line]
+        assert len(failed) == 1 and failed[0].startswith(f"check: [FAIL] {name} (")
 
-    @pytest.mark.parametrize(
-        "selected, faulted, message",
-        [
-            ("hausdorff", "hausdorff-oracle", "has no fault mode"),
-            ("nt-xent", "dice-gradient", "excludes the faulted check"),
-        ],
-        ids=["no-fault-mode", "filtered-out"],
-    )
-    def test_fault_that_cannot_apply_is_config_error(self, capsys, selected, faulted, message):
-        assert main(["check", "--filter", selected, "--inject-fault", faulted]) == 1
+    @pytest.mark.parametrize("loss_id", ["contrastive", "dice", "tversky"])
+    def test_failing_gradient_check_is_reported(self, capsys, monkeypatch, loss_id):
+        # stubbed per loss, so that no gradient is computed
+        monkeypatch.setattr(
+            losses, "finite_difference_check", lambda loss, point: 1.0 if loss == loss_id else 0.0
+        )
+        code = main(["check", "--filter", "gradient"])
+        self._assert_only_failure(capsys, code, f"{loss_id}-gradient")
+
+    def test_failing_oracle_check_is_reported(self, capsys, monkeypatch):
+        hausdorff = metrics.hausdorff
+        monkeypatch.setattr(metrics, "hausdorff", lambda x, y: hausdorff(x, y) + 1e-9)
+        code = main(["check", "--filter", "hausdorff"])
+        self._assert_only_failure(capsys, code, "hausdorff-oracle")
+
+    def test_check_that_raises_is_not_a_configuration_error(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ValueError("broken loss")
+
+        monkeypatch.setattr(losses, "contrastive_loss", fail)
+        assert main(["check", "--filter", "nt-xent"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert message in captured.err
+        assert captured.err == "check: broken loss\n"
 
     def test_full_suite_passes(self, capsys):
         assert main(["check"]) == 0
@@ -980,6 +995,17 @@ _FIELD_AT_FAULT = {
                   {"generator": {"substitution_table": {"48": 2, "49": 2}, "normalize": "no"}}):
         "normalize",
     _config_probe("generator_is_a_list", {"generator": [1, 2]}): "generator",
+    # high - low is not a finite float, so numpy's uniform could not draw from it
+    **{_config_probe(f"{field}_infinite_span", {"generator": {
+        field: [-1e308, 1e308], "substitution_table": {"48": 2, "49": 2}}}): field
+       for field in ("rotation_range", "scaling_range", "shear_range", "translation_range")},
+    _config_probe("prior_mean_range_infinite_span", _prior_config("mean_range", [-1e308, 1e308])):
+        "mean_range[1]",
+    # painted at -3e38 and +3e38, the image would span more than float32 holds
+    _config_probe("priors_past_the_magnitude_cap", {"priors": [
+        {"label": label, "mean_range": [mean, mean], "std_range": [0, 0]}
+        for label, mean in ((1, -3e38), (2, 3e38), (3, 0))
+    ]}): "mean_range[1]",
     # past MAX_BLUR_SIGMA: the kernel's radius would not be a finite integer
     _config_probe("blur_sigma_past_the_cap", {"generator": {"blur_sigma_range": [0, 1e308]}}):
         "blur_sigma_range",
@@ -1041,10 +1067,6 @@ def _probe_evaluate_missing_dir(tmp_path, dataset):
     return ["evaluate", "--pred", str(tmp_path / "p"), "--gt", str(tmp_path / "g")], 2
 
 
-def _probe_check_unknown_fault(tmp_path, dataset):
-    return ["check", "--inject-fault", "no-such-check"], 1
-
-
 def _probe_zero_jobs(tmp_path, dataset):
     return _generate(*dataset, tmp_path / "out") + ["--jobs", "0"], 1
 
@@ -1076,6 +1098,10 @@ def _probe_unknown_flag(tmp_path, dataset):
     return ["evaluate", "--pred", str(pred), "--gt", str(gt), "--no-such-flag"], 1
 
 
+def _probe_check_unknown_flag(tmp_path, dataset):
+    return ["check", "--inject-fault", "dice-gradient"], 1
+
+
 def _probe_unknown_top_level_flag(tmp_path, dataset):
     return ["--no-such-flag"], 1
 
@@ -1099,6 +1125,7 @@ _FLAG_PROBES = (
     _probe_non_integer_jobs,
     _probe_non_integer_seed,
     _probe_unknown_flag,
+    _probe_check_unknown_flag,
     _probe_unknown_top_level_flag,
     _probe_missing_manifest_flag,
     _probe_unknown_command,
@@ -1126,7 +1153,6 @@ _PROBES = (
     _probe_inf_srow_generate,
     _probe_negative_radius,
     _probe_evaluate_missing_dir,
-    _probe_check_unknown_fault,
     _probe_zero_jobs,
     _probe_negative_jobs,
     *_FLAG_PROBES,
@@ -1227,3 +1253,17 @@ class TestExitCodes:
         )
         assert done.returncode == 2
         assert done.stderr.startswith("evaluate: ") and "Traceback" not in done.stderr
+
+
+def test_every_flag_is_in_the_readme():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command-line interface\n")[1].split("\n## ")[0]
+    flags, parsers = set(), [cli.build_parser()]
+    while parsers:
+        for action in parsers.pop()._actions:
+            flags.update(action.option_strings)
+            if isinstance(action.choices, dict):  # the subcommands' parsers
+                parsers.extend(action.choices.values())
+    flags -= {"-h", "--help"}
+    assert {"--manifest", "--filter"} <= flags
+    assert [f for f in sorted(flags) if not re.search(rf"{f}(?![\w-])", section)] == []

@@ -501,6 +501,14 @@ class TestGenerateSample:
         assert np.array_equal(image.voxels, expected)
         assert np.array_equal(seg.voxels, labels.voxels)
 
+    def test_priors_at_the_magnitude_cap_give_a_finite_image(self):
+        labels = make_phantom(shape=(16, 16, 14))
+        cap = 1e30
+        priors = TissuePriors({1: ((-cap, -cap), (cap, cap)), 2: ((cap, cap), (cap, cap)),
+                               3: ((-cap, cap), (0.0, cap))})
+        image, _ = generate_sample(labels, priors, default_generator_config(), seed=3)
+        assert image.voxels.min() == 0.0 and image.voxels.max() == 1.0
+
     def test_determinism_and_seed_sensitivity(self):
         labels = make_phantom(shape=(16, 16, 14))
         priors = default_priors()
@@ -633,6 +641,15 @@ class TestConfigSerialization:
     def test_priors_reject_negative_std(self):
         with pytest.raises(ValueError):
             TissuePriors({1: ((0.0, 1.0), (-1.0, 1.0))})
+
+    @pytest.mark.parametrize(
+        "mean_range, std_range, field",
+        [((-2e30, 0.0), (0.0, 1.0), "mean_range"), ((0.0, 2e30), (0.0, 1.0), "mean_range"),
+         ((0.0, 1.0), (0.0, 2e30), "std_range")],
+    )
+    def test_priors_reject_a_magnitude_past_the_cap(self, mean_range, std_range, field):
+        with pytest.raises(ValueError, match=rf"^{field}\[1\] (low|high) must be"):
+            TissuePriors({1: (mean_range, std_range)})
 
     def test_priors_reject_a_label_given_twice(self):
         entries = [{"label": l, "mean_range": [1, 2], "std_range": [0, 1]} for l in (1, 1.0)]
