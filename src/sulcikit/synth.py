@@ -40,6 +40,7 @@ from .volume import (
     _linear_taps,
     _owned,
     _real,
+    _slabs,
     _triple,
     nearest_sample,
     require_same_grid,
@@ -74,10 +75,16 @@ MAX_BLUR_SIGMA = 100.0
 # their span then stay far inside float32's range (about 3.4e38)
 _MAX_PRIOR = 1e30
 
-_MASK64 = (1 << 64) - 1
+# the largest magnitude of a scaling, a shear, a translation (voxels) or an
+# elastic std (voxels): every warp coordinate then stays finite and far inside
+# int64, the index type of the label warp's nearest reads
+_MAX_WARP = 1e4
 
-# rows along axis 0 that deform_labels warps at a time
-_SLAB_ROWS = 16
+# the widest bias log-field std: the factor exp(sigma z) stays below 1e8 for
+# any node draw |z| < 9.2, so intensities near the prior cap stay finite in float32
+_MAX_BIAS_STD = 2.0
+
+_MASK64 = (1 << 64) - 1
 
 
 def mix_seed(seed: int, index: int) -> int:
@@ -103,11 +110,12 @@ def _pair(
     return lo, hi
 
 
-def _axis_pairs(value, name: str):
-    """One (low, high) pair per axis: a single pair, broadcast to all three axes, or three pairs."""
+def _axis_pairs(value, name: str, **bounds):
+    """One (low, high) pair per axis: a single pair, broadcast to all three axes, or three
+    pairs; each read as ``_pair(v, name, **bounds)``."""
     if isinstance(value, (list, tuple, np.ndarray)) and len(value) == 2 and np.isscalar(value[0]):
-        return (_pair(value, name),) * 3
-    return _triple(value, name, _pair)
+        return (_pair(value, name, **bounds),) * 3
+    return _triple(value, name, _pair, **bounds)
 
 
 def _record(data, fields, name: str) -> dict:
@@ -172,14 +180,14 @@ class TissuePriors:
 # 2 nodes per axis
 _GENERATOR_READERS = {
     "rotation_range": (_axis_pairs, {}),
-    "scaling_range": (_axis_pairs, {}),
-    "shear_range": (_axis_pairs, {}),
-    "translation_range": (_axis_pairs, {}),
+    "scaling_range": (_axis_pairs, {"low": -_MAX_WARP, "high": _MAX_WARP}),
+    "shear_range": (_axis_pairs, {"low": -_MAX_WARP, "high": _MAX_WARP}),
+    "translation_range": (_axis_pairs, {"low": -_MAX_WARP, "high": _MAX_WARP}),
     "elastic_grid": (_triple, {"low": 2}),
-    "elastic_std_range": (_pair, {"low": 0.0}),
+    "elastic_std_range": (_pair, {"low": 0.0, "high": _MAX_WARP}),
     "blur_sigma_range": (_pair, {"low": 0.0, "high": MAX_BLUR_SIGMA}),
     "bias_grid": (_triple, {"low": 2}),
-    "bias_std_range": (_pair, {"low": 0.0}),
+    "bias_std_range": (_pair, {"low": 0.0, "high": _MAX_BIAS_STD}),
     "substitution_table": (_label_table, {}),
     "sulcus_label_start": (_label, {}),
     "normalize": (_bool, {}),
@@ -324,7 +332,7 @@ def _upsample(values: np.ndarray, axis_taps) -> np.ndarray:
 
 
 def _lattice_slabs(lattice_shape, shape):
-    """Slabs of ``_SLAB_ROWS`` rows along axis 0, each with the lattice rows it reads.
+    """Slabs of voxel rows along axis 0 (``_slabs``), each with the lattice rows it reads.
 
     Yields ``(rows, nodes, axis_taps)``: the slab's slice of voxel rows, the
     slice of lattice rows that its taps read, and the taps that ``_upsample``
@@ -332,15 +340,8 @@ def _lattice_slabs(lattice_shape, shape):
     slab, the lattice corner-aligned with ``shape``.
     """
     row_taps, *plane_taps = (_lattice_taps(g, n) for g, n in zip(lattice_shape, shape))
-    for x0 in range(0, shape[0], _SLAB_ROWS):
-        rows = slice(x0, min(x0 + _SLAB_ROWS, shape[0]))
-        if row_taps is None:
-            yield rows, rows, [None, *plane_taps]
-            continue
-        taps = [(idx[rows], w[rows]) for idx, w in row_taps]
-        lo = min(int(idx[0]) for idx, _ in taps)
-        hi = max(int(idx[-1]) for idx, _ in taps) + 1
-        yield rows, slice(lo, hi), [[(idx - lo, w) for idx, w in taps], *plane_taps]
+    for rows, nodes, taps in _slabs(row_taps, shape[0], shape[1] * shape[2]):
+        yield rows, nodes, [taps, *plane_taps]
 
 
 def sample_elastic(config: GeneratorConfig, grid: VoxelGrid, rng_seed: int) -> DeformationField:
@@ -367,7 +368,7 @@ def deform_labels(labels: LabelVolume, affine: np.ndarray, field_: DeformationFi
     Upsampling is linear, so the affine acts on the lattice: coordinate k is
     ``centre_k + t_k + sum_j A_kj (x_j - centre_j) + up(A U)_k(x)``, the
     affine part an outer sum of one 1-D term per axis. The output is filled
-    in slabs of ``_SLAB_ROWS`` rows along axis 0, each composing ``A U`` on
+    in slabs of rows along axis 0 (``_lattice_slabs``), each composing ``A U`` on
     only the lattice rows it reads, so the working memory beyond the output
     does not grow with axis 0.
     """

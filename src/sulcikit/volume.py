@@ -11,6 +11,7 @@ The package's number readers (``_int``, ``_real``, ``_triple``, ``_label``) live
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -265,6 +266,34 @@ def _gather_axis(values: np.ndarray, axis: int, taps) -> np.ndarray:
     return out
 
 
+# the voxels a slab holds: a slabbed applier (resample, the label warp, the
+# bias field) takes as many rows as fit in this budget, at least one. That
+# is 16 rows of an 80x96x80 volume and 4 at 160x192x160
+_SLAB_VOXELS = 122_880
+
+
+def _slabs(taps, n_rows: int, plane: int):
+    """Slabs of target rows along one axis, each with the source rows its taps read.
+
+    A slab holds ``_SLAB_VOXELS // plane`` rows, at least one, where ``plane``
+    is the voxels per row of the slab's widest array. Yields ``(rows,
+    sources, slab_taps)``: the slice of target rows, the slice of source rows
+    that their taps read, and the taps cut to ``rows`` and shifted onto
+    ``sources``. An axis without taps (None, read back as it is) yields its
+    rows as their own sources, and None.
+    """
+    step = max(1, _SLAB_VOXELS // plane)
+    for start in range(0, n_rows, step):
+        rows = slice(start, min(start + step, n_rows))
+        if taps is None:
+            yield rows, rows, None
+            continue
+        cut = [(idx[rows], w[rows]) for idx, w in taps]
+        lo = min(int(idx.min()) for idx, _ in cut)
+        hi = max(int(idx.max()) for idx, _ in cut) + 1
+        yield rows, slice(lo, hi), [(idx - lo, w) for idx, w in cut]
+
+
 def nearest_sample(values: np.ndarray, coords) -> np.ndarray:
     """Nearest-voxel-centre lookup at fractional coordinates (``_nearest_taps``).
 
@@ -332,6 +361,14 @@ def resample(volume, target_shape, mode: str = "trilinear"):
     label volumes require nearest. Only a trilinear edge tap can fall
     outside the source (when upsampling puts the outer target centres beyond
     the outer source centres); it reads as 0. Nearest reads always land inside.
+
+    Each axis's taps are gathered in turn, the most shrinking axis first, so
+    every pass reads the smallest intermediate. The target is filled one
+    slab of rows along that first axis at a time (``_slabs``): the slab
+    gathers only the source rows its taps read, then the other two axes, and
+    is written into one array of the volume's dtype, which the result takes
+    over uncopied. Trilinear reads compute in float64; every voxel gets the
+    same operations in the same order whatever the slab size.
     """
     target_shape = _triple(target_shape, "target_shape", low=1)
     if mode not in ("trilinear", "nearest"):
@@ -345,17 +382,26 @@ def resample(volume, target_shape, mode: str = "trilinear"):
     scale = np.array([s / t for s, t in zip(src_shape, target_shape)])
     # target voxel t samples source position (t + 0.5) * S/T - 0.5, the
     # centre-aligned mapping, so the first and last voxel extents line up
-    positions = [
-        (np.arange(t, dtype=np.float64) + 0.5) * k - 0.5 for t, k in zip(target_shape, scale)
-    ]
-    # one axis at a time, the most shrinking first, so every pass reads the
-    # smallest intermediate
     taps = _linear_taps if mode == "trilinear" else _nearest_taps
-    data = volume.voxels
-    for ax in sorted(range(3), key=lambda a: target_shape[a] / src_shape[a]):
-        data = _gather_axis(data, ax, taps(src_shape[ax], positions[ax]))
+    axis_taps = [
+        taps(n, (np.arange(t, dtype=np.float64) + 0.5) * k - 0.5)
+        for n, t, k in zip(src_shape, target_shape, scale)
+    ]
+    first, *rest = sorted(range(3), key=lambda a: target_shape[a] / src_shape[a])
+    # a row of the slab is never wider than this, before, between or after the passes
+    plane = math.prod(max(src_shape[a], target_shape[a]) for a in rest)
+    out = np.empty(target_shape, dtype=volume.voxels.dtype)
+    at = [slice(None)] * 3
+    for rows, sources, slab_taps in _slabs(axis_taps[first], target_shape[first], plane):
+        at[first] = sources
+        data = _gather_axis(volume.voxels[tuple(at)], first, slab_taps)
+        for ax in rest:
+            data = _gather_axis(data, ax, axis_taps[ax])
+        at[first] = rows
+        out[tuple(at)] = data
+    out.flags.writeable = False  # hand the fresh array over: the volume takes it uncopied
     # target index t lies at source index K t + (K - 1)/2
-    return type(volume)(_reindexed(volume.grid, target_shape, scale, (scale - 1.0) / 2.0), data)
+    return type(volume)(_reindexed(volume.grid, target_shape, scale, (scale - 1.0) / 2.0), out)
 
 
 def binarize(labels: LabelVolume, label_set) -> BinaryMask:

@@ -1009,6 +1009,18 @@ _FIELD_AT_FAULT = {
     # past MAX_BLUR_SIGMA: the kernel's radius would not be a finite integer
     _config_probe("blur_sigma_past_the_cap", {"generator": {"blur_sigma_range": [0, 1e308]}}):
         "blur_sigma_range",
+    # past synth._MAX_WARP a warp coordinate overflows or leaves int64, and past
+    # synth._MAX_BIAS_STD the bias factor overflows float32
+    **{_config_probe(f"{field}_{kind}", {"generator": {
+        field: value, "substitution_table": {"48": 2, "49": 2}}}): field
+       for field, kind, value in (
+           ("scaling_range", "past_the_cap", [0, 1e308]),
+           ("scaling_range", "at_int64_min", [-2**63, 1]),
+           ("shear_range", "past_the_cap", [0, 1e308]),
+           ("translation_range", "past_the_cap", [0, 1e308]),
+           ("elastic_std_range", "past_the_cap", [0, 1e308]),
+           ("bias_std_range", "past_the_cap", [0, 1e308]),
+       )},
     **{_config_probe(f"{field}_{kind}", {"generator": {field: value}}): field
        for field in ("rotation_range", "elastic_std_range", "blur_sigma_range", "bias_std_range")
        for kind, value in _BAD_RANGES.items()},

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import sulcikit
-from sulcikit import synth
+from sulcikit import synth, volume
 from sulcikit.errors import MissingPriorError, MissingSubstitutionError
 from sulcikit.presets import default_generator_config, default_priors, make_phantom
 from sulcikit.synth import (
@@ -440,6 +440,25 @@ class TestUpsampleLattice:
         assert digest == self.UPSAMPLED_SHA256[(lattice, shape)]
 
 
+class TestSlabBudget:
+    def test_deform_and_bias_bytes_do_not_depend_on_the_budget(self, monkeypatch):
+        # one slab at the default budget against one row per slab
+        labels = make_phantom(shape=(20, 18, 14))
+        config = default_generator_config()
+        field_ = sample_elastic(config, labels.grid, 4)
+        image = sample_intensities(
+            substitute_sulci(labels, config.substitution_table), default_priors(), 5
+        )
+
+        def run():
+            deformed = deform_labels(labels, sample_affine(config, 3), field_)
+            return deformed.voxels.tobytes(), apply_bias_field(image, config, 6).voxels.tobytes()
+
+        expected = run()
+        monkeypatch.setattr(volume, "_SLAB_VOXELS", 1)
+        assert run() == expected
+
+
 class TestBiasField:
     def test_zero_std_bitwise_identity(self, image_from):
         rng = np.random.default_rng(21)
@@ -508,6 +527,21 @@ class TestGenerateSample:
                                3: ((-cap, cap), (0.0, cap))})
         image, _ = generate_sample(labels, priors, default_generator_config(), seed=3)
         assert image.voxels.min() == 0.0 and image.voxels.max() == 1.0
+
+    def test_every_generator_cap_at_once_gives_a_finite_image(self):
+        # the warp caps, the bias cap and priors at the magnitude cap, with
+        # warnings as errors: no overflow, no invalid cast, a finite image
+        warp, cap = synth._MAX_WARP, 1e30
+        config = GeneratorConfig(
+            scaling_range=(-warp, warp), shear_range=(-warp, warp),
+            translation_range=(-warp, warp), elastic_std_range=(warp, warp),
+            bias_std_range=(synth._MAX_BIAS_STD,) * 2, substitution_table={48: 2, 49: 2},
+        )
+        priors = TissuePriors({1: ((-cap, -cap), (cap, cap)), 2: ((cap, cap), (cap, cap)),
+                               3: ((-cap, cap), (0.0, cap))})
+        for seed in range(3):
+            image, _ = generate_sample(make_phantom(shape=(16, 16, 14)), priors, config, seed)
+            assert np.isfinite(image.voxels).all()
 
     def test_determinism_and_seed_sensitivity(self):
         labels = make_phantom(shape=(16, 16, 14))
@@ -650,6 +684,21 @@ class TestConfigSerialization:
     def test_priors_reject_a_magnitude_past_the_cap(self, mean_range, std_range, field):
         with pytest.raises(ValueError, match=rf"^{field}\[1\] (low|high) must be"):
             TissuePriors({1: (mean_range, std_range)})
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("scaling_range", (-2e4, 1.0), r"scaling_range low must be >= -10000.0"),
+            ("shear_range", ((0, 0), (0, 0), (0, 2e4)), r"shear_range\[2\] high must be <= 10000.0"),
+            ("translation_range", (-1e5, -1e5), r"translation_range low must be >= -10000.0"),
+            ("elastic_std_range", (0.0, 2e4), r"elastic_std_range high must be <= 10000.0"),
+            ("bias_std_range", (0.0, 2.5), r"bias_std_range high must be <= 2.0"),
+        ],
+    )
+    def test_ranges_past_their_cap_rejected(self, field, value, message):
+        # a single pair and three per-axis pairs are held to the same bounds
+        with pytest.raises(ValueError, match=rf"^{message}, got"):
+            GeneratorConfig(**{field: value})
 
     def test_priors_reject_a_label_given_twice(self):
         entries = [{"label": l, "mean_range": [1, 2], "std_range": [0, 1]} for l in (1, 1.0)]

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sulcikit import volume
 from sulcikit.errors import EmptyVolumeError, GridMismatchError, ModeMismatchError
 from sulcikit.losses import EmbeddingBatch, ProbabilityVolume
 from sulcikit.synth import DeformationField
@@ -14,6 +15,7 @@ from sulcikit.volume import (
     _gather_axis,
     _linear_taps,
     _nearest_taps,
+    _slabs,
     binarize,
     crop_to_content,
     nearest_sample,
@@ -350,6 +352,69 @@ class TestResample:
             assert np.allclose(world, affine @ np.array([*source, 1.0]), rtol=1e-12, atol=1e-12)
         expected = np.array(vol.grid.spacing) * scale
         assert np.allclose(out.grid.spacing, expected, rtol=1e-12, atol=0.0)
+
+
+def whole_volume_resample(vol, target, mode):
+    """Each axis's taps gathered over the whole volume, the most shrinking axis
+    first, then one cast to the volume's dtype: resample without slabs."""
+    src = vol.grid.shape
+    taps = _linear_taps if mode == "trilinear" else _nearest_taps
+    data = vol.voxels
+    for ax in sorted(range(3), key=lambda a: target[a] / src[a]):
+        positions = (np.arange(target[ax], dtype=np.float64) + 0.5) * (src[ax] / target[ax]) - 0.5
+        data = _gather_axis(data, ax, taps(src[ax], positions))
+    return data.astype(vol.voxels.dtype)
+
+
+# volume type, voxels from uniform [0, 1) draws, mode
+_SLAB_KINDS = {
+    "intensity": (IntensityVolume, lambda v: v.astype(np.float32), "trilinear"),
+    "probability": (ProbabilityVolume, lambda v: v, "trilinear"),
+    "labels": (LabelVolume, lambda v: (v * 50).astype(np.uint16), "nearest"),
+    "mask": (BinaryMask, lambda v: v > 0.5, "nearest"),
+}
+
+
+class TestSlabs:
+    def test_rows_cover_the_axis_and_read_the_same_sources(self, monkeypatch):
+        monkeypatch.setattr(volume, "_SLAB_VOXELS", 100)  # 2 rows of a 45-voxel plane
+        taps = _linear_taps(11, np.linspace(-0.7, 10.8, 7))
+        slabs = list(_slabs(taps, 7, 45))
+        assert [(rows.start, rows.stop) for rows, _, _ in slabs] == [(0, 2), (2, 4), (4, 6), (6, 7)]
+        for rows, sources, cut in slabs:
+            for (idx, w), (slab_idx, slab_w) in zip(taps, cut):
+                assert np.array_equal(slab_idx + sources.start, idx[rows])
+                assert np.array_equal(slab_w, w[rows])
+                assert slab_idx.min() >= 0 and slab_idx.max() < sources.stop - sources.start
+
+    def test_an_axis_without_taps_is_its_own_source(self, monkeypatch):
+        monkeypatch.setattr(volume, "_SLAB_VOXELS", 1)  # one row per slab, at least
+        assert list(_slabs(None, 2, 50)) == [(slice(0, 1), slice(0, 1), None),
+                                              (slice(1, 2), slice(1, 2), None)]
+
+    # budgets in voxels, each giving slabs that do not divide the first axis
+    @pytest.mark.parametrize(
+        "src, target, budget",
+        [
+            ((11, 6, 5), (7, 9, 4), 100),  # axis 0 first, 2-row slabs of a 45-voxel plane
+            ((6, 11, 5), (9, 7, 4), 100),  # axis 1 first
+            ((6, 5, 11), (9, 4, 7), 100),  # axis 2 first
+            ((4, 5, 3), (9, 11, 8), 250),  # upsampling, axis 1 first: 3-row slabs of 72
+            ((9, 1, 1), (5, 1, 3), 7),  # one-voxel axes: 2-row slabs of 3
+            ((1, 6, 5), (4, 1, 5), 1),  # a one-voxel target along the first axis
+        ],
+        ids=["axis-0", "axis-1", "axis-2", "upsample", "one-voxel-axes", "one-voxel-target"],
+    )
+    @pytest.mark.parametrize("kind", sorted(_SLAB_KINDS))
+    def test_resample_equals_the_whole_volume_chain_bytewise(
+        self, monkeypatch, unit_grid, kind, src, target, budget
+    ):
+        volume_type, voxels, mode = _SLAB_KINDS[kind]
+        vol = volume_type(unit_grid(src), voxels(np.random.default_rng(16).random(src)))
+        expected = whole_volume_resample(vol, target, mode)
+        monkeypatch.setattr(volume, "_SLAB_VOXELS", budget)
+        out = resample(vol, target, mode).voxels
+        assert out.dtype == expected.dtype and out.tobytes() == expected.tobytes()
 
 
 class TestRequireSameGrid:
