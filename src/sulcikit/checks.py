@@ -2,9 +2,12 @@
 
 Every check compares a library result against an independent reference
 computation from ``sulcikit.oracles`` (brute-force loops, finite differences,
-voxel-by-voxel dilation, flood fill) or a known closed-form value, and
-reports the observed error against its tolerance. A check's verdict depends
-only on the library code it measures.
+voxel-by-voxel dilation, flood fill) or a known closed-form value. The suite
+is one table, ``_CHECKS``: each check's name, its measure, its tolerance and
+its note. A measure returns ``(observed, expected, error)``, and a check
+passes when its error is 0 or below its tolerance. A check whose verdict is
+not a comparison of ``observed`` with the tolerance folds that verdict into
+``error``. A check's verdict depends only on the library code it measures.
 """
 
 from __future__ import annotations
@@ -42,38 +45,27 @@ class CheckResult:
 
 
 # ---------------------------------------------------------------------------
-# individual checks
+# measures: each returns (observed, expected, error)
 
 
-def _check_nt_xent_fixture() -> CheckResult:
+def _nt_xent_fixture():
     rows = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
     observed = losses.contrastive_loss(rows, temperature=1.0)
     brute = brute_force_contrastive(rows, 1.0)
     expected = math.log(1.0 + 2.0 / math.e)
-    err = max(abs(observed - brute), abs(observed - expected))
-    return CheckResult(
-        "nt-xent-fixture",
-        err < 1e-9,
-        1e-9,
-        observed,
-        expected,
-        "paired batch (1,0)x2,(0,1)x2 at temperature 1 vs brute-force loops",
-    )
+    return observed, expected, max(abs(observed - brute), abs(observed - expected))
 
 
-def _check_degenerate_batch() -> CheckResult:
+def _degenerate_batch():
     rng = np.random.default_rng(7)
     rows = rng.standard_normal((2, 16))
     loss = losses.contrastive_loss(rows, 0.5)
     grad = losses.contrastive_loss_grad(rows, 0.5)
     observed = max(abs(loss), float(np.abs(grad).max()))
-    return CheckResult(
-        "contrastive-degenerate", observed == 0.0, 0.0, observed, 0.0,
-        "single positive pair must give exactly zero loss and gradient",
-    )
+    return observed, 0.0, observed
 
 
-def _grad_check(loss_id: str) -> CheckResult:
+def _gradient(loss_id: str):
     """Analytic gradient vs central differences over 20 seeded inputs."""
     worst = 0.0
     for seed in range(20):
@@ -85,13 +77,10 @@ def _grad_check(loss_id: str) -> CheckResult:
             target = (rng.random((4, 4, 4)) < 0.4).astype(float)
             point = {"pred": x, "target": target, "smooth": 1.0, "alpha": 0.3, "beta": 0.7}
         worst = max(worst, losses.finite_difference_check(loss_id, point))
-    return CheckResult(
-        f"{loss_id}-gradient", worst < 1e-5, 1e-5, worst, None,
-        "max relative error vs central differences over 20 seeded inputs",
-    )
+    return worst, None, worst
 
 
-def _check_tversky_dice_identity() -> CheckResult:
+def _tversky_dice_identity():
     worst = 0.0
     for seed in range(20):
         rng = np.random.default_rng(2000 + seed)
@@ -100,13 +89,10 @@ def _check_tversky_dice_identity() -> CheckResult:
         d = losses.soft_dice_loss(pred, target, smooth=0.0)
         t = losses.tversky_loss(pred, target, alpha=0.5, beta=0.5, smooth=0.0)
         worst = max(worst, abs(d - t))
-    return CheckResult(
-        "tversky-dice-identity", worst == 0.0, 0.0, worst, 0.0,
-        "tversky(0.5, 0.5) must equal soft dice bitwise at smooth 0",
-    )
+    return worst, 0.0, worst
 
 
-def _check_contrastive_invariance() -> CheckResult:
+def _contrastive_invariance():
     rng = np.random.default_rng(5)
     rows = rng.standard_normal((8, 16))
     base = losses.contrastive_loss(rows, 0.5)
@@ -117,26 +103,20 @@ def _check_contrastive_invariance() -> CheckResult:
         abs(losses.contrastive_loss(scaled, 0.5) - base),
         abs(losses.contrastive_loss(rows @ q, 0.5) - base),
     )
-    return CheckResult(
-        "contrastive-invariance", observed < 1e-6, 1e-6, observed, 0.0,
-        "per-row positive scaling and common rotation leave the loss unchanged",
-    )
+    return observed, 0.0, observed
 
 
-def _check_descent_demo() -> CheckResult:
+def _descent_demo():
     rng = np.random.default_rng(11)
     rows = rng.standard_normal((16, 16))
     trajectory = losses.optimize_embeddings_demo(rows, temperature=0.5, steps=200, step_size=0.5)
     decrease = trajectory[0].loss - trajectory[-1].loss
     margin = trajectory[-1].positive_similarity - trajectory[-1].negative_similarity
     observed = min(decrease, margin)
-    return CheckResult(
-        "descent-demo", observed > 0.0, 0.0, observed, None,
-        "loss must drop over 200 steps and positives must end more similar than negatives",
-    )
+    return observed, None, 0.0 if observed > 0.0 else 1.0
 
 
-def _check_connected_components() -> CheckResult:
+def _connected_components():
     mismatches = 0
     grid = VoxelGrid.from_spacing((20, 20, 20))
     for connectivity in (6, 18, 26):
@@ -147,13 +127,10 @@ def _check_connected_components() -> CheckResult:
             reference = flood_fill_components(mask, connectivity)
             if not np.array_equal(ours.labels.voxels.astype(np.int64), reference):
                 mismatches += 1
-    return CheckResult(
-        "connected-components-oracle", mismatches == 0, 0.0, float(mismatches), 0.0,
-        "labelings vs breadth-first flood fill, 12 random masks x 3 connectivities",
-    )
+    return float(mismatches), 0.0, mismatches
 
 
-def _check_hausdorff() -> CheckResult:
+def _hausdorff():
     grid = VoxelGrid.from_spacing((12, 12, 12))
     worst = 0.0
     for seed in range(15):
@@ -178,14 +155,10 @@ def _check_hausdorff() -> CheckResult:
     y[3, 4, 0] = True
     fixture = metrics.hausdorff(BinaryMask(fixture_grid, x), BinaryMask(fixture_grid, y))
     worst = max(worst, abs(fixture - 5.0))
-    return CheckResult(
-        "hausdorff-oracle", worst == 0.0, 0.0, worst, 0.0,
-        "surface KD-tree result vs brute-force pairwise distances (unit and 0.7 mm tie),"
-        " plus 3-4-5 fixture",
-    )
+    return worst, 0.0, worst
 
 
-def _check_generator_determinism() -> CheckResult:
+def _generator_determinism():
     labels = make_phantom(shape=(24, 24, 20))
     priors = default_priors()
     config = default_generator_config()
@@ -197,13 +170,10 @@ def _check_generator_determinism() -> CheckResult:
     )
     differs = not np.array_equal(img_a.voxels, img_c.voxels)
     observed = 0.0 if (same and differs) else 1.0
-    return CheckResult(
-        "generator-determinism", observed == 0.0, 0.0, observed, 0.0,
-        "equal seeds give bit-identical output; different seeds differ",
-    )
+    return observed, 0.0, observed
 
 
-def _check_generator_closure() -> CheckResult:
+def _generator_closure():
     labels = make_phantom(shape=(24, 24, 20))
     allowed = set(labels.labels_present()) | {0}
     priors = default_priors()
@@ -212,13 +182,10 @@ def _check_generator_closure() -> CheckResult:
     unseen = 0
     for _, seg in views:
         unseen += len(set(seg.labels_present()) - allowed)
-    return CheckResult(
-        "generator-closure", unseen == 0, 0.0, float(unseen), 0.0,
-        "no generated segmentation may contain a label absent from the input",
-    )
+    return float(unseen), 0.0, unseen
 
 
-def _check_generator_identity() -> CheckResult:
+def _generator_identity():
     labels = make_phantom(shape=(20, 20, 16))
     means = {1: 30.0, 2: 100.0, 3: 150.0}
     priors = synth.TissuePriors(
@@ -233,14 +200,11 @@ def _check_generator_identity() -> CheckResult:
     top = max(means.values())
     expected = (paint / top).astype(np.float32)
     observed = float(np.abs(image.voxels - expected).max())
-    seg_ok = np.array_equal(seg.voxels, labels.voxels)
-    return CheckResult(
-        "generator-identity", observed == 0.0 and seg_ok, 0.0, observed, 0.0,
-        "all randomization disabled paints prior means exactly and keeps labels",
-    )
+    moved = not np.array_equal(seg.voxels, labels.voxels)
+    return observed, 0.0, observed + moved
 
 
-def _check_postproc_fixture() -> CheckResult:
+def _postproc_fixture():
     shape = (30, 12, 12)
     grid = VoxelGrid.from_spacing(shape)
     mask = np.zeros(shape, dtype=bool)
@@ -248,15 +212,11 @@ def _check_postproc_fixture() -> CheckResult:
     mask[12:17, 2:3, 2:3] = True  # 5 voxels
     mask[25, 8, 8] = True  # 1 voxel
     cleaned = postproc.postprocess_cs(BinaryMask(grid, mask))
-    kept = cleaned.count
-    subset = bool((cleaned.voxels & ~mask).sum() == 0)
-    return CheckResult(
-        "postproc-fixture", kept == 15 and subset, 0.0, float(abs(kept - 15)), 0.0,
-        "three blobs of 10/5/1 voxels: the two largest survive, 15 voxels total",
-    )
+    observed = float(abs(cleaned.count - 15))
+    return observed, 0.0, observed + bool((cleaned.voxels & ~mask).any())
 
 
-def _check_postproc_oracle() -> CheckResult:
+def _postproc_oracle():
     shape = (14, 12, 10)
     grid = VoxelGrid.from_spacing(shape)
     ties = np.zeros(shape, dtype=bool)
@@ -276,39 +236,52 @@ def _check_postproc_oracle() -> CheckResult:
             expected = postprocess_by_flood_fill(data, connectivity, radius, config.keep)
             if not np.array_equal(cleaned.voxels, expected):
                 mismatches += 1
-    return CheckResult(
-        "postproc-oracle", mismatches == 0, 0.0, float(mismatches), 0.0,
-        "dilation and clean-up vs voxel-by-voxel growth and flood fill,"
-        " 4 random masks and an equal-size tie x 3 connectivities",
-    )
+    return float(mismatches), 0.0, mismatches
 
 
-_CHECK_BUILDERS = {
-    "nt-xent-fixture": _check_nt_xent_fixture,
-    "contrastive-degenerate": _check_degenerate_batch,
-    "contrastive-gradient": partial(_grad_check, "contrastive"),
-    "dice-gradient": partial(_grad_check, "dice"),
-    "tversky-gradient": partial(_grad_check, "tversky"),
-    "tversky-dice-identity": _check_tversky_dice_identity,
-    "contrastive-invariance": _check_contrastive_invariance,
-    "descent-demo": _check_descent_demo,
-    "connected-components-oracle": _check_connected_components,
-    "hausdorff-oracle": _check_hausdorff,
-    "generator-determinism": _check_generator_determinism,
-    "generator-closure": _check_generator_closure,
-    "generator-identity": _check_generator_identity,
-    "postproc-fixture": _check_postproc_fixture,
-    "postproc-oracle": _check_postproc_oracle,
+# name -> (measure, tolerance, note), in report order
+_CHECKS = {
+    "nt-xent-fixture": (_nt_xent_fixture, 1e-9, "paired batch (1,0)x2,(0,1)x2 at"
+                        " temperature 1 vs brute-force loops"),
+    "contrastive-degenerate": (_degenerate_batch, 0.0, "single positive pair must give"
+                               " exactly zero loss and gradient"),
+    **{f"{loss_id}-gradient": (partial(_gradient, loss_id), 1e-5, "max relative error vs"
+                               " central differences over 20 seeded inputs")
+       for loss_id in ("contrastive", "dice", "tversky")},
+    "tversky-dice-identity": (_tversky_dice_identity, 0.0, "tversky(0.5, 0.5) must equal"
+                              " soft dice bitwise at smooth 0"),
+    "contrastive-invariance": (_contrastive_invariance, 1e-6, "per-row positive scaling and"
+                               " common rotation leave the loss unchanged"),
+    "descent-demo": (_descent_demo, 0.0, "loss must drop over 200 steps and positives must"
+                     " end more similar than negatives"),
+    "connected-components-oracle": (_connected_components, 0.0, "labelings vs breadth-first"
+                                    " flood fill, 12 random masks x 3 connectivities"),
+    "hausdorff-oracle": (_hausdorff, 0.0, "surface KD-tree result vs brute-force pairwise"
+                         " distances (unit and 0.7 mm tie), plus 3-4-5 fixture"),
+    "generator-determinism": (_generator_determinism, 0.0, "equal seeds give bit-identical"
+                              " output; different seeds differ"),
+    "generator-closure": (_generator_closure, 0.0, "no generated segmentation may contain a"
+                          " label absent from the input"),
+    "generator-identity": (_generator_identity, 0.0, "all randomization disabled paints prior"
+                           " means exactly and keeps labels"),
+    "postproc-fixture": (_postproc_fixture, 0.0, "three blobs of 10/5/1 voxels: the two"
+                         " largest survive, 15 voxels total"),
+    "postproc-oracle": (_postproc_oracle, 0.0, "dilation and clean-up vs voxel-by-voxel growth"
+                        " and flood fill, 4 random masks and an equal-size tie x 3"
+                        " connectivities"),
 }
 
-CHECK_NAMES = tuple(_CHECK_BUILDERS)
+CHECK_NAMES = tuple(_CHECKS)
 
 
 def run_checks(name_filter: str | None = None) -> list[CheckResult]:
     """Run the self-check suite, in ``CHECK_NAMES`` order, optionally filtered
     to the checks whose name contains ``name_filter``."""
-    return [
-        builder()
-        for name, builder in _CHECK_BUILDERS.items()
-        if not name_filter or name_filter in name
-    ]
+    results = []
+    for name, (measure, tolerance, note) in _CHECKS.items():
+        if name_filter and name_filter not in name:
+            continue
+        observed, expected, error = measure()
+        passed = bool(error == 0 or error < tolerance)
+        results.append(CheckResult(name, passed, tolerance, observed, expected, note))
+    return results

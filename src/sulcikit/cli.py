@@ -1,9 +1,9 @@
 """Command-line entry point: generate, postprocess, evaluate, check.
 
 Machine-readable output (JSON, CSV) goes to stdout or files; human messages
-go to stderr. Exit codes are stable: 0 success, 1 configuration error, 2 I/O
-or data error, 3 empty pairing, 4 failed self-check. Commands raise, and
-``main`` alone maps an error to its exit code, through ``_EXIT_CODES``.
+go to stderr. Exit codes are stable: 0 success, 1 configuration error, 2 I/O,
+data or internal error, 3 empty pairing, 4 failed self-check. Commands raise,
+and ``main`` alone maps an error to its exit code, through ``_EXIT_CODES``.
 Every command is deterministic given its inputs, flags and master seed,
 including under the thread-level parallelism selected with --jobs.
 """
@@ -54,9 +54,7 @@ _EXIT_CODES = {
     ConfigError: EXIT_CONFIG,
     MissingPriorError: EXIT_CONFIG,
     MissingSubstitutionError: EXIT_CONFIG,
-    SulcikitError: EXIT_IO,
-    OSError: EXIT_IO,
-    ValueError: EXIT_IO,
+    Exception: EXIT_IO,
 }
 
 _NIFTI_SUFFIXES = (".nii.gz", ".nii")
@@ -75,7 +73,7 @@ def _configuration():
     """Mark a command's configuration step: what fails in it is a ConfigError."""
     try:
         yield
-    except (KeyError, ValueError, TypeError, OSError) as exc:
+    except Exception as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -296,6 +294,8 @@ def cmd_generate(args) -> int:
     _write_manifest(manifest_path, records)
     listed, last_write = len(records), time.monotonic()
     try:
+        # serially, a run stops at its first failed sample; a pool, even of one
+        # worker, runs every queued sample before the error reaches this loop
         if jobs == 1 or len(tasks) <= 1:
             for task in tasks:
                 finish(produce(task))
@@ -352,12 +352,8 @@ def _nifti_stems(directory: Path) -> dict[str, Path]:
 
 
 def cmd_evaluate(args) -> int:
-    pred_dir = Path(args.pred)
-    gt_dir = Path(args.gt)
-    if not pred_dir.is_dir() or not gt_dir.is_dir():
-        raise NotADirectoryError("prediction and ground-truth directories must exist")
-    pred = _nifti_stems(pred_dir)
-    gt = _nifti_stems(gt_dir)
+    pred = _nifti_stems(Path(args.pred))
+    gt = _nifti_stems(Path(args.gt))
     matched = sorted(set(pred) & set(gt))
     unmatched = {"pred": sorted(set(pred) - set(gt)), "gt": sorted(set(gt) - set(pred))}
     for stem in unmatched["pred"]:
@@ -467,9 +463,14 @@ def main(argv=None) -> int:
     try:
         build_parser().parse_args(argv, args)
         return args.func(args)
-    except tuple(_EXIT_CODES) as exc:
+    except Exception as exc:  # KeyboardInterrupt and SystemExit propagate
         code = next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
-        prefix = "configuration error: " if code == EXIT_CONFIG else ""
+        if code == EXIT_CONFIG:
+            prefix = "configuration error: "
+        elif isinstance(exc, (SulcikitError, OSError, ValueError)):
+            prefix = ""
+        else:  # no error the package raises on purpose: name its type
+            prefix = f"internal error: {type(exc).__name__}: "
         _log(f"{args.command}: {prefix}{exc}")
         return code
 

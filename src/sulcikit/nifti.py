@@ -27,6 +27,7 @@ from .errors import (
     CorruptHeaderError,
     NonFiniteError,
     NonIntegerLabelsError,
+    SulcikitError,
     UnsupportedDatatypeError,
 )
 from .volume import MAX_LABEL, BinaryMask, IntensityVolume, LabelVolume, VoxelGrid
@@ -120,7 +121,7 @@ def _read_bytes(path: Path) -> bytes:
         try:
             raw = gzip.decompress(raw)
         except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
-            raise CorruptHeaderError(f"{path}: gzip stream corrupt or truncated ({exc})") from exc
+            raise CorruptHeaderError(f"gzip stream corrupt or truncated ({exc})") from exc
     return raw
 
 
@@ -176,14 +177,21 @@ def read_nifti(path, kind: str = "intensity"):
     ``kind`` selects the returned type, which decides the voxel values it
     holds: ``"intensity"`` (IntensityVolume, float32; values not finite as
     float32 raise NonFiniteError) or ``"labels"`` (LabelVolume, uint16; values
-    not integers in 0..65535 raise NonIntegerLabelsError). Both name the file.
-    A malformed header (a non-finite affine included) or a truncated file
-    raises CorruptHeaderError.
+    not integers in 0..65535 raise NonIntegerLabelsError). A malformed header
+    (a non-finite affine included) or a truncated file raises
+    CorruptHeaderError. Every one of these errors starts with the file's path.
     """
     if kind not in _KINDS:
         raise ValueError(f"kind must be 'intensity' or 'labels', got {kind!r}")
-    volume_type, rejected = _KINDS[kind]
-    raw = _read_bytes(Path(path))
+    try:
+        return _decode(_read_bytes(Path(path)), *_KINDS[kind])
+    except SulcikitError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
+def _decode(raw: bytes, volume_type, rejected):
+    """The volume of ``volume_type`` that the file bytes ``raw`` hold; voxels
+    the type rejects raise ``rejected``."""
     hdr, order = _parse_header(raw)
 
     # numpy strips trailing NULs from S4 fields, so "n+1\0" reads as b"n+1"
@@ -236,9 +244,9 @@ def read_nifti(path, kind: str = "intensity"):
     except ValueError as exc:
         raise CorruptHeaderError(f"header geometry invalid: {exc}") from exc
 
-    if kind == "labels" and np.issubdtype(data.dtype, np.floating):
+    if volume_type is LabelVolume and np.issubdtype(data.dtype, np.floating):
         if not (np.isfinite(data).all() and np.array_equal(data, np.round(data))):
-            raise NonIntegerLabelsError(f"{path}: voxel values are not finite integers")
+            raise NonIntegerLabelsError("voxel values are not finite integers")
         # clipped just past the label range, so that no value overflows int64 in the cast
         data = np.clip(data, -1, MAX_LABEL + 1).astype(np.int64)
     try:
@@ -246,7 +254,7 @@ def read_nifti(path, kind: str = "intensity"):
         with np.errstate(over="ignore"):
             return volume_type(grid, data)
     except ValueError as exc:
-        raise rejected(f"{path}: {exc}") from exc
+        raise rejected(str(exc)) from exc
 
 
 def _build_header(volume, datatype: int, bitpix: int) -> bytes:

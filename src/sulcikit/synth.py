@@ -84,6 +84,10 @@ _MAX_WARP = 1e4
 # any node draw |z| < 9.2, so intensities near the prior cap stay finite in float32
 _MAX_BIAS_STD = 2.0
 
+# the most nodes per control-lattice axis: an elastic draw then holds at most
+# 128^3 x 3 float64 values (about 50 MB)
+_MAX_LATTICE = 128
+
 _MASK64 = (1 << 64) - 1
 
 
@@ -176,17 +180,17 @@ class TissuePriors:
 
 
 # how GeneratorConfig reads each of its fields, and the bounds of the field's
-# numbers: reader(value, field name, **bounds). A control lattice has at least
-# 2 nodes per axis
+# numbers: reader(value, field name, **bounds). A control lattice has 2 to
+# _MAX_LATTICE nodes per axis
 _GENERATOR_READERS = {
     "rotation_range": (_axis_pairs, {}),
     "scaling_range": (_axis_pairs, {"low": -_MAX_WARP, "high": _MAX_WARP}),
     "shear_range": (_axis_pairs, {"low": -_MAX_WARP, "high": _MAX_WARP}),
     "translation_range": (_axis_pairs, {"low": -_MAX_WARP, "high": _MAX_WARP}),
-    "elastic_grid": (_triple, {"low": 2}),
+    "elastic_grid": (_triple, {"low": 2, "high": _MAX_LATTICE}),
     "elastic_std_range": (_pair, {"low": 0.0, "high": _MAX_WARP}),
     "blur_sigma_range": (_pair, {"low": 0.0, "high": MAX_BLUR_SIGMA}),
-    "bias_grid": (_triple, {"low": 2}),
+    "bias_grid": (_triple, {"low": 2, "high": _MAX_LATTICE}),
     "bias_std_range": (_pair, {"low": 0.0, "high": _MAX_BIAS_STD}),
     "substitution_table": (_label_table, {}),
     "sulcus_label_start": (_label, {}),
@@ -561,12 +565,10 @@ def generate_views(
 ) -> list[tuple[IntensityVolume, LabelVolume]]:
     """n independent samples; view i uses seed mix_seed(seed, i).
 
-    Results are identical whether computed serially or with a thread pool,
-    since every view derives from its own seed.
+    ``jobs`` worker threads share the views; results are identical for every
+    ``jobs``, since every view derives from its own seed.
     """
     n, jobs = _int(n, "n", low=1), _int(jobs, "jobs", low=1)
     seeds = [mix_seed(seed, i) for i in range(n)]
-    if jobs == 1:
-        return [generate_sample(labels, priors, config, s) for s in seeds]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(lambda s: generate_sample(labels, priors, config, s), seeds))

@@ -155,6 +155,7 @@ MALFORMED_NIFTI = {
     ),
     "int32-label-above-uint16": (_int32_above_uint16, "labels", NonIntegerLabelsError),
     "truncated-gzip": (_truncated_gzip, "intensity", CorruptHeaderError),
+    "five-byte-file": (lambda raw: raw[:5], "intensity", CorruptHeaderError),
     "nan-scl-slope": (_overwrite(112, _NAN), "intensity", CorruptHeaderError),
     "bitpix-mismatch": (_overwrite(72, struct.pack("<h", 64)), "intensity", CorruptHeaderError),
     "inf-srow": (

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import sulcikit
-from sulcikit import cli, losses, metrics
+from sulcikit import checks, cli, losses, metrics
 from sulcikit.checks import CHECK_NAMES
 from sulcikit.cli import main
 from sulcikit.errors import (
@@ -781,6 +781,7 @@ class TestEvaluate:
         assert main(["evaluate", "--pred", str(pred), "--gt", str(gt)]) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err and "grids differ" not in err
+        assert err.startswith(f"evaluate: {pred / 'a.nii'}: ")
 
 
 class TestCheck:
@@ -838,6 +839,21 @@ class TestCheck:
 
     def test_unknown_filter_is_config_error(self):
         assert main(["check", "--filter", "no-such-check"]) == 1
+
+    @pytest.mark.parametrize("error, tolerance, passed", [
+        (1e-9, 1e-9, False), (0.0, 0.0, True), (5e-10, 1e-9, True), (1e-300, 0.0, False),
+        (float("nan"), 1.0, False),
+    ])
+    def test_pass_rule_at_its_boundary(self, monkeypatch, error, tolerance, passed):
+        # a check passes when its error is 0 or below its tolerance
+        def measure():
+            return 0.25, None, error
+
+        monkeypatch.setitem(checks._CHECKS, "nt-xent-fixture", (measure, tolerance, "stub"))
+        [result] = checks.run_checks("nt-xent")
+        assert result == checks.CheckResult(
+            "nt-xent-fixture", passed, tolerance, 0.25, None, "stub"
+        )
 
 
 def _inf_srow(path):
@@ -977,6 +993,10 @@ _FIELD_AT_FAULT = {
         "elastic_grid[0]",
     _config_probe("string_lattice", {"generator": {"elastic_grid": ["a", 2, 2]}}):
         "elastic_grid[0]",
+    # past synth._MAX_LATTICE nodes per axis the lattice draw could not be allocated
+    **{_config_probe(f"{field}_past_the_cap", {"generator": {
+        field: [10**5] * 3, "substitution_table": {"48": 2, "49": 2}}}): f"{field}[0]"
+       for field in ("elastic_grid", "bias_grid")},
     _config_probe("fractional_table_value",
                   {"generator": {"substitution_table": {"48": 2.5, "49": 2}}}):
         "substitution_table[48]",
@@ -1228,6 +1248,17 @@ class TestExitCodes:
         for name in names:
             assert (fresh / name).read_bytes() == (tmp_path / "out" / name).read_bytes()
 
+    @staticmethod
+    def _library_calls(dataset, tmp_path):
+        """(what each command calls, that command's argv)"""
+        pred, gt = _mask_pair(tmp_path)
+        return [
+            ("generate_sample", _generate(*dataset, tmp_path / "out")),
+            ("postprocess_cs", ["postprocess", "--in", str(pred / "a.nii")]),
+            ("evaluate_pair", ["evaluate", "--pred", str(pred), "--gt", str(gt)]),
+            ("checks_mod.run_checks", ["check"]),
+        ]
+
     @pytest.mark.parametrize("error", _SULCIKIT_ERRORS, ids=lambda e: e.__name__)
     def test_every_sulcikit_error_maps_to_1_or_2(
         self, dataset, tmp_path, monkeypatch, capsys, error
@@ -1236,23 +1267,30 @@ class TestExitCodes:
             # BaseException.__new__ sets args without running a custom __init__
             raise error.__new__(error, "injected")
 
-        pred, gt = _mask_pair(tmp_path)
-        # (what each command calls, that command's argv)
-        commands = [
-            ("generate_sample", _generate(*dataset, tmp_path / "out")),
-            ("postprocess_cs", ["postprocess", "--in", str(pred / "a.nii")]),
-            ("evaluate_pair", ["evaluate", "--pred", str(pred), "--gt", str(gt)]),
-            ("checks_mod.run_checks", ["check"]),
-        ]
         expected = 1 if issubclass(
             error, (ConfigError, MissingPriorError, MissingSubstitutionError)
         ) else 2
-        for target, argv in commands:
+        for target, argv in self._library_calls(dataset, tmp_path):
             with monkeypatch.context() as patch:
                 patch.setattr(f"sulcikit.cli.{target}", fail)
                 assert main(argv) == expected
             err = capsys.readouterr().err
             assert err.startswith(f"{argv[0]}: ") and err.rstrip().endswith("injected")
+
+    @pytest.mark.parametrize("error", [TypeError, KeyError, MemoryError], ids=lambda e: e.__name__)
+    def test_any_other_error_exits_2_naming_its_type(
+        self, dataset, tmp_path, monkeypatch, capsys, error
+    ):
+        def fail(*args, **kwargs):
+            raise error("bug")
+
+        for target, argv in self._library_calls(dataset, tmp_path):
+            with monkeypatch.context() as patch:
+                patch.setattr(f"sulcikit.cli.{target}", fail)
+                assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"{argv[0]}: internal error: {error.__name__}: ")
+            assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_entrypoint_prints_no_traceback(self, tmp_path):
         pred, gt = _mask_pair(tmp_path)

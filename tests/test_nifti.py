@@ -269,7 +269,7 @@ class TestHeaderValidation:
         mutate, kind, error = malformed_nifti
         path = self._write_sample(tmp_path)
         path.write_bytes(mutate(path.read_bytes()))
-        with pytest.raises(error):
+        with pytest.raises(error, match=f"^{re.escape(str(path))}: "):
             read_nifti(path, kind=kind)
 
     def test_unknown_datatype_rejected(self, tmp_path):

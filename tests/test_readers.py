@@ -2,13 +2,20 @@
 
 One table names each entry point and parameter, the kind of number it takes
 and its bound; each bad value of that kind must raise a ValueError whose
-message starts with the parameter's name.
+message starts with the parameter's name. A property over the run-config
+readers checks that what they accept generates.
 """
+
+import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sulcikit.errors import IndexOutOfRangeError
+from sulcikit.cli import RunConfig
+from sulcikit.errors import IndexOutOfRangeError, MissingPriorError, MissingSubstitutionError
 from sulcikit.losses import (
     contrastive_loss,
     contrastive_loss_grad,
@@ -21,7 +28,13 @@ from sulcikit.losses import (
 )
 from sulcikit.postproc import PostprocConfig, connected_components, dilate
 from sulcikit.presets import default_generator_config, default_priors, make_phantom
-from sulcikit.synth import GeneratorConfig, gaussian_blur, generate_views, mix_seed
+from sulcikit.synth import (
+    GeneratorConfig,
+    gaussian_blur,
+    generate_sample,
+    generate_views,
+    mix_seed,
+)
 from sulcikit.volume import (
     BinaryMask,
     IntensityVolume,
@@ -177,3 +190,53 @@ def test_int_and_real_disagree_only_on_fractions():
     with pytest.raises(ValueError, match="^x must be a whole number"):
         _int(7.5, "x")
     assert _real(7.5, "x") == 7.5
+
+
+# a valid run config that sets every field, and the paths of its leaves
+_RUN_CONFIG = {
+    "generator": default_generator_config().to_dict(),
+    "priors": default_priors().to_entries(),
+    "samples_per_subject": 1,
+    "master_seed": 3,
+    "output_dir": "out",
+}
+
+
+def _leaves(node, path=()):
+    if isinstance(node, dict):
+        return [leaf for key, value in node.items() for leaf in _leaves(value, path + (key,))]
+    if isinstance(node, list):
+        return [leaf for i, value in enumerate(node) for leaf in _leaves(value, path + (i,))]
+    return [path]
+
+
+_LEAF_PATHS = _leaves(_RUN_CONFIG)
+# what replaces one leaf: other JSON types, bounds' edges and values past them
+_LEAF_VALUES = [
+    None, True, "x", "", "12", [], [1], [0, 1e308], {}, 0, 1, 2, -1, 0.5, 1e-300, 128, 129,
+    1e4, 1e30, 1e308, -1e308, -2**63, 2**64, float("nan"), float("inf"),
+]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.sampled_from(_LEAF_PATHS), st.sampled_from(_LEAF_VALUES))
+def test_run_config_is_rejected_or_generates(tmp_path_factory, leaf, value):
+    config = json.loads(json.dumps(_RUN_CONFIG))
+    node = config
+    for key in leaf[:-1]:
+        node = node[key]
+    node[leaf[-1]] = value
+    path = tmp_path_factory.getbasetemp() / "run_config.json"
+    path.write_text(json.dumps(config))
+    try:
+        run = RunConfig.from_json(path)
+    except ValueError:
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            image, _ = generate_sample(_LABELS, run.priors, run.generator,
+                                       mix_seed(run.master_seed, 0))
+        except (MissingPriorError, MissingSubstitutionError):
+            return
+    assert np.isfinite(image.voxels).all()
