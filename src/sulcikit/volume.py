@@ -175,7 +175,9 @@ class LabelVolume(_GridVolume):
         voxels = np.asarray(self.voxels)
         if not (np.issubdtype(voxels.dtype, np.integer) or voxels.dtype == np.bool_):
             raise ValueError(f"label voxels must be integers, got {voxels.dtype}")
-        if voxels.size and (voxels.min() < 0 or voxels.max() > MAX_LABEL):
+        # no bool, uint8 or uint16 value lies outside the range, so only other dtypes are scanned
+        scan = voxels.size and not np.can_cast(voxels.dtype, np.uint16)
+        if scan and (voxels.min() < 0 or voxels.max() > MAX_LABEL):
             raise ValueError(f"label values must be in 0..{MAX_LABEL}")
         super().__post_init__()
 
@@ -250,13 +252,16 @@ def _gather_axis(values: np.ndarray, axis: int, taps) -> np.ndarray:
     """Apply one axis's taps by gathering: the weighted sum of each tap's reads.
 
     Each tap's reads are weighted in place when they already have the
-    product's dtype, so a tap costs one gathered array. A bool weight keeps
-    the values' dtype."""
+    product's dtype, so a tap costs one gathered array. A tap whose weight is
+    None is read unweighted, in the values' dtype (nearest resample's taps)."""
     shape = [1, 1, 1]
     shape[axis] = -1
 
     def read(idx, w):
-        tap, w = np.take(values, idx, axis=axis), w.reshape(shape)
+        tap = np.take(values, idx, axis=axis)
+        if w is None:
+            return tap
+        w = w.reshape(shape)
         return np.multiply(tap, w, out=tap if tap.dtype == np.result_type(tap, w) else None)
 
     (idx, w), *rest = taps
@@ -288,7 +293,7 @@ def _slabs(taps, n_rows: int, plane: int):
         if taps is None:
             yield rows, rows, None
             continue
-        cut = [(idx[rows], w[rows]) for idx, w in taps]
+        cut = [(idx[rows], None if w is None else w[rows]) for idx, w in taps]
         lo = min(int(idx.min()) for idx, _ in cut)
         hi = max(int(idx.max()) for idx, _ in cut) + 1
         yield rows, slice(lo, hi), [(idx - lo, w) for idx, w in cut]
@@ -318,11 +323,15 @@ def nearest_sample(values: np.ndarray, coords) -> np.ndarray:
 
 
 def _bounding_box(nonzero: np.ndarray) -> tuple[slice, slice, slice]:
-    """Slices of the bounding box of the True voxels; ``nonzero`` must hold one."""
+    """Slices of the bounding box of the True voxels; ``nonzero`` must hold one.
+
+    Two passes: ``any`` over axis 0 (a y-z plane, holding the y and z extents)
+    and ``any`` along each x row, which stops at the row's first True."""
+    plane = nonzero.any(axis=0)
+    rows = nonzero.reshape(nonzero.shape[0], -1).any(axis=1)
     box = []
-    for ax in range(3):
-        axes = tuple(a for a in range(3) if a != ax)
-        present = np.flatnonzero(nonzero.any(axis=axes))
+    for present in (rows, plane.any(axis=1), plane.any(axis=0)):
+        present = np.flatnonzero(present)
         box.append(slice(int(present[0]), int(present[-1]) + 1))
     return tuple(box)
 
@@ -360,7 +369,8 @@ def resample(volume, target_shape, mode: str = "trilinear"):
     ``mode`` is ``"trilinear"`` (intensities) or ``"nearest"`` (any type);
     label volumes require nearest. Only a trilinear edge tap can fall
     outside the source (when upsampling puts the outer target centres beyond
-    the outer source centres); it reads as 0. Nearest reads always land inside.
+    the outer source centres); it reads as 0. Nearest reads always land inside,
+    so their taps are gathered unweighted.
 
     Each axis's taps are gathered in turn, the most shrinking axis first, so
     every pass reads the smallest intermediate. The target is filled one
@@ -387,6 +397,8 @@ def resample(volume, target_shape, mode: str = "trilinear"):
         taps(n, (np.arange(t, dtype=np.float64) + 0.5) * k - 0.5)
         for n, t, k in zip(src_shape, target_shape, scale)
     ]
+    if mode == "nearest":  # every nearest read lands inside: no weight to apply
+        axis_taps = [[(idx, None) for idx, _ in a] for a in axis_taps]
     first, *rest = sorted(range(3), key=lambda a: target_shape[a] / src_shape[a])
     # a row of the slab is never wider than this, before, between or after the passes
     plane = math.prod(max(src_shape[a], target_shape[a]) for a in rest)

@@ -12,6 +12,7 @@ from sulcikit.volume import (
     IntensityVolume,
     LabelVolume,
     VoxelGrid,
+    _bounding_box,
     _gather_axis,
     _linear_taps,
     _nearest_taps,
@@ -103,6 +104,25 @@ class TestVolumeTypes:
         with pytest.raises(ValueError):
             LabelVolume(unit_grid((2, 2, 2)), -np.ones((2, 2, 2), dtype=np.int32))
 
+    @pytest.mark.parametrize(
+        "dtype, value", [(np.int16, -1), (np.int32, 65536), (np.uint32, 65536), (np.int64, 2**40)]
+    )
+    def test_labels_outside_the_range_are_rejected(self, labels_from, dtype, value):
+        data = np.zeros((2, 3, 4), dtype=dtype)
+        data[1, 2, 3] = value
+        with pytest.raises(ValueError, match=r"^label values must be in 0\.\.65535$"):
+            labels_from(data)
+
+    @pytest.mark.parametrize("dtype", [np.bool_, np.uint8, np.uint16])
+    def test_narrow_dtypes_are_taken_at_both_extremes(self, labels_from, dtype):
+        # no value of these dtypes lies outside 0..65535, so none is scanned
+        low, high = (False, True) if dtype is np.bool_ else (0, np.iinfo(dtype).max)
+        data = np.full((2, 3, 4), high, dtype=dtype)
+        data[0, 0, 0] = low
+        held = labels_from(data).voxels
+        assert held.dtype == np.uint16
+        assert held[0, 0, 0] == low and (held.ravel()[1:] == int(high)).all()
+
     def test_voxels_read_only(self, labels_from):
         vol = labels_from(np.ones((2, 2, 2), dtype=np.uint16))
         with pytest.raises(ValueError):
@@ -167,6 +187,74 @@ class TestOwnership:
         caller = np.asfortranarray(np.ones(shape, np.int8))
         held = getattr(make(caller), attr)
         assert held.dtype == dtype and held.flags.c_contiguous and held.shape == shape
+
+
+def _box_by_nonzero(mask):
+    """The bounding box as each axis's np.nonzero min and max."""
+    return tuple(slice(int(at.min()), int(at.max()) + 1) for at in np.nonzero(mask))
+
+
+class TestBoundingBox:
+    def test_random_masks_match_nonzero_extents(self):
+        rng = np.random.default_rng(26)
+        for density in np.geomspace(0.001, 0.9, 240):
+            shape = tuple(int(n) for n in rng.integers(1, 24, 3))
+            mask = rng.random(shape) < density
+            mask[tuple(int(rng.integers(n)) for n in shape)] = True  # at least one
+            assert _bounding_box(mask) == _box_by_nonzero(mask)
+
+    @pytest.mark.parametrize(
+        "shape", [(1, 1, 1), (1, 7, 5), (6, 1, 4), (5, 6, 1), (1, 1, 9), (9, 1, 1), (1, 8, 1)]
+    )
+    def test_one_voxel_axes(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        for _ in range(5):
+            mask = rng.random(shape) < 0.3
+            mask.reshape(-1)[rng.integers(mask.size)] = True
+            assert _bounding_box(mask) == _box_by_nonzero(mask)
+
+    @pytest.mark.parametrize("corner", np.ndindex(2, 2, 2))
+    def test_one_voxel_at_each_corner(self, corner):
+        shape = (4, 5, 6)
+        at = tuple(c * (n - 1) for c, n in zip(corner, shape))
+        mask = np.zeros(shape, dtype=bool)
+        mask[at] = True
+        assert _bounding_box(mask) == tuple(slice(a, a + 1) for a in at)
+
+    @pytest.mark.parametrize(
+        "view",
+        [
+            lambda m: m[::2, 1::3, ::-1],
+            lambda m: m.transpose(2, 0, 1),
+            lambda m: np.asfortranarray(m),
+            lambda m: m[3:, :, 2:-1],
+        ],
+        ids=["strided-reversed", "transposed", "fortran", "sliced"],
+    )
+    def test_views_that_are_not_c_contiguous(self, view):
+        rng = np.random.default_rng(27)
+        for _ in range(10):
+            mask = view(rng.random((13, 14, 12)) < 0.01)
+            if not mask.any():
+                continue
+            assert _bounding_box(mask) == _box_by_nonzero(mask)
+
+    @pytest.mark.parametrize("margin", range(6))
+    def test_crop_offsets_and_shapes_widen_the_nonzero_box(self, labels_from, image_from, margin):
+        rng = np.random.default_rng(28 + margin)
+        for _ in range(10):
+            data = (rng.random((15, 12, 10)) < 0.004) * rng.integers(1, 9, (15, 12, 10))
+            if not data.any():
+                continue
+            box = [
+                slice(max(s.start - margin, 0), min(s.stop + margin, n))
+                for s, n in zip(_box_by_nonzero(data), data.shape)
+            ]
+            for vol in (labels_from(data.astype(np.uint16)), image_from(data)):
+                cropped, offset = crop_to_content(vol, margin)
+                assert offset == tuple(s.start for s in box)
+                assert cropped.grid.shape == tuple(s.stop - s.start for s in box)
+                assert np.array_equal(cropped.voxels, vol.voxels[tuple(box)])
 
 
 class TestCropToContent:
@@ -248,6 +336,14 @@ class TestResample:
         vol = labels_from(rng.integers(0, 9, (6, 5, 4), dtype=np.uint16))
         out = resample(vol, (6, 5, 4), mode="nearest")
         assert np.array_equal(out.voxels, vol.voxels)
+
+    def test_nearest_reads_always_land_inside(self):
+        # why nearest resample gathers its taps unweighted: no tap is outside
+        for n_src in range(1, 40):
+            for n_target in range(1, 90):
+                positions = (np.arange(n_target, dtype=np.float64) + 0.5) * (n_src / n_target) - 0.5
+                [(_, inside)] = _nearest_taps(n_src, positions)
+                assert inside.all(), (n_src, n_target)
 
     def test_nearest_never_invents_labels(self, labels_from):
         rng = np.random.default_rng(7)
@@ -472,6 +568,15 @@ class TestGatherAxis:
         out = _gather_axis(values, axis, axis_taps)
         assert out.dtype == expected.dtype
         assert np.array_equal(out, expected)
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("dtype", [np.bool_, np.uint16, np.float32])
+    def test_a_tap_without_weight_is_the_plain_read(self, axis, dtype):
+        values = (np.random.default_rng(16).random((5, 6, 7)) * 50).astype(dtype)
+        idx = np.arange(values.shape[axis])[::-1].repeat(2)
+        out = _gather_axis(values, axis, [(idx, None)])
+        assert out.dtype == values.dtype
+        assert out.tobytes() == np.take(values, idx, axis=axis).tobytes()
 
 
 class TestBinarize:
