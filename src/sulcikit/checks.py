@@ -256,8 +256,8 @@ _CHECKS = {
                      " end more similar than negatives"),
     "connected-components-oracle": (_connected_components, 0.0, "labelings vs breadth-first"
                                     " flood fill, 12 random masks x 3 connectivities"),
-    "hausdorff-oracle": (_hausdorff, 0.0, "surface KD-tree result vs brute-force pairwise"
-                         " distances (unit and 0.7 mm tie), plus 3-4-5 fixture"),
+    "hausdorff-oracle": (_hausdorff, 0.0, "near offset scan and surface KD-tree vs brute-force"
+                         " pairwise distances (unit and 0.7 mm tie), plus 3-4-5 fixture"),
     "generator-determinism": (_generator_determinism, 0.0, "equal seeds give bit-identical"
                               " output; different seeds differ"),
     "generator-closure": (_generator_closure, 0.0, "no generated segmentation may contain a"

@@ -3,12 +3,14 @@
 Hausdorff distances are symmetric max-min Euclidean distances between
 foreground voxel centres, measured in millimetres via the grid spacing; every
 metric reads the spacing from the masks' grid, so for voxel units build the
-masks on a unit-spacing grid. Each directed half searches a KD-tree of the
-other mask's surface voxels from the voxels outside it, re-resolves ties
-near the maximum, and recomputes each distance from its integer voxel
-offset, so values match brute-force pairwise computation. Volume and
-surface area are voxel-based proxies: foreground count times voxel volume,
-and the summed area of exposed voxel faces.
+masks on a unit-spacing grid. Each directed half takes the voxels outside
+the other mask in two phases: a near phase reads the other mask at short
+voxel offsets, shortest first, and resolves every voxel with a hit; a far
+phase searches a KD-tree of the other mask's surface voxels from the rest
+and re-resolves ties near the maximum. Every distance is formed from its
+integer voxel offset, so values match brute-force pairwise computation.
+Volume and surface area are voxel-based proxies: foreground count times
+voxel volume, and the summed area of exposed voxel faces.
 
 Hausdorff distance and surface area only look at the foreground's bounding
 box (of both masks, for Hausdorff): every nearest counterpart and every
@@ -96,19 +98,53 @@ def _mm(delta: np.ndarray, spacing: np.ndarray) -> np.ndarray:
     return np.sqrt(((delta * spacing) ** 2).sum(axis=-1))
 
 
-def _directed_hausdorff(a: np.ndarray, b: np.ndarray, spacing: np.ndarray) -> float:
-    """max over a-voxels of the distance to the nearest b-voxel (mm).
+# the near phase's radius in voxels (see _directed_hausdorff)
+_NEAR = 3
 
-    Only a-voxels outside b can be nonzero, and only b's 6-surface voxels
-    (those with a face neighbour outside b, or on the array edge) can be
-    nearest: from any other b-voxel, one step towards the source stays in b
-    and is strictly closer.
+
+def _directed_hausdorff(sources: np.ndarray, b: np.ndarray, spacing: np.ndarray) -> float:
+    """max over ``sources`` (voxels outside b) of the distance to the nearest b-voxel (mm).
+
+    Near phase: b is padded by R = ``_NEAR``, and the nonzero offsets of the
+    cube [-R, R]^3 shorter than T = (R + 1) * min(spacing) are read at every
+    source, in groups of equal length, shortest first; a source with a hit
+    is resolved at that length and leaves. The hit is its exact minimum: an
+    offset outside the cube has a component of at least R + 1, so its
+    length, formed in floats by ``_mm`` as every length here is, is at
+    least fl(T), and every offset read is shorter.
+
+    Far phase: each source left is farther from b than every resolved one,
+    so the maximum is theirs. Only b's 6-surface voxels (those with a face
+    neighbour outside b, or on the array edge) can be nearest: from any
+    other b-voxel, one step towards the source stays in b and is strictly
+    closer. A KD-tree of those voxels finds each source's nearest one.
     """
     from scipy.spatial import cKDTree  # here, so that importing sulcikit does not load SciPy
 
-    sources = np.argwhere(a & ~b)
     if len(sources) == 0:
         return 0.0
+    r = _NEAR
+    cube = np.indices((2 * r + 1,) * 3).reshape(3, -1).T - r
+    lengths = _mm(cube, spacing)
+    near = (lengths > 0) & (lengths < (r + 1) * spacing.min())
+    order = np.argsort(lengths[near], kind="stable")
+    cube, lengths = cube[near][order], lengths[near][order]
+    padded = np.pad(b, r)
+    steps = np.array(padded.strides)  # bool: one byte per voxel
+    at = (sources + r) @ steps
+    padded = padded.ravel()
+    worst = 0.0
+    starts = np.flatnonzero(np.r_[True, lengths[1:] != lengths[:-1]])
+    for start, stop in zip(starts, np.r_[starts[1:], len(lengths)]):
+        hit = np.zeros(len(at), dtype=bool)
+        for step in cube[start:stop] @ steps:
+            hit |= padded[at + step]
+        if hit.any():
+            worst = float(lengths[start])
+            at, sources = at[~hit], sources[~hit]
+            if len(at) == 0:
+                return worst
+
     p = np.pad(b, 1)
     interior = (
         b & p[:-2, 1:-1, 1:-1] & p[2:, 1:-1, 1:-1] & p[1:-1, :-2, 1:-1]
@@ -146,7 +182,8 @@ def hausdorff(x: BinaryMask, y: BinaryMask) -> float:
     # every nearest counterpart lies in the joint bounding box
     box = _bounding_box(x.voxels | y.voxels)
     a, b = x.voxels[box], y.voxels[box]
-    return max(_directed_hausdorff(a, b, sp), _directed_hausdorff(b, a, sp))
+    return max(_directed_hausdorff(np.argwhere(a & ~b), b, sp),
+               _directed_hausdorff(np.argwhere(b & ~a), a, sp))
 
 
 def voxel_volume(mask: BinaryMask) -> float:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.spatial
 
+from sulcikit import metrics
 from sulcikit.errors import (
     BothEmptyError,
     EmptySetError,
@@ -195,6 +197,94 @@ class TestHausdorff:
             hausdorff(empty, full)
         with pytest.raises(EmptySetError):
             hausdorff(full, empty)
+
+
+def _sulcus(shape=(16, 15, 14)):
+    """A curved sheet two to three voxels thick, clear of the array edge."""
+    x, y, z = np.indices(shape)
+    depth = 7.0 + 2.5 * np.sin(x / 3.0) + 1.5 * np.cos(y / 4.0)
+    sheet = np.abs(z - depth) <= 1.2
+    sheet[:3] = sheet[-3:] = sheet[:, :3] = sheet[:, -3:] = False
+    return sheet
+
+
+class TestHausdorffPhases:
+    """The near phase (offsets of the cube [-R, R]^3, shortest first) and the KD-tree."""
+
+    @staticmethod
+    def _count_trees(monkeypatch):
+        built = []
+        tree = scipy.spatial.cKDTree
+
+        def counting(*args, **kwargs):
+            built.append(1)
+            return tree(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.spatial, "cKDTree", counting)
+        return built
+
+    @pytest.mark.parametrize("spacing", [(1.0, 1.0, 1.0), (1.0, 1.1, 1.2)], ids=["unit", "aniso"])
+    def test_shifted_sulcus_needs_no_tree(self, spacing, monkeypatch):
+        # every shift in {-2..2}^3 is shorter than (R + 1) * min(spacing)
+        def no_tree(*args, **kwargs):
+            raise AssertionError("the KD-tree was built")
+
+        monkeypatch.setattr(scipy.spatial, "cKDTree", no_tree)
+        a = _sulcus()
+        for shift in np.ndindex(5, 5, 5):
+            b = np.roll(a, np.subtract(shift, 2), axis=(0, 1, 2))
+            expected = brute_force_hausdorff(a, b, spacing)
+            assert hausdorff(_mask(a, spacing), _mask(b, spacing)) == expected
+
+    @pytest.mark.parametrize("spacing", [(1.0, 1.0, 1.0), (1.0, 1.0, 3.0)], ids=["unit", "1-1-3"])
+    def test_nearest_just_outside_the_cube(self, spacing, monkeypatch):
+        # from the source, b's nearest voxel is at (R + 1, 0, 0), length 4, and
+        # a farther one at (R, R, 0) inside the cube; a's other voxels sit
+        # next to b's so that the other half is 1
+        r = metrics._NEAR
+        a = np.zeros((r + 2, r + 2, 1), dtype=bool)
+        b = np.zeros_like(a)
+        b[r + 1, 0, 0] = b[r, r, 0] = True
+        a[0, 0, 0] = a[r + 1, 1, 0] = a[r, r + 1, 0] = True
+        built = self._count_trees(monkeypatch)
+        expected = brute_force_hausdorff(a, b, spacing)
+        assert expected == r + 1.0
+        assert hausdorff(_mask(a, spacing), _mask(b, spacing)) == expected
+        assert hausdorff(_mask(b, spacing), _mask(a, spacing)) == expected
+        assert len(built) == 2
+
+    @pytest.mark.parametrize("spacing", [(1.0, 1.0, 1.0), (0.8, 1.3, 2.0)], ids=["unit", "aniso"])
+    def test_sources_on_the_box_faces_and_corners(self, spacing):
+        # a's voxels on the joint box's faces and corners read offsets past
+        # the box, which the padding must give as background
+        n = 9
+        edge = np.zeros((n, n, n), dtype=bool)
+        for corner in np.ndindex(2, 2, 2):
+            edge[tuple(np.multiply(corner, n - 1))] = True
+        for ax in range(3):
+            for end in (0, n - 1):
+                edge[(n // 2,) * ax + (end,) + (n // 2,) * (2 - ax)] = True
+        rng = np.random.default_rng(11)
+        for width in (1, 3, 5):
+            lo = (n - width) // 2
+            centre = np.zeros_like(edge)
+            centre[lo:lo + width, lo:lo + width, lo:lo + width] = True
+            speckled = centre | (rng.random(edge.shape) < 0.02)
+            for b in (centre, speckled, np.roll(edge, 1, axis=0)):
+                expected = brute_force_hausdorff(edge, b, spacing)
+                assert hausdorff(_mask(edge, spacing), _mask(b, spacing)) == expected
+                assert hausdorff(_mask(b, spacing), _mask(edge, spacing)) == expected
+
+    @pytest.mark.parametrize("spacing", [(1.0, 1.0, 1.0), (0.9, 1.4, 2.2)], ids=["unit", "aniso"])
+    def test_near_and_far_sources_in_one_mask(self, spacing, monkeypatch):
+        a = _sulcus()
+        built = self._count_trees(monkeypatch)
+        for speck in ((1, 1, 1), (14, 13, 12), (1, 13, 12)):
+            b = np.roll(a, (1, -1, 1), axis=(0, 1, 2))
+            b[speck] = True
+            expected = brute_force_hausdorff(a, b, spacing)
+            assert hausdorff(_mask(a, spacing), _mask(b, spacing)) == expected
+        assert len(built) == 3
 
 
 class TestVoxelVolume:
