@@ -2,12 +2,14 @@
 
 Every check compares a library result against an independent reference
 computation from ``sulcikit.oracles`` (brute-force loops, finite differences,
-voxel-by-voxel dilation, flood fill) or a known closed-form value. The suite
-is one table, ``_CHECKS``: each check's name, its measure, its tolerance and
-its note. A measure returns ``(observed, expected, error)``, and a check
-passes when its error is 0 or below its tolerance. A check whose verdict is
-not a comparison of ``observed`` with the tolerance folds that verdict into
-``error``. A check's verdict depends only on the library code it measures.
+voxel-by-voxel dilation, flood fill, per-voxel warps, resamples and
+convolutions), a known closed-form value or a round trip through the files.
+The suite is one table, ``_CHECKS``: each check's name, its measure, its
+tolerance and its note. A measure returns ``(observed, expected, error)``,
+and a check passes when its error is 0 or below its tolerance. A check whose
+verdict is not a comparison of ``observed`` with the tolerance folds that
+verdict into ``error``. A check's verdict depends only on the library code
+it measures.
 """
 
 from __future__ import annotations
@@ -18,16 +20,20 @@ from functools import partial
 
 import numpy as np
 
-from . import losses, metrics, postproc, synth
+from . import losses, metrics, nifti, postproc, synth, volume
+from .errors import SulcikitError
 from .oracles import (
     brute_force_contrastive,
     brute_force_hausdorff,
+    deform_by_voxel,
     flood_fill_components,
     grow_by_neighbours,
     postprocess_by_flood_fill,
+    reflected_blur,
+    resample_by_voxel,
 )
 from .presets import PHANTOM_SUBSTITUTIONS, default_generator_config, default_priors, make_phantom
-from .volume import BinaryMask, VoxelGrid
+from .volume import BinaryMask, IntensityVolume, LabelVolume, VoxelGrid
 
 __all__ = ["CheckResult", "run_checks", "CHECK_NAMES"]
 
@@ -239,6 +245,83 @@ def _postproc_oracle():
     return float(mismatches), 0.0, mismatches
 
 
+def _deform_oracle():
+    shape = (9, 7, 5)
+    grid = VoxelGrid.from_spacing(shape)
+    rng = np.random.default_rng(6000)
+    labels = LabelVolume(grid, rng.integers(1, 10, shape))  # so a read outside gives 0
+    config = synth.GeneratorConfig(rotation_range=(-30.0, 30.0), translation_range=(-1.5, 1.5),
+                                   elastic_grid=(3, 3, 3), elastic_std_range=(0.5, 1.5))
+    # a 3x3x3 lattice, a dense one (as evaluate poses), and half-voxel nodes that read ties
+    poses = [(synth.sample_affine(config, 6001),
+              synth.sample_elastic(config, grid, 6002).displacement),
+             (synth.sample_affine(config, 6003), rng.standard_normal(shape + (3,)) * 2.0),
+             (np.eye(4), rng.integers(-2, 3, shape + (3,)) * 0.5)]
+    mismatches = 0
+    for affine, lattice in poses:
+        field = synth.DeformationField(grid, lattice)
+        out = synth.deform_labels(labels, affine, field).voxels
+        expected = deform_by_voxel(labels.voxels, affine, field.displacement)
+        mismatches += int(np.count_nonzero(out != expected))
+    return float(mismatches), 0.0, mismatches
+
+
+def _resample_oracle():
+    rng = np.random.default_rng(7000)
+    worst, mismatches = 0.0, 0
+    # an upsample, a downsample by 2 (a nearest tie at every voxel) and one-voxel axes
+    for src_shape, target in (((8, 6, 5), (16, 9, 7)), ((8, 6, 5), (4, 3, 2)),
+                              ((1, 6, 5), (4, 1, 5))):
+        src = rng.random(src_shape)
+        probabilities = losses.ProbabilityVolume(VoxelGrid.from_spacing(src_shape), src)
+        out = volume.resample(probabilities, target, mode="trilinear").voxels
+        worst = max(worst, float(np.abs(out - resample_by_voxel(src, target, "trilinear")).max()))
+        out = volume.resample(probabilities, target, mode="nearest").voxels
+        mismatches += int(np.count_nonzero(out != resample_by_voxel(src, target, "nearest")))
+    return worst, 0.0, worst + mismatches
+
+
+def _blur_oracle():
+    impulse = np.zeros((9, 9, 9), dtype=np.float32)
+    impulse[4, 4, 4] = 1.0
+    worst = 0.0
+    for data, sigma in ((np.random.default_rng(8000).random((3, 4, 5)), 1.5), (impulse, 1.0)):
+        image = IntensityVolume(VoxelGrid.from_spacing(data.shape), data)
+        out = synth.gaussian_blur(image, sigma).voxels
+        worst = max(worst, float(np.abs(out - reflected_blur(image.voxels, sigma)).max()))
+    return worst, 0.0, worst
+
+
+def _nifti_roundtrip():
+    import tempfile
+    from pathlib import Path
+
+    shape = (5, 4, 3)
+    rng = np.random.default_rng(9000)
+    # entries float32 holds exactly, as the header stores them
+    affine = np.array([[0.75, 0, 0.25, -10], [0, 1.25, 0, 5.5], [-0.5, 0, 1.5, 2.25], [0, 0, 0, 1]])
+    grid = VoxelGrid(shape, affine)
+    volumes = [IntensityVolume(grid, rng.standard_normal(shape)),
+               LabelVolume(grid, rng.integers(0, 70, shape)),
+               BinaryMask(grid, rng.random(shape) < 0.4)]
+    mismatches = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for vol in volumes:
+            kind = "intensity" if isinstance(vol, IntensityVolume) else "labels"
+            for path in (Path(tmp) / f"{type(vol).__name__}{ext}" for ext in (".nii", ".nii.gz")):
+                nifti.write_nifti(vol, path)
+                try:  # a file the writer made that the reader rejects is a failed round trip
+                    back = nifti.read_nifti(path, kind)
+                except SulcikitError:
+                    mismatches += 1
+                    continue
+                # a mask reads back as labels, nonzero being foreground, as the CLI reads it
+                voxels = back.voxels != 0 if isinstance(vol, BinaryMask) else back.voxels
+                mismatches += not (voxels.dtype == vol.voxels.dtype and np.array_equal(
+                    voxels, vol.voxels) and np.array_equal(back.grid.affine, affine))
+    return float(mismatches), 0.0, mismatches
+
+
 # name -> (measure, tolerance, note), in report order
 _CHECKS = {
     "nt-xent-fixture": (_nt_xent_fixture, 1e-9, "paired batch (1,0)x2,(0,1)x2 at"
@@ -269,6 +352,14 @@ _CHECKS = {
     "postproc-oracle": (_postproc_oracle, 0.0, "dilation and clean-up vs voxel-by-voxel growth"
                         " and flood fill, 4 random masks and an equal-size tie x 3"
                         " connectivities"),
+    "deform-oracle": (_deform_oracle, 0.0, "label warps vs the per-voxel warp: 3x3x3 and dense"
+                      " lattices under random affines, and half-voxel ties"),
+    "resample-oracle": (_resample_oracle, 1e-12, "float64 trilinear vs the 8-corner read, nearest"
+                        " vs floor(p + 0.5) bitwise: up, down and one-voxel axes"),
+    "blur-oracle": (_blur_oracle, 1e-6, "float32 blur vs direct reflected convolution: (3, 4, 5)"
+                    " at sigma 1.5, past both ends, and a 9^3 impulse"),
+    "nifti-roundtrip": (_nifti_roundtrip, 0.0, "intensity, label and mask volumes as .nii and"
+                        " .nii.gz read back with equal voxels, dtype and affine"),
 }
 
 CHECK_NAMES = tuple(_CHECKS)

@@ -238,7 +238,10 @@ def _decode(raw: bytes, volume_type, rejected):
         with np.errstate(over="ignore", invalid="ignore"):
             data = data.astype(np.float64) * slope + inter
 
-    affine = _resolve_affine(hdr)
+    # a signalling NaN in srow or pixdim raises the invalid flag as it is cast to
+    # float64; it becomes a NaN, which the grid rejects
+    with np.errstate(invalid="ignore"):
+        affine = _resolve_affine(hdr)
     try:
         grid = VoxelGrid(shape, affine)
     except ValueError as exc:
@@ -250,8 +253,9 @@ def _decode(raw: bytes, volume_type, rejected):
         # clipped just past the label range, so that no value overflows int64 in the cast
         data = np.clip(data, -1, MAX_LABEL + 1).astype(np.int64)
     try:
-        # a value past float32's range becomes inf in the cast, which the type rejects
-        with np.errstate(over="ignore"):
+        # a value past float32's range becomes inf in the cast, and a signalling NaN
+        # a NaN, both of which the type rejects
+        with np.errstate(over="ignore", invalid="ignore"):
             return volume_type(grid, data)
     except ValueError as exc:
         raise rejected(str(exc)) from exc

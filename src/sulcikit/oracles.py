@@ -3,13 +3,15 @@
 Each oracle computes its answer the slow, obvious way: voxel-by-voxel
 neighbour growth, breadth-first flood fill, exhaustive pairwise distances,
 explicit loops over a contrastive batch, one-coordinate-at-a-time central
-differences. This module imports only the standard library and numpy,
-never another sulcikit module, so a reference can never quietly become the
-code it is meant to check.
+differences, an 8-corner trilinear read per point, a per-voxel warp and
+resample, a direct (not separable) reflected convolution. This module
+imports only the standard library and numpy, never another sulcikit module,
+so a reference can never quietly become the code it is meant to check.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 
@@ -25,6 +27,10 @@ __all__ = [
     "brute_force_contrastive",
     "central_difference",
     "max_rel_error",
+    "trilinear_read",
+    "resample_by_voxel",
+    "deform_by_voxel",
+    "reflected_blur",
 ]
 
 
@@ -191,3 +197,87 @@ def max_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     """Largest |analytic - numeric| / max(|analytic|, |numeric|, 1e-8)."""
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
     return float((np.abs(analytic - numeric) / denom).max())
+
+
+def _at(src: np.ndarray, idx):
+    """``src[idx]`` at a voxel index of its first three axes, 0 outside the volume."""
+    return src[idx] if all(0 <= i < n for i, n in zip(idx, src.shape)) else 0.0
+
+
+def trilinear_read(src: np.ndarray, coord):
+    """Direct evaluation of the 8-corner interpolation with zero padding.
+
+    ``src`` is read at one fractional index ``coord`` of its first three
+    axes; a trailing axis (a lattice's three components) is read as a vector.
+    """
+    base = [math.floor(c) for c in coord]
+    frac = [c - b for c, b in zip(coord, base)]
+    out = 0.0
+    for corner in itertools.product((0, 1), repeat=3):
+        w = 1.0
+        for f, d in zip(frac, corner):
+            w *= f if d else 1.0 - f
+        out += w * _at(src, tuple(b + d for b, d in zip(base, corner)))
+    return out
+
+
+def _nearest_read(src: np.ndarray, coord):
+    """The voxel nearest ``coord``, ties rounding up (``floor(p + 0.5)``); 0 outside."""
+    return _at(src, tuple(math.floor(c + 0.5) for c in coord))
+
+
+def resample_by_voxel(src: np.ndarray, target_shape, mode: str) -> np.ndarray:
+    """Per voxel: target voxel t reads source index ``(t + 0.5) * (S / T) - 0.5``,
+    the centre-aligned mapping of S source onto T target voxels, by
+    ``trilinear_read`` (float64) or as the nearest voxel (in ``src``'s dtype)."""
+    read = trilinear_read if mode == "trilinear" else _nearest_read
+    out = np.zeros(target_shape, dtype=np.float64 if mode == "trilinear" else src.dtype)
+    scale = [s / t for s, t in zip(src.shape, target_shape)]
+    for t in np.ndindex(*target_shape):
+        out[t] = read(src, [(t[ax] + 0.5) * scale[ax] - 0.5 for ax in range(3)])
+    return out
+
+
+def deform_by_voxel(labels: np.ndarray, affine, lattice) -> np.ndarray:
+    """Per voxel: read the label nearest ``centre + A @ (x + u(x) - centre)``.
+
+    ``u(x)`` is the displacement lattice read by ``trilinear_read`` at x's
+    lattice coordinates, the lattice corner-aligned with the volume; a
+    lattice of one node per voxel reads each node at frac 0. Ties round up
+    (``floor(p + 0.5)``); reads outside the volume give 0.
+    """
+    shape = labels.shape
+    lattice = np.asarray(lattice, dtype=np.float64)
+    stretch = [(g - 1) / (n - 1) if n > 1 else 0.0 for g, n in zip(lattice.shape, shape)]
+    centre = [(s - 1) / 2.0 for s in shape]
+    out = np.zeros(shape, dtype=labels.dtype)
+    for x in np.ndindex(*shape):
+        u = trilinear_read(lattice, [x[i] * stretch[i] for i in range(3)])
+        d = [x[i] + u[i] - centre[i] for i in range(3)]
+        p = [centre[i] + sum(affine[i][j] * d[j] for j in range(3)) + affine[i][3]
+             for i in range(3)]
+        out[x] = _nearest_read(labels, p)
+    return out
+
+
+def reflected_blur(data: np.ndarray, sigma: float) -> np.ndarray:
+    """Direct (not separable) 3-D convolution with the truncated Gaussian, in float64.
+
+    The normalized kernel ``exp(-o^2 / 2 sigma^2)``, ``|o| <= int(3 sigma)``,
+    weighs an offset triple by the product of its three 1-D weights. Along an
+    axis of length n, index i reads ``m = i mod 2n``, or ``2n - 1 - m`` when
+    ``m >= n``: reflection about the edge, repeated for any kernel width.
+    """
+    radius = int(3 * sigma)
+    offsets = np.arange(-radius, radius + 1)
+    k1 = np.exp(-(offsets.astype(float) ** 2) / (2 * sigma * sigma))
+    k1 /= k1.sum()
+    data = np.asarray(data, dtype=np.float64)
+    axes = []  # per axis, each offset's reflected source index of every voxel, and its weight
+    for n in data.shape:
+        m = (np.arange(n)[None, :] + offsets[:, None]) % (2 * n)
+        axes.append(list(zip(np.where(m >= n, 2 * n - 1 - m, m), k1)))
+    out = np.zeros(data.shape)
+    for (ix, wx), (iy, wy), (iz, wz) in itertools.product(*axes):
+        out += wx * wy * wz * data[np.ix_(ix, iy, iz)]
+    return out

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sulcikit.errors import CorruptHeaderError, NonIntegerLabelsError
+from sulcikit.errors import CorruptHeaderError, NonFiniteError, NonIntegerLabelsError
 from sulcikit.volume import BinaryMask, IntensityVolume, LabelVolume, VoxelGrid
 
 
@@ -42,56 +42,6 @@ def image_from(unit_grid):
         return IntensityVolume(unit_grid(array.shape, spacing), array)
 
     return make
-
-
-@pytest.fixture
-def trilinear_oracle():
-    def oracle(src, coord):
-        """Direct evaluation of the 8-corner interpolation with zero padding."""
-        out = 0.0
-        base = np.floor(coord).astype(int)
-        frac = coord - base
-        for dx in (0, 1):
-            for dy in (0, 1):
-                for dz in (0, 1):
-                    idx = base + (dx, dy, dz)
-                    w = 1.0
-                    for ax, d in enumerate((dx, dy, dz)):
-                        w *= frac[ax] if d else 1.0 - frac[ax]
-                    if all(0 <= idx[ax] < src.shape[ax] for ax in range(3)):
-                        out += w * src[tuple(idx)]
-        return out
-
-    return oracle
-
-
-@pytest.fixture
-def deform_oracle(trilinear_oracle):
-    def oracle(labels, affine, lattice):
-        """Per voxel: read the label nearest ``centre + A @ (x + u(x) - centre)``.
-
-        ``u(x)`` is the displacement lattice read by ``trilinear_oracle`` at x's
-        lattice coordinates, the lattice corner-aligned with the volume; a
-        lattice of one node per voxel reads each node at frac 0. Ties round up
-        (``floor(p + 0.5)``); reads outside the volume give 0.
-        """
-        shape = labels.shape
-        lattice = np.asarray(lattice, dtype=np.float64)
-        stretch = [(g - 1) / (n - 1) if n > 1 else 0.0 for g, n in zip(lattice.shape, shape)]
-        centre = [(s - 1) / 2.0 for s in shape]
-        out = np.zeros(shape, dtype=labels.dtype)
-        for x in np.ndindex(*shape):
-            node = np.array([x[i] * stretch[i] for i in range(3)])
-            u = [trilinear_oracle(lattice[..., i], node) for i in range(3)]
-            d = [x[i] + u[i] - centre[i] for i in range(3)]
-            p = [centre[i] + sum(affine[i][j] * d[j] for j in range(3)) + affine[i][3]
-                 for i in range(3)]
-            idx = tuple(int(np.floor(c + 0.5)) for c in p)
-            if all(0 <= idx[i] < shape[i] for i in range(3)):
-                out[x] = labels[idx]
-        return out
-
-    return oracle
 
 
 @pytest.fixture
@@ -134,12 +84,23 @@ def _int32_above_uint16(raw):
     return _overwrite(70, struct.pack("<2h", 8, 32))(raw[:352]) + values.tobytes()
 
 
+def _float64_signalling_nan(raw):
+    """Re-encode the voxels as float64 (datatype 64, bitpix 64), one of them a signalling NaN."""
+    count = int(np.prod(struct.unpack_from("<3h", raw, 42)))
+    values = np.ones(count, dtype="<f8").tobytes()
+    return _overwrite(70, struct.pack("<2h", 64, 64))(raw[:352]) + _SNAN64 + values[8:]
+
+
 def _truncated_gzip(raw):
     packed = gzip.compress(raw, mtime=0)
     return packed[: len(packed) // 2]
 
 
 _NAN = struct.pack("<f", float("nan"))
+# signalling NaNs (quiet bit clear): casting one to another float width raises the
+# invalid flag, which numpy reports as a warning
+_SNAN32 = struct.pack("<I", 0x7F80007F)
+_SNAN64 = struct.pack("<Q", 0x7FF0000000000001)
 
 # id -> (mutation, read_nifti kind, error); header offsets: dim 40, datatype 70,
 # bitpix 72, vox_offset 108, scl_slope 112, srow_x 280
@@ -161,6 +122,8 @@ MALFORMED_NIFTI = {
     "inf-srow": (
         _overwrite(280, struct.pack("<f", float("inf"))), "intensity", CorruptHeaderError
     ),
+    "signalling-nan-srow": (_overwrite(280, _SNAN32), "intensity", CorruptHeaderError),
+    "signalling-nan-float64-voxel": (_float64_signalling_nan, "intensity", NonFiniteError),
 }
 
 

@@ -48,11 +48,6 @@ def criterion(name):
     print(f"ACCEPTANCE PASS: {name}")
 
 
-def _mask(array, spacing=(1.0, 1.0, 1.0)):
-    array = np.asarray(array, dtype=bool)
-    return BinaryMask(VoxelGrid.from_spacing(array.shape, spacing), array)
-
-
 def test_nt_xent_fixture():
     with criterion("NT-Xent fixture equals ln(1 + 2/e) and brute force within 1e-9"):
         rows = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
@@ -130,7 +125,9 @@ def edge_list_oracle(mask, connectivity):
     Every foreground voxel is a node and every pair of neighbouring foreground
     voxels one edge; scipy's sparse-graph components partition the nodes.
     Components are then ranked by size descending, ties broken by their
-    smallest linear voxel index.
+    smallest linear voxel index. A test-only second opinion on the flood
+    fill: it uses ``scipy.sparse.csgraph``, which ``sulcikit.oracles`` (numpy
+    only) may not import.
     """
     shape = mask.shape
     fg = np.flatnonzero(mask)
@@ -171,24 +168,24 @@ def test_connected_components_oracle():
                 assert np.array_equal(ours.labels.voxels.astype(np.int64), expected)
 
 
-def test_postprocessing_criteria():
+def test_postprocessing_criteria(mask_from):
     with criterion("postproc: 10/5/1 blobs keep 15 voxels; idempotent; output subset of input"):
         blobs = np.zeros((30, 12, 12), dtype=bool)
         blobs[1:6, 2:3, 2:4] = True
         blobs[12:17, 2:3, 2:3] = True
         blobs[25, 8, 8] = True
-        assert postprocess_cs(_mask(blobs)).count == 15
+        assert postprocess_cs(mask_from(blobs)).count == 15
 
         rng = np.random.default_rng(4)
         for _ in range(50):
             data = rng.random((12, 12, 12)) < 0.15
-            mask = _mask(data)
+            mask = mask_from(data)
             once = postprocess_cs(mask)
             assert not (once.voxels & ~data).any()
             assert np.array_equal(postprocess_cs(once).voxels, once.voxels)
 
 
-def test_hausdorff_criteria():
+def test_hausdorff_criteria(mask_from):
     with criterion("hausdorff equals brute force on 50 pairs; 3-4-5 fixture; triangle inequality"):
         rng = np.random.default_rng(5)
         pairs = 0
@@ -198,7 +195,7 @@ def test_hausdorff_criteria():
             if not (a.any() and b.any()):
                 continue
             pairs += 1
-            assert hausdorff(_mask(a), _mask(b)) == brute_force_hausdorff(
+            assert hausdorff(mask_from(a), mask_from(b)) == brute_force_hausdorff(
                 a, b, (1.0, 1.0, 1.0)
             )
 
@@ -206,7 +203,7 @@ def test_hausdorff_criteria():
         y = np.zeros((5, 6, 4), dtype=bool)
         x[0, 0, 0] = True
         y[3, 4, 0] = True
-        assert hausdorff(_mask(x), _mask(y)) == 5.0
+        assert hausdorff(mask_from(x), mask_from(y)) == 5.0
 
         triples = 0
         while triples < 50:
@@ -214,27 +211,27 @@ def test_hausdorff_criteria():
             if not all(m.any() for m in masks):
                 continue
             triples += 1
-            mx, my, mz = (_mask(m) for m in masks)
+            mx, my, mz = (mask_from(m) for m in masks)
             assert hausdorff(mx, mz) <= hausdorff(mx, my) + hausdorff(my, mz) + 1e-9
 
 
-def test_dice_fixtures():
+def test_dice_fixtures(mask_from):
     with criterion("dice fixtures: identity 1, disjoint 0, half overlap 0.5 (1e-12)"):
         same = np.zeros((4, 4, 4), dtype=bool)
         same[1:3, 1:3, 1:3] = True
-        assert abs(dice(_mask(same), _mask(same)) - 1.0) < 1e-12
+        assert abs(dice(mask_from(same), mask_from(same)) - 1.0) < 1e-12
 
         a = np.zeros((4, 4, 4), dtype=bool)
         b = np.zeros((4, 4, 4), dtype=bool)
         a[0, 0, 0] = True
         b[3, 3, 3] = True
-        assert abs(dice(_mask(a), _mask(b))) < 1e-12
+        assert abs(dice(mask_from(a), mask_from(b))) < 1e-12
 
         a = np.zeros((4, 4, 4), dtype=bool)
         b = np.zeros((4, 4, 4), dtype=bool)
         a[0, 0, 0] = a[0, 0, 1] = True
         b[0, 0, 0] = b[0, 0, 2] = True
-        assert abs(dice(_mask(a), _mask(b)) - 0.5) < 1e-12
+        assert abs(dice(mask_from(a), mask_from(b)) - 0.5) < 1e-12
 
 
 def test_generator_determinism_and_closure():

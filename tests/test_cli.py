@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import sulcikit
-from sulcikit import checks, cli, losses, metrics
+from sulcikit import checks, cli, losses, metrics, nifti, synth, volume
 from sulcikit.checks import CHECK_NAMES
 from sulcikit.cli import main
 from sulcikit.errors import (
@@ -784,6 +784,64 @@ class TestEvaluate:
         assert err.startswith(f"evaluate: {pred / 'a.nii'}: ")
 
 
+def _flip_last_byte(raw):
+    return raw[:-1] + bytes([raw[-1] ^ 1])
+
+
+def _hausdorff_off(monkeypatch):
+    hausdorff = metrics.hausdorff
+    monkeypatch.setattr(metrics, "hausdorff", lambda x, y: hausdorff(x, y) + 1e-9)
+
+
+def _nearest_ties_round_down(monkeypatch):
+    def taps(n_src, positions):
+        idx = np.ceil(np.subtract(positions, 0.5)).astype(np.int64)
+        return [(np.clip(idx, 0, n_src - 1), (idx >= 0) & (idx < n_src))]
+
+    monkeypatch.setattr(volume, "_nearest_taps", taps)
+
+
+def _linear_weight_off(monkeypatch):
+    linear_taps = volume._linear_taps
+
+    def taps(n_src, positions):
+        (lo, w_lo), (hi, w_hi) = linear_taps(n_src, positions)
+        return [(lo, w_lo), (hi, w_hi + 1e-9)]
+
+    monkeypatch.setattr(volume, "_linear_taps", taps)
+
+
+def _blur_sigma_nudged(monkeypatch):
+    blur = synth.gaussian_blur
+    monkeypatch.setattr(synth, "gaussian_blur", lambda image, sigma: blur(image, sigma * 1.001))
+
+
+def _gzip_byte_flipped(monkeypatch):
+    gzip_ = nifti._gzip
+    monkeypatch.setattr(nifti, "_gzip", lambda *args: _flip_last_byte(gzip_(*args)))
+
+
+def _written_byte_flipped(monkeypatch):
+    write_nifti_ = nifti.write_nifti
+
+    def write(vol, path):
+        write_nifti_(vol, path)
+        path.write_bytes(_flip_last_byte(path.read_bytes()))
+
+    monkeypatch.setattr(nifti, "write_nifti", write)
+
+
+# fault id -> (the check that must fail, the fault it plants by monkeypatching the library)
+PLANTED_FAULTS = {
+    "hausdorff-off-by-1e-9": ("hausdorff-oracle", _hausdorff_off),
+    "nearest-ties-round-down": ("deform-oracle", _nearest_ties_round_down),
+    "linear-weight-off-by-1e-9": ("resample-oracle", _linear_weight_off),
+    "blur-sigma-nudged": ("blur-oracle", _blur_sigma_nudged),
+    "gzip-byte-flipped": ("nifti-roundtrip", _gzip_byte_flipped),
+    "written-byte-flipped": ("nifti-roundtrip", _written_byte_flipped),
+}
+
+
 class TestCheck:
     def test_filtered_check_passes(self, capsys):
         assert main(["check", "--filter", "nt-xent"]) == 0
@@ -812,11 +870,11 @@ class TestCheck:
         code = main(["check", "--filter", "gradient"])
         self._assert_only_failure(capsys, code, f"{loss_id}-gradient")
 
-    def test_failing_oracle_check_is_reported(self, capsys, monkeypatch):
-        hausdorff = metrics.hausdorff
-        monkeypatch.setattr(metrics, "hausdorff", lambda x, y: hausdorff(x, y) + 1e-9)
-        code = main(["check", "--filter", "hausdorff"])
-        self._assert_only_failure(capsys, code, "hausdorff-oracle")
+    @pytest.mark.parametrize("name, plant", PLANTED_FAULTS.values(), ids=PLANTED_FAULTS)
+    def test_failing_oracle_check_is_reported(self, capsys, monkeypatch, name, plant):
+        plant(monkeypatch)
+        code = main(["check", "--filter", name])
+        self._assert_only_failure(capsys, code, name)
 
     def test_check_that_raises_is_not_a_configuration_error(self, capsys, monkeypatch):
         def fail(*args, **kwargs):
@@ -832,7 +890,7 @@ class TestCheck:
         assert main(["check"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert [c["name"] for c in doc["checks"]] == list(CHECK_NAMES)
-        assert len(CHECK_NAMES) == 15
+        assert len(CHECK_NAMES) == 19
         assert all(c["passed"] is True for c in doc["checks"])
         keys = {"name", "passed", "tolerance", "observed", "expected", "note"}
         assert all(set(c) == keys for c in doc["checks"])

@@ -19,79 +19,73 @@ from sulcikit.metrics import (
     voxel_volume,
 )
 from sulcikit.oracles import brute_force_hausdorff
-from sulcikit.volume import BinaryMask, VoxelGrid
-
-
-def _mask(array, spacing=(1.0, 1.0, 1.0)):
-    array = np.asarray(array, dtype=bool)
-    return BinaryMask(VoxelGrid.from_spacing(array.shape, spacing), array)
 
 
 class TestDice:
-    def test_identical_masks(self):
+    def test_identical_masks(self, mask_from):
         rng = np.random.default_rng(0)
         data = rng.random((6, 6, 6)) < 0.4
         data[0, 0, 0] = True
-        assert dice(_mask(data), _mask(data)) == 1.0
+        assert dice(mask_from(data), mask_from(data)) == 1.0
 
-    def test_disjoint_masks(self):
+    def test_disjoint_masks(self, mask_from):
         a = np.zeros((4, 4, 4), dtype=bool)
         b = np.zeros((4, 4, 4), dtype=bool)
         a[0, 0, 0] = True
         b[3, 3, 3] = True
-        assert dice(_mask(a), _mask(b)) == 0.0
+        assert dice(mask_from(a), mask_from(b)) == 0.0
 
-    def test_half_overlap(self):
+    def test_half_overlap(self, mask_from):
         a = np.zeros((4, 4, 4), dtype=bool)
         b = np.zeros((4, 4, 4), dtype=bool)
         a[0, 0, 0] = a[0, 0, 1] = True
         b[0, 0, 0] = b[0, 0, 2] = True
-        assert dice(_mask(a), _mask(b)) == 0.5
+        assert dice(mask_from(a), mask_from(b)) == 0.5
 
-    def test_symmetric(self):
+    def test_symmetric(self, mask_from):
         rng = np.random.default_rng(1)
         a = rng.random((5, 5, 5)) < 0.4
         b = rng.random((5, 5, 5)) < 0.4
         a[0, 0, 0] = True
-        assert dice(_mask(a), _mask(b)) == dice(_mask(b), _mask(a))
+        assert dice(mask_from(a), mask_from(b)) == dice(mask_from(b), mask_from(a))
 
-    def test_both_empty_raises(self):
-        empty = _mask(np.zeros((3, 3, 3), dtype=bool))
+    def test_both_empty_raises(self, mask_from):
+        empty = mask_from(np.zeros((3, 3, 3), dtype=bool))
         with pytest.raises(BothEmptyError):
             dice(empty, empty)
 
-    def test_grid_mismatch(self):
-        a = _mask(np.ones((3, 3, 3), dtype=bool))
-        b = _mask(np.ones((4, 4, 4), dtype=bool))
+    def test_grid_mismatch(self, mask_from):
+        a = mask_from(np.ones((3, 3, 3), dtype=bool))
+        b = mask_from(np.ones((4, 4, 4), dtype=bool))
         with pytest.raises(GridMismatchError):
             dice(a, b)
 
 
 class TestHausdorff:
-    def test_identical_masks_zero(self):
+    def test_identical_masks_zero(self, mask_from):
         rng = np.random.default_rng(2)
         data = rng.random((6, 6, 6)) < 0.3
         data[2, 2, 2] = True
-        assert hausdorff(_mask(data), _mask(data)) == 0.0
+        assert hausdorff(mask_from(data), mask_from(data)) == 0.0
 
-    def test_three_four_five_fixture(self):
+    def test_three_four_five_fixture(self, mask_from):
         x = np.zeros((5, 6, 4), dtype=bool)
         y = np.zeros((5, 6, 4), dtype=bool)
         x[0, 0, 0] = True
         y[3, 4, 0] = True
-        assert hausdorff(_mask(x), _mask(y)) == 5.0
+        assert hausdorff(mask_from(x), mask_from(y)) == 5.0
 
-    def test_anisotropic_spacing_fixture(self):
+    def test_anisotropic_spacing_fixture(self, mask_from):
         x = np.zeros((5, 6, 4), dtype=bool)
         y = np.zeros((5, 6, 4), dtype=bool)
         x[0, 0, 0] = True
         y[3, 4, 0] = True
         value = hausdorff(
-            _mask(x, (2.0, 1.0, 1.0)), _mask(y, (2.0, 1.0, 1.0))
+            mask_from(x, (2.0, 1.0, 1.0)), mask_from(y, (2.0, 1.0, 1.0))
         )
         assert value == pytest.approx(np.sqrt(52.0), abs=1e-12)
 
-    def test_equals_brute_force_exactly(self):
+    def test_equals_brute_force_exactly(self, mask_from):
         rng = np.random.default_rng(3)
         trials = 0
         while trials < 25:
@@ -100,7 +94,7 @@ class TestHausdorff:
             if not a.any() or not b.any():
                 continue
             trials += 1
-            ours = hausdorff(_mask(a), _mask(b))
+            ours = hausdorff(mask_from(a), mask_from(b))
             assert ours == brute_force_hausdorff(a, b, (1.0, 1.0, 1.0))
         # tied nearest voxels whose distances round an ulp apart
         for size, seed in ((0.7, 4), (0.9, 157), (0.3, 136)):
@@ -108,17 +102,17 @@ class TestHausdorff:
             a = rng.random((12,) * 3) < 0.25
             b = rng.random((12,) * 3) < 0.02
             spacing = (size,) * 3
-            ours = hausdorff(_mask(a, spacing), _mask(b, spacing))
+            ours = hausdorff(mask_from(a, spacing), mask_from(b, spacing))
             assert ours == brute_force_hausdorff(a, b, spacing)
 
-    def test_symmetric(self):
+    def test_symmetric(self, mask_from):
         rng = np.random.default_rng(4)
         a = rng.random((8, 8, 8)) < 0.2
         b = rng.random((8, 8, 8)) < 0.2
         a[1, 1, 1] = b[6, 6, 6] = True
-        assert hausdorff(_mask(a), _mask(b)) == hausdorff(_mask(b), _mask(a))
+        assert hausdorff(mask_from(a), mask_from(b)) == hausdorff(mask_from(b), mask_from(a))
 
-    def test_triangle_inequality(self):
+    def test_triangle_inequality(self, mask_from):
         rng = np.random.default_rng(5)
         trials = 0
         while trials < 25:
@@ -126,11 +120,11 @@ class TestHausdorff:
             if not all(m.any() for m in masks):
                 continue
             trials += 1
-            x, y, z = (_mask(m) for m in masks)
+            x, y, z = (mask_from(m) for m in masks)
             assert hausdorff(x, z) <= hausdorff(x, y) + hausdorff(y, z) + 1e-9
 
     @pytest.mark.parametrize("spacing", [(1.0, 1.0, 1.0), (0.7, 1.3, 2.1)], ids=["unit", "aniso"])
-    def test_masks_touching_faces_and_corners(self, spacing):
+    def test_masks_touching_faces_and_corners(self, spacing, mask_from):
         rng = np.random.default_rng(9)
         shape = (9, 7, 8)
         interior = np.zeros(shape, dtype=bool)
@@ -152,19 +146,19 @@ class TestHausdorff:
         for a in touching:
             for b in (interior, touching[0], touching[-1]):
                 expected = brute_force_hausdorff(a, b, spacing)
-                assert hausdorff(_mask(a, spacing), _mask(b, spacing)) == expected
+                assert hausdorff(mask_from(a, spacing), mask_from(b, spacing)) == expected
 
-    def test_far_apart_single_voxels(self):
+    def test_far_apart_single_voxels(self, mask_from):
         shape = (40, 30, 20)
         for p, q in (((0, 0, 0), (39, 29, 19)), ((2, 3, 4), (30, 5, 17))):
             x = np.zeros(shape, dtype=bool)
             y = np.zeros(shape, dtype=bool)
             x[p] = y[q] = True
             expected = float(np.sqrt(sum((a - b) ** 2 for a, b in zip(p, q))))
-            assert hausdorff(_mask(x), _mask(y)) == expected
-            assert hausdorff(_mask(x), _mask(y)) == brute_force_hausdorff(x, y, (1, 1, 1))
+            assert hausdorff(mask_from(x), mask_from(y)) == expected
+            assert hausdorff(mask_from(x), mask_from(y)) == brute_force_hausdorff(x, y, (1, 1, 1))
 
-    def test_shell_against_filled_ball(self):
+    def test_shell_against_filled_ball(self, mask_from):
         # the maximum is from the ball's interior to the shell, inside both boxes
         shape = (19, 17, 18)
         grid = np.indices(shape) - np.array([9, 8, 9])[:, None, None, None]
@@ -173,10 +167,10 @@ class TestHausdorff:
         for spacing in ((1.0, 1.0, 1.0), (1.1, 0.9, 1.6)):
             expected = brute_force_hausdorff(shell, ball, spacing)
             assert expected > 0.0
-            assert hausdorff(_mask(shell, spacing), _mask(ball, spacing)) == expected
-            assert hausdorff(_mask(ball, spacing), _mask(shell, spacing)) == expected
+            assert hausdorff(mask_from(shell, spacing), mask_from(ball, spacing)) == expected
+            assert hausdorff(mask_from(ball, spacing), mask_from(shell, spacing)) == expected
 
-    def test_anisotropic_equals_brute_force(self):
+    def test_anisotropic_equals_brute_force(self, mask_from):
         rng = np.random.default_rng(10)
         trials = 0
         while trials < 25:
@@ -187,12 +181,12 @@ class TestHausdorff:
             if not a.any() or not b.any():
                 continue
             trials += 1
-            ours = hausdorff(_mask(a, spacing), _mask(b, spacing))
+            ours = hausdorff(mask_from(a, spacing), mask_from(b, spacing))
             assert ours == brute_force_hausdorff(a, b, spacing)
 
-    def test_empty_side_raises(self):
-        full = _mask(np.ones((3, 3, 3), dtype=bool))
-        empty = _mask(np.zeros((3, 3, 3), dtype=bool))
+    def test_empty_side_raises(self, mask_from):
+        full = mask_from(np.ones((3, 3, 3), dtype=bool))
+        empty = mask_from(np.zeros((3, 3, 3), dtype=bool))
         with pytest.raises(EmptySetError):
             hausdorff(empty, full)
         with pytest.raises(EmptySetError):
@@ -224,7 +218,7 @@ class TestHausdorffPhases:
         return built
 
     @pytest.mark.parametrize("spacing", [(1.0, 1.0, 1.0), (1.0, 1.1, 1.2)], ids=["unit", "aniso"])
-    def test_shifted_sulcus_needs_no_tree(self, spacing, monkeypatch):
+    def test_shifted_sulcus_needs_no_tree(self, spacing, monkeypatch, mask_from):
         # every shift in {-2..2}^3 is shorter than (R + 1) * min(spacing)
         def no_tree(*args, **kwargs):
             raise AssertionError("the KD-tree was built")
@@ -234,10 +228,10 @@ class TestHausdorffPhases:
         for shift in np.ndindex(5, 5, 5):
             b = np.roll(a, np.subtract(shift, 2), axis=(0, 1, 2))
             expected = brute_force_hausdorff(a, b, spacing)
-            assert hausdorff(_mask(a, spacing), _mask(b, spacing)) == expected
+            assert hausdorff(mask_from(a, spacing), mask_from(b, spacing)) == expected
 
     @pytest.mark.parametrize("spacing", [(1.0, 1.0, 1.0), (1.0, 1.0, 3.0)], ids=["unit", "1-1-3"])
-    def test_nearest_just_outside_the_cube(self, spacing, monkeypatch):
+    def test_nearest_just_outside_the_cube(self, spacing, monkeypatch, mask_from):
         # from the source, b's nearest voxel is at (R + 1, 0, 0), length 4, and
         # a farther one at (R, R, 0) inside the cube; a's other voxels sit
         # next to b's so that the other half is 1
@@ -249,12 +243,12 @@ class TestHausdorffPhases:
         built = self._count_trees(monkeypatch)
         expected = brute_force_hausdorff(a, b, spacing)
         assert expected == r + 1.0
-        assert hausdorff(_mask(a, spacing), _mask(b, spacing)) == expected
-        assert hausdorff(_mask(b, spacing), _mask(a, spacing)) == expected
+        assert hausdorff(mask_from(a, spacing), mask_from(b, spacing)) == expected
+        assert hausdorff(mask_from(b, spacing), mask_from(a, spacing)) == expected
         assert len(built) == 2
 
     @pytest.mark.parametrize("spacing", [(1.0, 1.0, 1.0), (0.8, 1.3, 2.0)], ids=["unit", "aniso"])
-    def test_sources_on_the_box_faces_and_corners(self, spacing):
+    def test_sources_on_the_box_faces_and_corners(self, spacing, mask_from):
         # a's voxels on the joint box's faces and corners read offsets past
         # the box, which the padding must give as background
         n = 9
@@ -272,70 +266,70 @@ class TestHausdorffPhases:
             speckled = centre | (rng.random(edge.shape) < 0.02)
             for b in (centre, speckled, np.roll(edge, 1, axis=0)):
                 expected = brute_force_hausdorff(edge, b, spacing)
-                assert hausdorff(_mask(edge, spacing), _mask(b, spacing)) == expected
-                assert hausdorff(_mask(b, spacing), _mask(edge, spacing)) == expected
+                assert hausdorff(mask_from(edge, spacing), mask_from(b, spacing)) == expected
+                assert hausdorff(mask_from(b, spacing), mask_from(edge, spacing)) == expected
 
     @pytest.mark.parametrize("spacing", [(1.0, 1.0, 1.0), (0.9, 1.4, 2.2)], ids=["unit", "aniso"])
-    def test_near_and_far_sources_in_one_mask(self, spacing, monkeypatch):
+    def test_near_and_far_sources_in_one_mask(self, spacing, monkeypatch, mask_from):
         a = _sulcus()
         built = self._count_trees(monkeypatch)
         for speck in ((1, 1, 1), (14, 13, 12), (1, 13, 12)):
             b = np.roll(a, (1, -1, 1), axis=(0, 1, 2))
             b[speck] = True
             expected = brute_force_hausdorff(a, b, spacing)
-            assert hausdorff(_mask(a, spacing), _mask(b, spacing)) == expected
+            assert hausdorff(mask_from(a, spacing), mask_from(b, spacing)) == expected
         assert len(built) == 3
 
 
 class TestVoxelVolume:
-    def test_empty(self):
-        assert voxel_volume(_mask(np.zeros((3, 3, 3), dtype=bool))) == 0.0
+    def test_empty(self, mask_from):
+        assert voxel_volume(mask_from(np.zeros((3, 3, 3), dtype=bool))) == 0.0
 
-    def test_single_unit_voxel(self):
+    def test_single_unit_voxel(self, mask_from):
         data = np.zeros((3, 3, 3), dtype=bool)
         data[1, 1, 1] = True
-        assert voxel_volume(_mask(data)) == 1.0
+        assert voxel_volume(mask_from(data)) == 1.0
 
-    def test_block_with_anisotropic_spacing(self):
+    def test_block_with_anisotropic_spacing(self, mask_from):
         data = np.zeros((5, 5, 5), dtype=bool)
         data[1:4, 1:4, 1:4] = True
-        assert voxel_volume(_mask(data, (1.0, 1.0, 1.25))) == pytest.approx(33.75)
+        assert voxel_volume(mask_from(data, (1.0, 1.0, 1.25))) == pytest.approx(33.75)
 
-    def test_subset_monotone(self):
+    def test_subset_monotone(self, mask_from):
         rng = np.random.default_rng(6)
         small = rng.random((6, 6, 6)) < 0.3
         big = small | (rng.random((6, 6, 6)) < 0.3)
-        assert voxel_volume(_mask(small)) <= voxel_volume(_mask(big))
+        assert voxel_volume(mask_from(small)) <= voxel_volume(mask_from(big))
 
 
 class TestVoxelSurfaceArea:
-    def test_single_voxel_cube(self):
+    def test_single_voxel_cube(self, mask_from):
         data = np.zeros((3, 3, 3), dtype=bool)
         data[1, 1, 1] = True
-        assert voxel_surface_area(_mask(data)) == 6.0
+        assert voxel_surface_area(mask_from(data)) == 6.0
 
-    def test_two_voxel_bar(self):
+    def test_two_voxel_bar(self, mask_from):
         data = np.zeros((4, 3, 3), dtype=bool)
         data[1:3, 1, 1] = True
-        assert voxel_surface_area(_mask(data)) == 10.0
+        assert voxel_surface_area(mask_from(data)) == 10.0
 
-    def test_empty(self):
-        assert voxel_surface_area(_mask(np.zeros((3, 3, 3), dtype=bool))) == 0.0
+    def test_empty(self, mask_from):
+        assert voxel_surface_area(mask_from(np.zeros((3, 3, 3), dtype=bool))) == 0.0
 
-    def test_boundary_faces_counted(self):
+    def test_boundary_faces_counted(self, mask_from):
         data = np.ones((2, 2, 2), dtype=bool)
-        assert voxel_surface_area(_mask(data)) == 24.0
+        assert voxel_surface_area(mask_from(data)) == 24.0
 
-    def test_anisotropic_faces(self):
+    def test_anisotropic_faces(self, mask_from):
         data = np.zeros((3, 3, 3), dtype=bool)
         data[1, 1, 1] = True
-        area = voxel_surface_area(_mask(data, (2.0, 1.0, 1.0)))
+        area = voxel_surface_area(mask_from(data, (2.0, 1.0, 1.0)))
         # two x-faces of 1x1, four faces of 2x1
         assert area == pytest.approx(2 * 1.0 + 4 * 2.0)
 
 
     @pytest.mark.parametrize("spacing", [(1.0, 1.0, 1.0), (0.7, 1.3, 2.1)], ids=["unit", "aniso"])
-    def test_masks_touching_every_face(self, spacing):
+    def test_masks_touching_every_face(self, spacing, mask_from):
         rng = np.random.default_rng(11)
         data = rng.random((6, 5, 7)) < 0.35
         for ax in range(3):
@@ -352,43 +346,43 @@ class TestVoxelSurfaceArea:
                         faces[ax] += 1
         sp = spacing
         expected = faces[0] * sp[1] * sp[2] + faces[1] * sp[0] * sp[2] + faces[2] * sp[0] * sp[1]
-        assert voxel_surface_area(_mask(data, spacing)) == pytest.approx(expected, rel=1e-12)
+        assert voxel_surface_area(mask_from(data, spacing)) == pytest.approx(expected, rel=1e-12)
 
-    def test_full_volume(self):
-        assert voxel_surface_area(_mask(np.ones((3, 4, 5), dtype=bool))) == 2 * (12 + 15 + 20)
+    def test_full_volume(self, mask_from):
+        assert voxel_surface_area(mask_from(np.ones((3, 4, 5), dtype=bool))) == 2 * (12 + 15 + 20)
 
 
 class TestEvaluatePair:
-    def test_identical_pair(self):
+    def test_identical_pair(self, mask_from):
         rng = np.random.default_rng(7)
         data = rng.random((6, 6, 6)) < 0.4
         data[0, 0, 0] = True
-        report = evaluate_pair(_mask(data), _mask(data), identifier="subj")
+        report = evaluate_pair(mask_from(data), mask_from(data), identifier="subj")
         assert report.dsc == 1.0
         assert report.hd_mm == 0.0
         assert report.identifier == "subj"
 
-    def test_empty_prediction_flags_hd(self):
-        pred = _mask(np.zeros((4, 4, 4), dtype=bool))
+    def test_empty_prediction_flags_hd(self, mask_from):
+        pred = mask_from(np.zeros((4, 4, 4), dtype=bool))
         gt_data = np.zeros((4, 4, 4), dtype=bool)
         gt_data[1, 1, 1] = True
-        report = evaluate_pair(pred, _mask(gt_data), identifier="x")
+        report = evaluate_pair(pred, mask_from(gt_data), identifier="x")
         assert report.dsc == 0.0
         assert report.hd_mm is None
         assert report.pred_volume_mm3 == 0.0
 
-    def test_both_empty_flags_dsc(self):
-        empty = _mask(np.zeros((4, 4, 4), dtype=bool))
+    def test_both_empty_flags_dsc(self, mask_from):
+        empty = mask_from(np.zeros((4, 4, 4), dtype=bool))
         report = evaluate_pair(empty, empty)
         assert report.dsc is None
         assert report.hd_mm is None
 
-    def test_matches_direct_computation(self):
+    def test_matches_direct_computation(self, mask_from):
         pred_data = np.zeros((8, 8, 8), dtype=bool)
         gt_data = np.zeros((8, 8, 8), dtype=bool)
         pred_data[1:4, 1:4, 1:4] = True
         gt_data[2:5, 2:5, 2:5] = True
-        report = evaluate_pair(_mask(pred_data), _mask(gt_data))
+        report = evaluate_pair(mask_from(pred_data), mask_from(gt_data))
         overlap = int((pred_data & gt_data).sum())
         assert report.dsc == 2 * overlap / (pred_data.sum() + gt_data.sum())
         assert report.hd_mm == brute_force_hausdorff(pred_data, gt_data, (1, 1, 1))

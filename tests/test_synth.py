@@ -8,6 +8,7 @@ import pytest
 import sulcikit
 from sulcikit import synth, volume
 from sulcikit.errors import MissingPriorError, MissingSubstitutionError
+from sulcikit.oracles import deform_by_voxel, reflected_blur, trilinear_read
 from sulcikit.presets import default_generator_config, default_priors, make_phantom
 from sulcikit.synth import (
     DeformationField,
@@ -107,7 +108,7 @@ class TestSampleElastic:
         b = sample_elastic(config, unit_grid((6, 6, 6)), 7)
         assert np.array_equal(a.displacement, b.displacement)
 
-    def test_interior_matches_trilinear_oracle(self, unit_grid, trilinear_oracle):
+    def test_interior_matches_trilinear_oracle(self, unit_grid):
         config = default_generator_config(elastic_grid=(2, 2, 2), elastic_std_range=(2.0, 2.0))
         grid = unit_grid((5, 5, 5))
         field = sample_elastic(config, grid, rng_seed=3)
@@ -118,7 +119,7 @@ class TestSampleElastic:
         for c in range(3):
             read = upsample_lattice(field.displacement[..., c], grid.shape)
             for x, y, z in np.ndindex(5, 5, 5):
-                expected = trilinear_oracle(field.displacement[..., c], np.array([x, y, z]) / 4.0)
+                expected = trilinear_read(field.displacement[..., c], np.array([x, y, z]) / 4.0)
                 assert read[x, y, z] == pytest.approx(expected, abs=1e-6)
 
     def test_field_is_the_drawn_lattice(self, unit_grid):
@@ -175,7 +176,7 @@ class TestDeformLabels:
     @pytest.mark.parametrize(
         "shape", [(9, 7, 5), (5, 11, 4), (1, 5, 4), (15, 5, 4), (16, 5, 4), (17, 5, 4), (33, 5, 4)]
     )
-    def test_matches_per_voxel_oracle(self, labels_from, deform_oracle, shape):
+    def test_matches_per_voxel_oracle(self, labels_from, shape):
         # labels 1..9, so a 0 in the output is a read outside the volume
         seed = sum(shape)
         data = np.random.default_rng(seed).integers(1, 10, shape, dtype=np.uint16)
@@ -187,13 +188,13 @@ class TestDeformLabels:
         affine = sample_affine(config, seed)
         field = sample_elastic(config, vol.grid, seed + 1)
         out = deform_labels(vol, affine, field)
-        expected = deform_oracle(data, affine, field.displacement)
+        expected = deform_by_voxel(data, affine, field.displacement)
         assert 0 < np.count_nonzero(expected == 0) < expected.size
         assert np.array_equal(out.voxels, expected)
 
     @pytest.mark.parametrize("axis", [0, 1, 2])
     @pytest.mark.parametrize("u", [0.5, -0.5])
-    def test_ties_round_up(self, labels_from, deform_oracle, axis, u):
+    def test_ties_round_up(self, labels_from, axis, u):
         # x + 0.5 reads x + 1 and x - 0.5 reads x, under the identity affine
         shape = (9, 7, 5)
         data = np.random.default_rng(14).integers(1, 10, shape, dtype=np.uint16)
@@ -207,10 +208,10 @@ class TestDeformLabels:
             expected = np.roll(data, -1, axis=axis)
             np.moveaxis(expected, axis, 0)[-1] = 0  # the last slice reads outside
         assert np.array_equal(out.voxels, expected)
-        assert np.array_equal(deform_oracle(data, np.eye(4), displacement), expected)
+        assert np.array_equal(deform_by_voxel(data, np.eye(4), displacement), expected)
 
 
-    def test_one_node_per_voxel_lattice_reads_back_exactly(self, labels_from, deform_oracle):
+    def test_one_node_per_voxel_lattice_reads_back_exactly(self, labels_from):
         # a dense field is a lattice of one node per voxel: its taps have stretch 1
         # and frac 0, so every node is read as it is
         shape = (9, 7, 5)
@@ -226,7 +227,7 @@ class TestDeformLabels:
         vol = labels_from(data)
         affine = sample_affine(GeneratorConfig(rotation_range=(-30.0, 30.0)), 15)
         out = deform_labels(vol, affine, DeformationField(vol.grid, lattice))
-        assert np.array_equal(out.voxels, deform_oracle(data, affine, lattice))
+        assert np.array_equal(out.voxels, deform_by_voxel(data, affine, lattice))
 
     @pytest.mark.parametrize("shape", [(4, 4, 4), (4, 4, 4, 2), (0, 4, 4, 3)], ids=str)
     def test_field_rejects_what_is_not_a_lattice(self, unit_grid, shape):
@@ -348,18 +349,8 @@ class TestGaussianBlur:
         data[4, 4, 4] = 1.0
         out = gaussian_blur(image_from(data), 1.0)
 
-        # oracle: explicit truncated kernel, dense 3D convolution
-        radius = int(3 * 1.0)
-        offsets = np.arange(-radius, radius + 1)
-        k1 = np.exp(-(offsets.astype(float) ** 2) / 2.0)
-        k1 /= k1.sum()
-        kernel3 = k1[:, None, None] * k1[None, :, None] * k1[None, None, :]
-        expected = np.zeros((9, 9, 9))
-        expected[
-            4 - radius : 4 + radius + 1,
-            4 - radius : 4 + radius + 1,
-            4 - radius : 4 + radius + 1,
-        ] = kernel3
+        # in the interior the direct convolution is the dense 3D kernel itself
+        expected = reflected_blur(data, 1.0)
         assert np.allclose(out.voxels, expected, atol=1e-7)
 
     def test_reflection_beyond_axis_length_matches_oracle(self, image_from):
@@ -367,20 +358,7 @@ class TestGaussianBlur:
         data = np.random.default_rng(24).random((3, 4, 5)).astype(np.float32)
         out = gaussian_blur(image_from(data), sigma)
 
-        radius = int(3 * sigma)
-        offsets = np.arange(-radius, radius + 1)
-        k1 = np.exp(-(offsets.astype(float) ** 2) / (2 * sigma * sigma))
-        k1 /= k1.sum()
-
-        def reflect(i, n):
-            m = i % (2 * n)
-            return 2 * n - 1 - m if m >= n else m
-
-        expected = np.zeros(data.shape)
-        for x, y, z in np.ndindex(*data.shape):
-            for (ox, wx), (oy, wy), (oz, wz) in itertools.product(zip(offsets, k1), repeat=3):
-                src = (reflect(x + ox, 3), reflect(y + oy, 4), reflect(z + oz, 5))
-                expected[x, y, z] += wx * wy * wz * data[src]
+        expected = reflected_blur(data, sigma)
         assert np.allclose(out.voxels, expected, rtol=0.0, atol=1e-6)
 
     def test_mass_preserved_interior(self, image_from):

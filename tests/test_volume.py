@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from sulcikit import volume
 from sulcikit.errors import EmptyVolumeError, GridMismatchError, ModeMismatchError
 from sulcikit.losses import EmbeddingBatch, ProbabilityVolume
+from sulcikit.oracles import resample_by_voxel
 from sulcikit.synth import DeformationField
 from sulcikit.volume import (
     BinaryMask,
@@ -390,7 +391,7 @@ class TestResample:
             "float64-one-voxel-axes",
         ],
     )
-    def test_matches_per_voxel_oracle(self, unit_grid, trilinear_oracle, src_shape, target, dtype):
+    def test_matches_per_voxel_oracle(self, unit_grid, src_shape, target, dtype):
         src = np.random.default_rng(10).random(src_shape).astype(dtype)
         # a float64 volume type keeps the float64 result, so it is held to a tighter bound
         volume_type, atol = (
@@ -399,12 +400,7 @@ class TestResample:
         out = resample(volume_type(unit_grid(src_shape), src), target, mode="trilinear")
         assert out.voxels.dtype == dtype
         # every voxel, including boundary voxels whose outer tap falls outside
-        expected = np.zeros(target)
-        for t in np.ndindex(*target):
-            coord = np.array(
-                [(t[ax] + 0.5) * src.shape[ax] / target[ax] - 0.5 for ax in range(3)]
-            )
-            expected[t] = trilinear_oracle(src, coord)
+        expected = resample_by_voxel(src, target, "trilinear")
         assert np.allclose(out.voxels, expected, rtol=0.0, atol=atol)
 
     @pytest.mark.parametrize("axis", [0, 1, 2])
