@@ -16,9 +16,11 @@ import hashlib
 import io
 import json
 import sys
+import threading
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -193,7 +195,8 @@ def _source_sha256(entry: ManifestEntry) -> str:
 
 
 def _load_subject_labels(entry: ManifestEntry) -> LabelVolume:
-    """Combined label map; a separate sulci map overlays the tissue map."""
+    """Combined label map, a separate sulci map laid over the tissue map; read
+    when the subject's first sample is due, so its errors surface there."""
     labels = read_nifti(entry.label_map_path, kind="labels")
     if entry.tissue_map_path is None:
         return labels
@@ -238,17 +241,15 @@ def cmd_generate(args) -> int:
     ).encode()).hexdigest()
     records = []
     tasks = []
-    cache: dict[str, LabelVolume] = {}
     for idx, entry in enumerate(manifest.entries):
         subject_seed = mix_seed(master_seed, idx)
         source_sha256 = _source_sha256(entry)
         for sample in range(run.samples_per_subject):
-            seed = mix_seed(subject_seed, sample)
             stem = f"{entry.id}_{sample:03d}"
             record = {
                 "id": entry.id,
                 "sample": sample,
-                "seed": seed,
+                "seed": mix_seed(subject_seed, sample),
                 "source": str(entry.label_map_path),
                 "image": f"{stem}_img.nii.gz",
                 "labels": f"{stem}_seg.nii.gz",
@@ -256,36 +257,34 @@ def cmd_generate(args) -> int:
                 "sulcikit_version": __version__,
                 "source_sha256": source_sha256,
             }
-            img_path = out_dir / record["image"]
-            seg_path = out_dir / record["labels"]
-            if (
-                previous.get((entry.id, sample)) == record
-                and img_path.exists()
-                and seg_path.exists()
+            if previous.get((entry.id, sample)) == record and all(
+                (out_dir / record[key]).exists() for key in ("image", "labels")
             ):
                 records.append(record)
-                continue
-            if entry.id not in cache:
-                cache[entry.id] = _load_subject_labels(entry)
-            tasks.append((cache[entry.id], seed, img_path, seg_path, record))
+            else:
+                tasks.append((entry, record))
+
+    # A subject's map is decoded once, under the lock, when its first sample is
+    # due, and its last sample takes it out of `decoded`. Tasks start in order
+    # and a subject's are contiguous, so at most jobs maps are alive.
+    remaining = Counter(entry for entry, _ in tasks)
+    decoded = {}
+    lock = threading.Lock()
 
     def produce(task):
-        labels, seed, img_path, seg_path, record = task
+        entry, record = task
+        with lock:
+            if entry not in decoded:
+                decoded[entry] = _load_subject_labels(entry)
+            remaining[entry] -= 1
+            labels = decoded[entry] if remaining[entry] else decoded.pop(entry)
         try:
-            image, seg = generate_sample(labels, run.priors, run.generator, seed)
+            image, seg = generate_sample(labels, run.priors, run.generator, record["seed"])
         except (MissingPriorError, MissingSubstitutionError) as exc:
             raise ConfigError(f"subject {record['id']!r} ({record['source']}): {exc}") from exc
-        write_nifti(image, img_path)
-        write_nifti(seg, seg_path)
+        write_nifti(image, out_dir / record["image"])
+        write_nifti(seg, out_dir / record["labels"])
         return record
-
-    def finish(record):
-        nonlocal listed, last_write
-        records.append(record)
-        now = time.monotonic()
-        if now - last_write >= _MANIFEST_INTERVAL_S:
-            _write_manifest(manifest_path, records)
-            listed, last_write = len(records), now
 
     # The manifest never lists a file that may be rewritten: it drops every
     # record not reused before the first write, and lists a new sample
@@ -294,17 +293,18 @@ def cmd_generate(args) -> int:
     _write_manifest(manifest_path, records)
     listed, last_write = len(records), time.monotonic()
     try:
-        # serially, a run stops at its first failed sample; a pool, even of one
-        # worker, runs every queued sample before the error reaches this loop.
+        # serially, a run stops at its first failed sample; once a pool's error
+        # reaches this loop, only samples already started finish, none listed.
         # A worker thread also gets its own glibc malloc arena, which raised the
         # peak RSS of one-sample runs at 80x96x80 by about 7 MiB
-        if jobs == 1 or len(tasks) <= 1:
-            for task in tasks:
-                finish(produce(task))
-        else:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                for record in pool.map(produce, tasks):
-                    finish(record)
+        parallel = jobs > 1 and len(tasks) > 1
+        with ThreadPoolExecutor(max_workers=jobs) if parallel else nullcontext() as pool:
+            for record in (pool.map if parallel else map)(produce, tasks):
+                records.append(record)
+                now = time.monotonic()
+                if now - last_write >= _MANIFEST_INTERVAL_S:
+                    _write_manifest(manifest_path, records)
+                    listed, last_write = len(records), now
     finally:
         if len(records) > listed:
             _write_manifest(manifest_path, records)

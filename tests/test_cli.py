@@ -1,9 +1,12 @@
+import gc
 import hashlib
 import json
 import re
 import resource
 import subprocess
 import sys
+import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -72,6 +75,53 @@ def dataset(tmp_path):
 
 def _volume_files(directory):
     return sorted(p.name for p in directory.glob("*.nii.gz"))
+
+
+def _truncate_s2(root):
+    path = root / "s2_labels.nii.gz"
+    raw = path.read_bytes()
+    path.write_bytes(raw[: len(raw) // 2])  # ends mid-gzip
+    return f"generate: {path}: "
+
+
+def _s2_tissue_on_another_grid(root):
+    write_nifti(make_phantom(shape=(18, 18, 14)), root / "s2_tissue.nii.gz")
+    manifest = json.loads((root / "manifest.json").read_text())
+    manifest["entries"][1]["tissue_map_path"] = "s2_tissue.nii.gz"
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    return "generate: subject 's2': "
+
+
+def _cohort(tmp_path):
+    """Six small phantom subjects s1..s6, a manifest and a run config of 3 samples each."""
+    root = tmp_path / "cohort"
+    root.mkdir()
+    entries = []
+    for k in range(1, 7):
+        write_nifti(make_phantom(shape=(10, 10, 8)), root / f"s{k}.nii.gz")
+        entries.append({"id": f"s{k}", "label_map_path": f"s{k}.nii.gz"})
+    (root / "m.json").write_text(json.dumps({"entries": entries}))
+    (root / "c.json").write_text(json.dumps({"samples_per_subject": 3, "master_seed": 5}))
+    return root / "m.json", root / "c.json"
+
+
+def _count_decodes(monkeypatch):
+    """Wraps cli._load_subject_labels; returns the ids it decodes, in order, and
+    how many decoded maps are alive just after each decode, that one included."""
+    load = cli._load_subject_labels
+    live = weakref.WeakSet()
+    decoded, alive = [], []
+
+    def counting_load(entry):
+        labels = load(entry)
+        live.add(labels)
+        gc.collect()
+        decoded.append(entry.id)
+        alive.append(len(live))
+        return labels
+
+    monkeypatch.setattr(cli, "_load_subject_labels", counting_load)
+    return decoded, alive
 
 
 class TestGenerate:
@@ -456,6 +506,60 @@ class TestGenerate:
         )
         listing = json.loads((out / "manifest.json").read_text())["samples"]
         assert [(r["id"], r["sample"]) for r in listing] == [("s1", 0), ("s1", 1)]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("plant", [_truncate_s2, _s2_tissue_on_another_grid],
+                             ids=["truncated", "tissue-grid"])
+    def test_later_subject_that_cannot_be_read_stops_at_its_first_sample(
+        self, dataset, tmp_path, capsys, jobs, plant
+    ):
+        manifest_path, config_path = dataset
+        prefix = plant(manifest_path.parent)
+        out = tmp_path / "out"
+        assert main(_generate(manifest_path, config_path, out) + ["--jobs", jobs]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(prefix) and err.count("\n") == 1
+        listing = json.loads((out / "manifest.json").read_text())["samples"]
+        assert [(r["id"], r["sample"]) for r in listing] == [("s1", 0), ("s1", 1)]
+        assert _volume_files(out) == sorted(r[k] for r in listing for k in ("image", "labels"))
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_each_pending_subject_is_decoded_once(self, tmp_path, monkeypatch, jobs):
+        manifest_path, config_path = _cohort(tmp_path)
+        decoded, alive = _count_decodes(monkeypatch)
+        argv = _generate(manifest_path, config_path, tmp_path / "out") + ["--jobs", str(jobs)]
+        assert main(argv) == 0
+        assert sorted(decoded) == [f"s{k}" for k in range(1, 7)]
+        assert max(alive) <= jobs
+        # a resumed run decodes only the subject whose sample file is gone
+        (tmp_path / "out" / "s4_001_seg.nii.gz").unlink()
+        decoded.clear()
+        assert main(argv) == 0
+        assert decoded == ["s4"]
+
+    def test_stalled_worker_keeps_no_finished_subject_alive(self, tmp_path, monkeypatch):
+        # s1's last sample waits until s4 is decoded, while the other worker
+        # draws s2 and s3; their maps must be gone by then
+        manifest_path, config_path = _cohort(tmp_path)
+        decoded, alive = _count_decodes(monkeypatch)
+        s1_last = synth.mix_seed(synth.mix_seed(5, 0), 2)
+        generate = cli.generate_sample
+        stalled = []
+
+        def stalling_generate(labels, priors, config, seed):
+            deadline = time.monotonic() + 10.0
+            while seed == s1_last and "s4" not in decoded and time.monotonic() < deadline:
+                time.sleep(0.001)
+            if seed == s1_last:
+                stalled.append("s4" in decoded)
+            return generate(labels, priors, config, seed)
+
+        monkeypatch.setattr(cli, "generate_sample", stalling_generate)
+        argv = _generate(manifest_path, config_path, tmp_path / "out") + ["--jobs", "2"]
+        assert main(argv) == 0
+        assert stalled == [True]
+        assert sorted(decoded) == [f"s{k}" for k in range(1, 7)]
+        assert max(alive) <= 2
 
     def test_substitution_table_default_depends_on_generator_block(self, tmp_path):
         # as the README states: a generator block that omits the table gets {},
