@@ -94,9 +94,11 @@ def dilate(mask: BinaryMask, radius: int, connectivity=PostprocConfig.connectivi
     ``iterations=radius`` and a zero border. The element is the union of the
     boxes over every set of ``rank`` axes (rank 1, 2, 3 for 6, 18, 26):
     three axis segments, three in-plane squares, or the cube. ``radius``
-    cubes compose into one cube ``2 * radius + 1`` wide.
+    cubes compose into one cube ``2 * radius + 1`` wide. Any mask is
+    saturated after ``sum(shape) - 3`` steps, the most that one voxel lies
+    from another, so a larger radius is read as that many steps.
     """
-    radius = _int(radius, "radius", low=0)
+    radius = min(_int(radius, "radius", low=0), sum(mask.grid.shape) - 3)
     rank = _CONNECTIVITY_RANK[_connectivity(connectivity)]
     if radius == 0:
         return mask

@@ -312,40 +312,28 @@ def sample_affine(config: GeneratorConfig, rng_seed: int) -> np.ndarray:
     )
 
 
-def _lattice_taps(n_nodes: int, n_voxels: int):
-    """Linear taps from each voxel to a lattice corner-aligned with the axis.
+def _lattice_taps(lattice_shape, shape) -> list:
+    """Per axis, the taps from each voxel to a lattice corner-aligned with the volume.
 
-    None when the axis has one node per voxel: its taps would read every
-    node back exactly (stretch 1, frac 0), so the axis is left as it is.
+    An axis of one node per voxel reads each node as it is: one unweighted
+    tap, the node itself. Any other axis reads two linear taps.
     """
-    if n_nodes == n_voxels:
-        return None
-    stretch = (n_nodes - 1) / (n_voxels - 1) if n_voxels > 1 else 0.0
-    return _linear_taps(n_nodes, np.arange(n_voxels, dtype=np.float64) * stretch)
+    taps = []
+    for n_nodes, n_voxels in zip(lattice_shape, shape):
+        if n_nodes == n_voxels:
+            taps.append([(np.arange(n_voxels), None)])
+            continue
+        stretch = (n_nodes - 1) / (n_voxels - 1) if n_voxels > 1 else 0.0
+        taps.append(_linear_taps(n_nodes, np.arange(n_voxels, dtype=np.float64) * stretch))
+    return taps
 
 
-def _upsample(values: np.ndarray, axis_taps) -> np.ndarray:
-    """Gather each axis's lattice taps in turn, skipping the axes without any.
+def _read_planes(values: np.ndarray, plane_taps) -> np.ndarray:
+    """Lattice rows read over the volume's y-z plane: the z taps, then the y taps.
 
-    The last axis goes first, so the widest gather, the last, copies whole
-    contiguous planes."""
-    for axis in (2, 1, 0):
-        if axis_taps[axis] is not None:
-            values = _gather_axis(values, axis, axis_taps[axis])
-    return values
-
-
-def _lattice_slabs(lattice_shape, shape):
-    """Slabs of voxel rows along axis 0 (``_slabs``), each with the lattice rows it reads.
-
-    Yields ``(rows, nodes, axis_taps)``: the slab's slice of voxel rows, the
-    slice of lattice rows that its taps read, and the taps that ``_upsample``
-    applies to those lattice rows to read the lattice trilinearly over the
-    slab, the lattice corner-aligned with ``shape``.
-    """
-    row_taps, *plane_taps = (_lattice_taps(g, n) for g, n in zip(lattice_shape, shape))
-    for rows, nodes, taps in _slabs(row_taps, shape[0], shape[1] * shape[2]):
-        yield rows, nodes, [taps, *plane_taps]
+    The row gather goes last, so that the widest gather copies whole contiguous planes."""
+    y_taps, z_taps = plane_taps
+    return _gather_axis(_gather_axis(values, 2, z_taps), 1, y_taps)
 
 
 def sample_elastic(config: GeneratorConfig, grid: VoxelGrid, rng_seed: int) -> DeformationField:
@@ -372,7 +360,7 @@ def deform_labels(labels: LabelVolume, affine: np.ndarray, field_: DeformationFi
     Upsampling is linear, so the affine acts on the lattice: coordinate k is
     ``centre_k + t_k + sum_j A_kj (x_j - centre_j) + up(A U)_k(x)``, the
     affine part an outer sum of one 1-D term per axis. The output is filled
-    in slabs of rows along axis 0 (``_lattice_slabs``), each composing ``A U`` on
+    in slabs of rows along axis 0 (``_slabs``), each composing ``A U`` on
     only the lattice rows it reads, so the working memory beyond the output
     does not grow with axis 0.
     """
@@ -383,19 +371,19 @@ def deform_labels(labels: LabelVolume, affine: np.ndarray, field_: DeformationFi
     centre = (np.asarray(shape, dtype=np.float64) - 1.0) / 2.0
     offsets = [np.arange(n, dtype=np.float64) - c for n, c in zip(shape, centre)]
     lattice = field_.displacement
+    row_taps, *plane_taps = _lattice_taps(lattice.shape[:3], shape)
     out = np.empty(shape, dtype=labels.voxels.dtype)
-    for rows, nodes, (row_taps, *plane_taps) in _lattice_slabs(lattice.shape[:3], shape):
+    for rows, nodes, slab_taps in _slabs(row_taps, shape[0], shape[1] * shape[2]):
         # (3, lattice rows, gy, gz): component k of A U on the rows the slab reads
         composed = np.tensordot(linear, lattice[nodes], axes=([1], [3]))
 
         def coordinate(k):
             # each voxel's row taps sum to 1, so the y and z terms are added
             # on the few lattice rows, before the row gather
-            coord = _upsample(composed[k], [None, *plane_taps])
+            coord = _read_planes(composed[k], plane_taps)
             coord += (linear[k, 1] * offsets[1])[:, None]
             coord += linear[k, 2] * offsets[2]
-            if row_taps is not None:
-                coord = _gather_axis(coord, 0, row_taps)
+            coord = _gather_axis(coord, 0, slab_taps)
             coord += ((centre[k] + shift[k]) + linear[k, 0] * offsets[0][rows])[:, None, None]
             return coord
 
@@ -501,9 +489,11 @@ def apply_bias_field(
     rng = np.random.default_rng(rng_seed)
     sigma = rng.uniform(*config.bias_std_range)
     control = rng.standard_normal(size=config.bias_grid) * sigma
-    out = np.empty(image.grid.shape, dtype=np.float32)
-    for rows, nodes, axis_taps in _lattice_slabs(control.shape, image.grid.shape):
-        bias = np.exp(_upsample(control[nodes], axis_taps))
+    shape = image.grid.shape
+    row_taps, *plane_taps = _lattice_taps(control.shape, shape)
+    out = np.empty(shape, dtype=np.float32)
+    for rows, nodes, slab_taps in _slabs(row_taps, shape[0], shape[1] * shape[2]):
+        bias = np.exp(_gather_axis(_read_planes(control[nodes], plane_taps), 0, slab_taps))
         bias *= image.voxels[rows]
         out[rows] = bias  # the float64 product rounded to float32, as the volume would
     out.flags.writeable = False  # hand the fresh array over: the volume takes it uncopied

@@ -253,7 +253,8 @@ def _gather_axis(values: np.ndarray, axis: int, taps) -> np.ndarray:
 
     Each tap's reads are weighted in place when they already have the
     product's dtype, so a tap costs one gathered array. A tap whose weight is
-    None is read unweighted, in the values' dtype (nearest resample's taps)."""
+    None is read unweighted, in the values' dtype: nearest resample's taps,
+    and the one tap that reads a control-lattice axis of one node per voxel."""
     shape = [1, 1, 1]
     shape[axis] = -1
 
@@ -284,15 +285,11 @@ def _slabs(taps, n_rows: int, plane: int):
     is the voxels per row of the slab's widest array. Yields ``(rows,
     sources, slab_taps)``: the slice of target rows, the slice of source rows
     that their taps read, and the taps cut to ``rows`` and shifted onto
-    ``sources``. An axis without taps (None, read back as it is) yields its
-    rows as their own sources, and None.
+    ``sources``.
     """
     step = max(1, _SLAB_VOXELS // plane)
     for start in range(0, n_rows, step):
         rows = slice(start, min(start + step, n_rows))
-        if taps is None:
-            yield rows, rows, None
-            continue
         cut = [(idx[rows], None if w is None else w[rows]) for idx, w in taps]
         lo = min(int(idx.min()) for idx, _ in cut)
         hi = max(int(idx.max()) for idx, _ in cut) + 1

@@ -915,6 +915,16 @@ def _linear_weight_off(monkeypatch):
     monkeypatch.setattr(volume, "_linear_taps", taps)
 
 
+def _dense_lattice_reads_next_node(monkeypatch):
+    lattice_taps = synth._lattice_taps
+
+    def taps(lattice_shape, shape):
+        return [[(np.minimum(idx + 1, n - 1), w) for idx, w in axis] if g == n else axis
+                for g, n, axis in zip(lattice_shape, shape, lattice_taps(lattice_shape, shape))]
+
+    monkeypatch.setattr(synth, "_lattice_taps", taps)
+
+
 def _blur_sigma_nudged(monkeypatch):
     blur = synth.gaussian_blur
     monkeypatch.setattr(synth, "gaussian_blur", lambda image, sigma: blur(image, sigma * 1.001))
@@ -939,6 +949,7 @@ def _written_byte_flipped(monkeypatch):
 PLANTED_FAULTS = {
     "hausdorff-off-by-1e-9": ("hausdorff-oracle", _hausdorff_off),
     "nearest-ties-round-down": ("deform-oracle", _nearest_ties_round_down),
+    "dense-lattice-reads-next-node": ("deform-oracle", _dense_lattice_reads_next_node),
     "linear-weight-off-by-1e-9": ("resample-oracle", _linear_weight_off),
     "blur-sigma-nudged": ("blur-oracle", _blur_sigma_nudged),
     "gzip-byte-flipped": ("nifti-roundtrip", _gzip_byte_flipped),

@@ -44,6 +44,21 @@ class TestDilate:
             assert np.array_equal(ours, scipy_grown)
             assert np.array_equal(ours, grow_by_neighbours(data, connectivity, radius))
 
+    @pytest.mark.parametrize("connectivity", [6, 18, 26])
+    def test_radius_past_saturation_does_no_more_work(self, connectivity):
+        # any mask is saturated after sum(shape) - 3 steps: a radius of 10**9
+        # returns as fast as that, and grows no further than scipy past it
+        structure = ndimage.generate_binary_structure(3, {6: 1, 18: 2, 26: 3}[connectivity])
+        rng = np.random.default_rng(2)
+        for shape in [(1, 1, 1), (1, 3, 2), (4, 3, 5), (10, 10, 10)]:
+            data = np.zeros(shape, dtype=bool)
+            data[tuple(rng.integers(0, n) for n in shape)] = True
+            cap = sum(shape) - 3
+            capped = dilate(_mask(data), cap, connectivity).voxels
+            expected = ndimage.binary_dilation(data, structure, iterations=cap + 2)
+            assert np.array_equal(capped, expected)
+            assert np.array_equal(dilate(_mask(data), 10**9, connectivity).voxels, capped)
+
     def test_radius_zero_is_identity(self):
         rng = np.random.default_rng(0)
         mask = _mask(rng.random((8, 8, 8)) < 0.3)

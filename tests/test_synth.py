@@ -30,8 +30,11 @@ from sulcikit.synth import (
 
 def upsample_lattice(control, shape):
     """The control lattice read trilinearly over a volume of ``shape``, slab by slab."""
-    slabs = synth._lattice_slabs(control.shape, shape)
-    return np.concatenate([synth._upsample(control[nodes], taps) for _, nodes, taps in slabs])
+    row_taps, *plane_taps = synth._lattice_taps(control.shape, shape)
+    return np.concatenate([
+        synth._gather_axis(synth._read_planes(control[nodes], plane_taps), 0, slab_taps)
+        for _, nodes, slab_taps in synth._slabs(row_taps, shape[0], shape[1] * shape[2])
+    ])
 
 
 def identity_config(**overrides):
@@ -228,6 +231,38 @@ class TestDeformLabels:
         affine = sample_affine(GeneratorConfig(rotation_range=(-30.0, 30.0)), 15)
         out = deform_labels(vol, affine, DeformationField(vol.grid, lattice))
         assert np.array_equal(out.voxels, deform_by_voxel(data, affine, lattice))
+
+    def test_mixed_lattice_matches_per_voxel_oracle(self, labels_from):
+        # one node per voxel along x and z, a coarse lattice along y
+        shape, lattice_shape = (9, 7, 5), (9, 3, 5)
+        rng = np.random.default_rng(16)
+        data = rng.integers(1, 10, shape, dtype=np.uint16)
+        vol = labels_from(data)
+        lattice = (rng.standard_normal(lattice_shape + (3,)) * 1.5).astype(np.float32)
+        affine = sample_affine(GeneratorConfig(rotation_range=(-30.0, 30.0)), 16)
+        out = deform_labels(vol, affine, DeformationField(vol.grid, lattice))
+        assert np.array_equal(out.voxels, deform_by_voxel(data, affine, lattice))
+
+    # sha256 of the 80x96x80 phantom's label bytes warped through lattices that
+    # have one node per voxel along every axis, along two, and along none, per
+    # release: a dense axis reads each node back as it is
+    LATTICE_SHA256 = {
+        "0.3.0": {
+            (80, 96, 80): "72d2bbc320c58f9c1f3fcc765728e3f60e511d9270f3898506efcb53bdd223b1",
+            (80, 5, 80): "395baec479cf6c4016982d89f9f4186a0589285215ccc0b943e7f68c259024ce",
+            (5, 96, 7): "98fb0d5cdc7c5a2984ae035b8874e7069c4a93ae15dde7038613350e8d2c7e56",
+        },
+    }
+
+    @pytest.mark.parametrize("lattice_shape", [(80, 96, 80), (80, 5, 80), (5, 96, 7)], ids=str)
+    def test_dense_and_mixed_lattice_bytes_pinned(self, lattice_shape):
+        labels = make_phantom(shape=(80, 96, 80))
+        rng = np.random.default_rng(sum(lattice_shape))
+        field = DeformationField(labels.grid, rng.standard_normal(lattice_shape + (3,)) * 2.0)
+        affine = sample_affine(default_generator_config(), sum(lattice_shape))
+        out = deform_labels(labels, affine, field)
+        digest = hashlib.sha256(out.voxels.tobytes()).hexdigest()
+        assert digest == release_pins(self.LATTICE_SHA256)[lattice_shape], MOVED_BYTES
 
     @pytest.mark.parametrize("shape", [(4, 4, 4), (4, 4, 4, 2), (0, 4, 4, 3)], ids=str)
     def test_field_rejects_what_is_not_a_lattice(self, unit_grid, shape):
@@ -463,6 +498,19 @@ class TestBiasField:
         out = apply_bias_field(img, config, 8)
         assert (out.voxels > 0).all()
         assert out.voxels.std() > 0
+
+    # sha256 of a seeded 80x96x80 image under a bias lattice of one node per
+    # voxel, per release
+    DENSE_SHA256 = {
+        "0.3.0": "e4957fe1316e3d8a86a771591ef134d2870f1ab82ee136a5a447a14a0c5750c6",
+    }
+
+    def test_dense_lattice_bytes_pinned(self, image_from):
+        shape = (80, 96, 80)
+        img = image_from(np.random.default_rng(5).random(shape).astype(np.float32))
+        config = default_generator_config(bias_grid=shape, bias_std_range=(0.5, 0.5))
+        digest = hashlib.sha256(apply_bias_field(img, config, 6).voxels.tobytes()).hexdigest()
+        assert digest == release_pins(self.DENSE_SHA256), MOVED_BYTES
 
 
 class TestNormalizeIntensity:

@@ -479,11 +479,6 @@ class TestSlabs:
                 assert np.array_equal(slab_w, w[rows])
                 assert slab_idx.min() >= 0 and slab_idx.max() < sources.stop - sources.start
 
-    def test_an_axis_without_taps_is_its_own_source(self, monkeypatch):
-        monkeypatch.setattr(volume, "_SLAB_VOXELS", 1)  # one row per slab, at least
-        assert list(_slabs(None, 2, 50)) == [(slice(0, 1), slice(0, 1), None),
-                                              (slice(1, 2), slice(1, 2), None)]
-
     # budgets in voxels, each giving slabs that do not divide the first axis
     @pytest.mark.parametrize(
         "src, target, budget",
