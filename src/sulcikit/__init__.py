@@ -1,7 +1,7 @@
 """sulcikit: synthetic data generation, losses, post-processing and metrics
 for 3D sulcus segmentation pipelines built on numpy/scipy."""
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from . import errors
 from .volume import (

@@ -1,15 +1,15 @@
 """Self-check suite behind ``sulcikit check``.
 
 Every check compares a library result against an independent reference
-computation from ``sulcikit.oracles`` (brute-force loops, finite differences,
-voxel-by-voxel dilation, flood fill, per-voxel warps, resamples and
-convolutions), a known closed-form value or a round trip through the files.
-The suite is one table, ``_CHECKS``: each check's name, its measure, its
-tolerance and its note. A measure returns ``(observed, expected, error)``,
-and a check passes when its error is 0 or below its tolerance. A check whose
-verdict is not a comparison of ``observed`` with the tolerance folds that
-verdict into ``error``. A check's verdict depends only on the library code
-it measures.
+computation from ``sulcikit.oracles`` (brute-force loops, finite
+differences, voxel-by-voxel dilation, flood fill, per-voxel warps, bias
+fields, resamples and convolutions), a known closed-form value or a round
+trip through the files. The suite is one table, ``_CHECKS``: each check's
+name, its measure, its tolerance and its note. A measure returns
+``(observed, expected, error)``, and a check passes when its error is 0 or
+below its tolerance. A check whose verdict is not a comparison of
+``observed`` with the tolerance folds that verdict into ``error``. A check's
+verdict depends only on the library code it measures.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .oracles import (
     postprocess_by_flood_fill,
     reflected_blur,
     resample_by_voxel,
+    trilinear_read,
 )
 from .presets import PHANTOM_SUBSTITUTIONS, default_generator_config, default_priors, make_phantom
 from .volume import BinaryMask, IntensityVolume, LabelVolume, VoxelGrid
@@ -292,6 +293,26 @@ def _blur_oracle():
     return worst, 0.0, worst
 
 
+def _bias_oracle():
+    shape = (9, 7, 5)
+    data = np.random.default_rng(8500).uniform(1.0, 2.0, shape)
+    image = IntensityVolume(VoxelGrid.from_spacing(shape), data)
+    config = synth.GeneratorConfig(bias_grid=(3, 3, 3), bias_std_range=(0.5, 0.5))
+    out = synth.apply_bias_field(image, config, 8501).voxels
+    # the field's draws, as apply_bias_field makes them: its std, then the nodes
+    rng = np.random.default_rng(8501)
+    sigma = rng.uniform(*config.bias_std_range)
+    control = rng.standard_normal(config.bias_grid) * sigma
+    # the lattice is corner-aligned: voxel x reads node coordinate x (g - 1) / (n - 1)
+    stretch = [(g - 1) / (n - 1) for g, n in zip(config.bias_grid, shape)]
+    expected = np.array([
+        image.voxels[x] * math.exp(trilinear_read(control, [i * k for i, k in zip(x, stretch)]))
+        for x in np.ndindex(*shape)
+    ]).reshape(shape)
+    worst = float(np.abs(out / expected - 1.0).max())
+    return worst, 0.0, worst
+
+
 def _nifti_roundtrip():
     import tempfile
     from pathlib import Path
@@ -358,6 +379,8 @@ _CHECKS = {
                         " vs floor(p + 0.5) bitwise: up, down and one-voxel axes"),
     "blur-oracle": (_blur_oracle, 1e-6, "float32 blur vs direct reflected convolution: (3, 4, 5)"
                     " at sigma 1.5, past both ends, and a 9^3 impulse"),
+    "bias-oracle": (_bias_oracle, 1e-6, "float32 bias product vs exp of the 8-corner read of"
+                    " the same 3x3x3 node draws, relative, at (9, 7, 5)"),
     "nifti-roundtrip": (_nifti_roundtrip, 0.0, "intensity, label and mask volumes as .nii and"
                         " .nii.gz read back with equal voxels, dtype and affine"),
 }

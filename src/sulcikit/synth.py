@@ -3,9 +3,10 @@
 A label map is randomly deformed (affine + elastic), sulcus labels are
 swapped for tissue labels on a synthesis-only copy, per-tissue intensities
 are drawn from Gaussian priors, and the image is corrupted with blur and a
-multiplicative bias field before min-max normalization. Every stage is a
-pure function of its inputs and an integer seed, so generation is fully
-reproducible and parallelizes without affecting results.
+multiplicative bias field before a min-max normalization that clamps
+negatives to 0. Every stage is a pure function of its inputs and an integer
+seed, so generation is fully reproducible and parallelizes without affecting
+results.
 
 The intensity chain is float32, as the sample files are: the painted
 image, the blur's contraction, the bias product and the normalization each
@@ -501,16 +502,21 @@ def apply_bias_field(
 
 
 def normalize_intensity(image: IntensityVolume) -> IntensityVolume:
-    """Min-max rescale to [0, 1] in float32; a constant image maps to all zeros.
+    """Min-max rescale to [0, 1] in float32, from ``lo = max(vmin, 0)``.
 
-    ``(v - vmin) / (vmax - vmin)``, each step rounded to float32, so the
-    minimum maps to exactly 0 and the maximum to exactly 1.
+    ``(v - lo) / (vmax - lo)``, each step rounded to float32: the minimum
+    maps to exactly 0 and the maximum to exactly 1. When ``vmin < 0``,
+    negative values are clamped to 0 first, so the background, painted 0,
+    stays exactly 0; when ``vmin >= 0`` no clamp is made. An image whose
+    maximum is at most ``lo`` (constant, or nowhere positive) maps to all
+    zeros.
     """
     vmin, vmax = image.voxels.min(), image.voxels.max()
-    if vmax == vmin:
+    lo = max(vmin, np.float32(0))
+    if vmax <= lo:
         return image.with_voxels(np.zeros(image.grid.shape, dtype=np.float32))
-    out = image.voxels - vmin
-    out /= vmax - vmin
+    out = np.maximum(image.voxels, lo) if vmin < 0 else image.voxels - vmin
+    out /= vmax - lo
     out.flags.writeable = False
     return image.with_voxels(out)
 

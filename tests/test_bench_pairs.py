@@ -74,8 +74,9 @@ def test_summary_gives_the_gate_verdict(bench_pairs, better, parent, change, wor
     assert row["verdict"] == expected
 
 
-def test_failed_run_keeps_runs_made_so_far(bench_pairs, tmp_path, monkeypatch):
-    """The third run fails: the file still holds the first two and names the third."""
+def _fake_runs(bench_pairs, tmp_path, monkeypatch, third):
+    """Runs in ``tmp_path`` that each time 0.1 s, but the third returns ``third``:
+    ``(returncode, stdout)``. Returns the list of calls made."""
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(
         {"run_seconds": 30, "end_to_end": [{"name": "item_s_p50", "better": "lower"}]}))
     monkeypatch.chdir(tmp_path)
@@ -89,12 +90,19 @@ def test_failed_run_keeps_runs_made_so_far(bench_pairs, tmp_path, monkeypatch):
     def fake_run(command, cwd, **kwargs):
         calls.append((command, Path(cwd)))
         if len(calls) == 3:
-            return subprocess.CompletedProcess(command, 1, "", "boom\n")
-        out = {"attempted": 4, "failed": 0, "metrics": {"item_s_p50": {"value": 0.1}}}
+            return subprocess.CompletedProcess(command, third[0], third[1], "boom\n")
+        out = {"correct": True, "attempted": 4, "failed": 0,
+               "metrics": {"item_s_p50": {"value": 0.1}}}
         return subprocess.CompletedProcess(command, 0, json.dumps(out) + "\n", "")
 
     monkeypatch.setattr(bench_pairs, "extract", extract)
     monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    return calls
+
+
+def test_failed_run_keeps_runs_made_so_far(bench_pairs, tmp_path, monkeypatch):
+    """The third run fails: the file still holds the first two and names the third."""
+    calls = _fake_runs(bench_pairs, tmp_path, monkeypatch, (1, ""))
     assert bench_pairs.main(["--parent", "HEAD~1", "--name", "t",
                              "--workload", "train-prep:1-3"]) == 1
 
@@ -107,3 +115,19 @@ def test_failed_run_keeps_runs_made_so_far(bench_pairs, tmp_path, monkeypatch):
     # The parent tree sits beside the checkout, on the same filesystem.
     assert calls[0][1].parent.parent == tmp_path.parent
     assert calls[1][1] == tmp_path
+
+
+def test_incorrect_run_is_a_failed_run(bench_pairs, tmp_path, monkeypatch):
+    """A run that exits 0 but reports ``"correct": false`` is not summarised as timing."""
+    incorrect = {"correct": False, "attempted": 4, "failed": 0,
+                 "metrics": {"item_s_p50": {"value": 0.01}}}
+    _fake_runs(bench_pairs, tmp_path, monkeypatch, (0, json.dumps(incorrect) + "\n"))
+    assert bench_pairs.main(["--parent", "HEAD~1", "--name", "t",
+                             "--workload", "train-prep:1-3"]) == 1
+
+    doc = json.loads((tmp_path / "BENCH_t.json").read_text())
+    workload = doc["workloads"]["train-prep"]
+    assert "summary" not in workload
+    assert [(r["side"], r["seed"]) for r in workload["runs"]] == [("parent", 1), ("change", 1)]
+    assert doc["failed"] == {"workload": "train-prep", "side": "change", "seed": 2,
+                             "trace": 0, "returncode": 0, "correct": False}

@@ -925,6 +925,16 @@ def _dense_lattice_reads_next_node(monkeypatch):
     monkeypatch.setattr(synth, "_lattice_taps", taps)
 
 
+def _lattice_weight_off(monkeypatch):
+    lattice_taps = synth._lattice_taps
+
+    def taps(lattice_shape, shape):
+        return [[(idx, w if w is None else w * (1 + 1e-3)) for idx, w in axis]
+                for axis in lattice_taps(lattice_shape, shape)]
+
+    monkeypatch.setattr(synth, "_lattice_taps", taps)
+
+
 def _blur_sigma_nudged(monkeypatch):
     blur = synth.gaussian_blur
     monkeypatch.setattr(synth, "gaussian_blur", lambda image, sigma: blur(image, sigma * 1.001))
@@ -952,6 +962,7 @@ PLANTED_FAULTS = {
     "dense-lattice-reads-next-node": ("deform-oracle", _dense_lattice_reads_next_node),
     "linear-weight-off-by-1e-9": ("resample-oracle", _linear_weight_off),
     "blur-sigma-nudged": ("blur-oracle", _blur_sigma_nudged),
+    "lattice-weight-off-by-1e-3": ("bias-oracle", _lattice_weight_off),
     "gzip-byte-flipped": ("nifti-roundtrip", _gzip_byte_flipped),
     "written-byte-flipped": ("nifti-roundtrip", _written_byte_flipped),
 }
@@ -1005,7 +1016,7 @@ class TestCheck:
         assert main(["check"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert [c["name"] for c in doc["checks"]] == list(CHECK_NAMES)
-        assert len(CHECK_NAMES) == 19
+        assert len(CHECK_NAMES) == 20
         assert all(c["passed"] is True for c in doc["checks"])
         keys = {"name", "passed", "tolerance", "observed", "expected", "note"}
         assert all(set(c) == keys for c in doc["checks"])

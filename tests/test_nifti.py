@@ -1,4 +1,5 @@
 import gzip
+import hashlib
 import re
 import struct
 import warnings
@@ -416,6 +417,33 @@ def _with_malformed_examples(test):
     return test
 
 
+def _mutant(raw, case, edits, gzipped, gz_edits, cut) -> bytes:
+    """The bytes ``raw`` after a ``MALFORMED_NIFTI`` case, header edits, gzip with
+    byte edits, and a cut, in that order; each step is optional."""
+    if case is not None:
+        raw = MALFORMED_NIFTI[case][0](raw)
+    raw = bytearray(raw)
+    for offset, payload in edits:
+        raw[offset : offset + len(payload)] = payload
+    if gzipped:
+        raw = bytearray(gzip.compress(bytes(raw), mtime=0))
+        for offset, byte in gz_edits:
+            raw[offset % len(raw)] = byte
+    if cut is not None:
+        raw = raw[: cut % (len(raw) + 1)]
+    return bytes(raw)
+
+
+def _read_valid_or_typed_error(path, kind):
+    """``read_nifti`` returns a volume with a finite affine or raises a SulcikitError."""
+    try:
+        volume = read_nifti(path, kind=kind)
+    except SulcikitError:
+        return
+    assert np.isfinite(volume.grid.affine).all()
+    assert volume.voxels.shape == volume.grid.shape
+
+
 class TestReadFuzz:
     """Byte-mutated headers and gzip streams: ``read_nifti`` returns a volume
     with a finite affine or raises a SulcikitError, never anything else."""
@@ -434,21 +462,68 @@ class TestReadFuzz:
         self, fuzz_paths, case, edits, gzipped, gz_edits, cut, kind
     ):
         raw, path = fuzz_paths
-        if case is not None:
-            raw = MALFORMED_NIFTI[case][0](raw)
-        raw = bytearray(raw)
-        for offset, payload in edits:
-            raw[offset : offset + len(payload)] = payload
-        if gzipped:
-            raw = bytearray(gzip.compress(bytes(raw), mtime=0))
-            for offset, byte in gz_edits:
-                raw[offset % len(raw)] = byte
-        if cut is not None:
-            raw = raw[: cut % (len(raw) + 1)]
-        path.write_bytes(bytes(raw))
-        try:
-            volume = read_nifti(path, kind=kind)
-        except SulcikitError:
-            return
-        assert np.isfinite(volume.grid.affine).all()
-        assert volume.voxels.shape == volume.grid.shape
+        path.write_bytes(_mutant(raw, case, edits, gzipped, gz_edits, cut))
+        _read_valid_or_typed_error(path, kind)
+
+
+# the header's float fields that make the affine: pixdim, then quatern_b through
+# qoffset_z and the three srow rows
+_GEOMETRY_OFFSETS = [*range(76, 108, 4), *range(256, 328, 4)]
+
+
+def _corpus(size: int, seed: int) -> list[tuple]:
+    """``size`` fuzz inputs ``(case, edits, gzipped, gz_edits, cut, kind)`` of the
+    hypothesis fuzz's kinds, drawn only from numpy's generator at ``seed``.
+
+    Half the inputs start from the valid file and half from a ``MALFORMED_NIFTI``
+    case. A header edit lands anywhere, on a 4-byte field boundary or on a
+    geometry field, a third of the time each."""
+    rng = np.random.default_rng(seed)
+    cases = list(MALFORMED_NIFTI)
+
+    def offset():
+        where = rng.integers(3)
+        if where == 0:
+            return int(rng.integers(352))
+        return int(rng.integers(88)) * 4 if where == 1 else _GEOMETRY_OFFSETS[
+            rng.integers(len(_GEOMETRY_OFFSETS))]
+
+    def payload():
+        if rng.random() < 0.5:
+            return rng.bytes(int(rng.integers(1, 5)))
+        return _SPECIAL_FLOATS[rng.integers(len(_SPECIAL_FLOATS))]
+
+    corpus = []
+    for _ in range(size):
+        case = cases[rng.integers(len(cases))] if rng.random() < 0.5 else None
+        edits = [(offset(), payload()) for _ in range(rng.integers(7))]
+        gzipped = bool(rng.random() < 0.5)
+        gz_edits = [(int(rng.integers(10**4 + 1)), int(rng.integers(256)))
+                    for _ in range(rng.integers(4))]
+        cut = int(rng.integers(10**4 + 1)) if rng.random() < 0.5 else None
+        kind = ("intensity", "labels")[rng.integers(2)]
+        corpus.append((case, edits, gzipped, gz_edits, cut, kind))
+    return corpus
+
+
+class TestReadCorpus:
+    """The fuzz's mutations and assertion over a fixed corpus. Hypothesis seeds
+    its draws from literals in every loaded module, so an edit anywhere can move
+    what ``TestReadFuzz`` tries; this corpus moves only when its own code does."""
+
+    # sha256 of the corpus's inputs: a changed draw, mutation list or size is a
+    # new corpus, so re-take this pin only together with that change
+    INPUTS_SHA256 = "ccb3c8adf966735a8b35722439b6b724dc5d7ae043d75587d8677f0adb15738a"
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        return _corpus(2000, seed=20261021)
+
+    def test_corpus_inputs_are_pinned(self, corpus):
+        assert hashlib.sha256(repr(corpus).encode()).hexdigest() == self.INPUTS_SHA256
+
+    def test_read_returns_valid_volume_or_raises_typed_error(self, fuzz_paths, corpus):
+        raw, path = fuzz_paths
+        for case, edits, gzipped, gz_edits, cut, kind in corpus:
+            path.write_bytes(_mutant(raw, case, edits, gzipped, gz_edits, cut))
+            _read_valid_or_typed_error(path, kind)

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 import sulcikit
 from sulcikit import synth, volume
@@ -252,6 +253,11 @@ class TestDeformLabels:
             (80, 5, 80): "395baec479cf6c4016982d89f9f4186a0589285215ccc0b943e7f68c259024ce",
             (5, 96, 7): "98fb0d5cdc7c5a2984ae035b8874e7069c4a93ae15dde7038613350e8d2c7e56",
         },
+        "0.4.0": {
+            (80, 96, 80): "72d2bbc320c58f9c1f3fcc765728e3f60e511d9270f3898506efcb53bdd223b1",
+            (80, 5, 80): "395baec479cf6c4016982d89f9f4186a0589285215ccc0b943e7f68c259024ce",
+            (5, 96, 7): "98fb0d5cdc7c5a2984ae035b8874e7069c4a93ae15dde7038613350e8d2c7e56",
+        },
     }
 
     @pytest.mark.parametrize("lattice_shape", [(80, 96, 80), (80, 5, 80), (5, 96, 7)], ids=str)
@@ -417,6 +423,16 @@ class TestGaussianBlur:
             (5.0, (2, 7, 23)): "3dfc0e101f600963820368721278bfc4a938ef5d4bd7833480a02559a097e922",
             (5.0, (1, 16, 5)): "5931bb6a373fe7340178ffd050e2a1c7bde52a997c6ca8c133c935601c88def7",
         },
+        "0.4.0": {
+            (0.4, (2, 7, 23)): "af065ff160b344b8895f96e94163739b554cd133af7067b78461a1091328cb15",
+            (0.4, (1, 16, 5)): "1f03483fd3961c608161d1dbbc153bcae28825002dd0d10552a7605d846c02fd",
+            (1.0, (2, 7, 23)): "a954232f50602cd40fbf8c483450221d7a026617ff47d70106f8f96e4987ddb8",
+            (1.0, (1, 16, 5)): "9177accf095182d2479582636160e81d15b7dd5108b97433569b42bdc66a9b37",
+            (2.5, (2, 7, 23)): "3a7cbd91ba97b436c6e021a2e5ac49a63e18974c2b6fa4e7f7670ce0c5e1278a",
+            (2.5, (1, 16, 5)): "e73835b24c3e480a6f4767db7a2c811e39cb8a75e6c0e0a4281c32c188ea510f",
+            (5.0, (2, 7, 23)): "3dfc0e101f600963820368721278bfc4a938ef5d4bd7833480a02559a097e922",
+            (5.0, (1, 16, 5)): "5931bb6a373fe7340178ffd050e2a1c7bde52a997c6ca8c133c935601c88def7",
+        },
     }
 
     @pytest.mark.parametrize(
@@ -503,6 +519,7 @@ class TestBiasField:
     # voxel, per release
     DENSE_SHA256 = {
         "0.3.0": "e4957fe1316e3d8a86a771591ef134d2870f1ab82ee136a5a447a14a0c5750c6",
+        "0.4.0": "e4957fe1316e3d8a86a771591ef134d2870f1ab82ee136a5a447a14a0c5750c6",
     }
 
     def test_dense_lattice_bytes_pinned(self, image_from):
@@ -528,6 +545,28 @@ class TestNormalizeIntensity:
         out = normalize_intensity(image_from(rng.random((6, 6, 6)).astype(np.float32) * 50))
         assert out.voxels.min() == 0.0
         assert out.voxels.max() == 1.0
+
+    def test_non_negative_image_keeps_the_min_max_bytes(self, image_from):
+        data = scrambled_ramp((5, 6, 7), np.float32) + np.float32(3.0)
+        assert data.min() >= 0
+        out = normalize_intensity(image_from(data))
+        expected = (data - data.min()) / (data.max() - data.min())
+        assert out.voxels.tobytes() == expected.astype(np.float32).tobytes()
+
+    def test_negatives_clamp_to_exactly_0(self, image_from):
+        data = scrambled_ramp((5, 6, 7), np.float32)
+        assert data.min() < 0 < data.max()
+        out = normalize_intensity(image_from(data))
+        expected = np.maximum(data, 0) / data.max()
+        assert out.voxels.tobytes() == expected.astype(np.float32).tobytes()
+        assert not out.voxels.view(np.uint32)[data <= 0].any()
+        assert out.voxels.min() == 0.0 and out.voxels.max() == 1.0
+
+    @pytest.mark.parametrize("top", [0.0, -1.5, -0.0])
+    def test_nowhere_positive_maps_to_zero(self, image_from, top):
+        data = np.linspace(-10.0, top, 27, dtype=np.float32).reshape(3, 3, 3)
+        out = normalize_intensity(image_from(data))
+        assert not out.voxels.view(np.uint32).any()
 
 
 class TestGenerateSample:
@@ -580,10 +619,12 @@ class TestGenerateSample:
         assert np.array_equal(seg_a.voxels, seg_b.voxels)
         assert not np.array_equal(img_a.voxels, img_c.voxels)
 
-    # sha256 of (image, label) voxel bytes at seeds 0-2 on a 20x24x18 phantom with
-    # the shipped priors and config, per release. The label halves have held since
-    # before linear interpolation moved to two-tap gathers; release 0.3.0 (the
-    # float32 intensity chain) moved only the image halves
+    # sha256 of (image, label) voxel bytes on a 20x24x18 phantom with the shipped
+    # priors and config, per release. The label halves have held since before
+    # linear interpolation moved to two-tap gathers; release 0.3.0 (the float32
+    # intensity chain) moved only the image halves. Release 0.4.0 (the clamp at 0)
+    # moved only seed 161's image: of the seeds pinned here, it is the one whose
+    # image has a voxel below 0 before normalization
     GENERATED_SHA256 = {
         "0.3.0": {
             0: ("44479345b2b8651dd3b7457897eaf9cb554322e4d741c1e036c475f09af02db5",
@@ -593,14 +634,43 @@ class TestGenerateSample:
             2: ("01d98ec4d506323ef06ededa285f51ecb3cf8f0a1ce788e59d44d3c6a3cb78bc",
                 "db5cab02e186393e187ce3fd30e2f85deea37d6e3ecc4bf0c306b11a00545762"),
         },
+        "0.4.0": {
+            0: ("44479345b2b8651dd3b7457897eaf9cb554322e4d741c1e036c475f09af02db5",
+                "39e902dc569458cd26fd41a23fbee83373cc020eb55e8ca82dc481d7275d97c2"),
+            1: ("ba24be93d939110b254e00c57a4225bb353e3d8da58d31f356b2c55d81623b1e",
+                "0d4786c464c9df17965337c44241b95a2f9b01d271cb5d68e7441b74c7161783"),
+            2: ("01d98ec4d506323ef06ededa285f51ecb3cf8f0a1ce788e59d44d3c6a3cb78bc",
+                "db5cab02e186393e187ce3fd30e2f85deea37d6e3ecc4bf0c306b11a00545762"),
+            161: ("d575d68efd476c4183cc41d14c4637c930f87b9fb39bfbece480cba0a012f158",
+                  "80f2b53e8a90a9c6c052e302442764d9eb8bc129f803ccd1b005ee9d332e0c31"),
+        },
     }
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 161])
     def test_sample_bytes_pinned(self, seed):
         labels = make_phantom(shape=(20, 24, 18))
         image, seg = generate_sample(labels, default_priors(), default_generator_config(), seed)
         digests = tuple(hashlib.sha256(v.voxels.tobytes()).hexdigest() for v in (image, seg))
         assert digests == release_pins(self.GENERATED_SHA256)[seed], MOVED_BYTES
+
+    def test_negative_draws_leave_the_unreached_background_exactly_0(self):
+        # CSF is painted far below 0, so the image's minimum is negative before
+        # normalization; every voxel that no blur tap from a painted voxel
+        # reaches must still be written as the bytes of +0.0
+        labels = make_phantom(shape=(20, 24, 18))
+        priors = TissuePriors({1: ((-80.0, -60.0), (5.0, 10.0)), 2: ((90.0, 110.0), (5.0, 10.0)),
+                               3: ((140.0, 160.0), (5.0, 10.0))})
+        sigma = 1.0
+        config = default_generator_config(blur_sigma_range=(sigma, sigma))
+        image, seg = generate_sample(labels, priors, config, seed=4)
+        raw, _ = generate_sample(labels, priors, default_generator_config(
+            blur_sigma_range=(sigma, sigma), normalize=False), seed=4)
+        assert raw.voxels.min() < 0  # "normalize": false leaves negatives as drawn
+        painted = substitute_sulci(seg, config.substitution_table).voxels != 0
+        reached = ndimage.maximum_filter(painted, size=2 * int(3 * sigma) + 1, mode="constant")
+        assert (~reached).sum() > 1000
+        assert not image.voxels.view(np.uint32)[~reached].any()
+        assert image.voxels.min() == 0.0 and image.voxels.max() == 1.0
 
     def test_geometry_preserved(self):
         labels = make_phantom(shape=(16, 16, 14), spacing=(1.0, 1.0, 1.25))

@@ -23,8 +23,10 @@ every change run beats every parent run). Under
 ``operations`` it gives each side's total operations attempted and failed
 over its runs.
 ``--trace-seed S`` adds one traced run per side and workload on seed S,
-whose per-layer metrics land under ``layers``. If a run fails, the file is
-still written, with every run made so far and the failed one under
+whose per-layer metrics land under ``layers``. A run fails when it exits
+non-zero or its last line reads ``"correct": false`` (a check of its
+outputs failed, so its timings are not evidence). If a run fails, the file
+is still written, with every run made so far and the failed one under
 ``failed``, and the exit status is 1.
 """
 
@@ -66,22 +68,31 @@ def extract(rev: str, into: Path) -> str:
 
 
 class RunFailed(Exception):
-    """A perfbench run exited non-zero; ``args[0]`` is its record."""
+    """A perfbench run exited non-zero or reported ``"correct": false``; ``args[0]``
+    is its record."""
 
 
 def run(sides: dict[str, Path], side: str, workload: str, seed: int, seconds: float,
         trace: int) -> dict:
-    """One perfbench run in ``sides[side]``; its final stdout line, parsed."""
+    """One perfbench run in ``sides[side]``; its final stdout line, parsed.
+
+    A run whose checks failed is not timing evidence: it fails as a crash does.
+    """
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
         cwd=sides[side], capture_output=True, text=True,
     )
+    record = {"workload": workload, "side": side, "seed": seed, "trace": trace,
+              "returncode": done.returncode}
     if done.returncode != 0:
         sys.stderr.write(done.stderr)
-        raise RunFailed({"workload": workload, "side": side, "seed": seed, "trace": trace,
-                         "returncode": done.returncode})
-    return json.loads(done.stdout.strip().splitlines()[-1])
+        raise RunFailed(record)
+    out = json.loads(done.stdout.strip().splitlines()[-1])
+    if not out["correct"]:
+        sys.stderr.write(done.stdout)
+        raise RunFailed({**record, "correct": False})
+    return out
 
 
 def spread(values: list[float]) -> dict:
