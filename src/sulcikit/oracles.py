@@ -3,10 +3,11 @@
 Each oracle computes its answer the slow, obvious way: voxel-by-voxel
 neighbour growth, breadth-first flood fill, exhaustive pairwise distances,
 explicit loops over a contrastive batch, one-coordinate-at-a-time central
-differences, an 8-corner trilinear read per point, a per-voxel warp and
-resample, a direct (not separable) reflected convolution. This module
-imports only the standard library and numpy, never another sulcikit module,
-so a reference can never quietly become the code it is meant to check.
+differences, an 8-corner trilinear read per point, a per-voxel warp,
+resample and bias product, a direct (not separable) reflected convolution.
+This module imports only the standard library and numpy, never another
+sulcikit module, so a reference can never quietly become the code it is
+meant to check.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ __all__ = [
     "trilinear_read",
     "resample_by_voxel",
     "deform_by_voxel",
+    "bias_by_voxel",
     "reflected_blur",
 ]
 
@@ -257,6 +259,19 @@ def deform_by_voxel(labels: np.ndarray, affine, lattice) -> np.ndarray:
         p = [centre[i] + sum(affine[i][j] * d[j] for j in range(3)) + affine[i][3]
              for i in range(3)]
         out[x] = _nearest_read(labels, p)
+    return out
+
+
+def bias_by_voxel(voxels: np.ndarray, control: np.ndarray) -> np.ndarray:
+    """Per voxel, in float64: ``v * exp(u(x))``.
+
+    ``u(x)`` is the log-field lattice ``control`` read by ``trilinear_read``
+    at x's lattice coordinates, the lattice corner-aligned with the volume.
+    """
+    stretch = [(g - 1) / (n - 1) if n > 1 else 0.0 for g, n in zip(control.shape, voxels.shape)]
+    out = np.zeros(voxels.shape)
+    for x in np.ndindex(*voxels.shape):
+        out[x] = voxels[x] * math.exp(trilinear_read(control, [x[i] * stretch[i] for i in range(3)]))
     return out
 
 

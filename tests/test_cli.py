@@ -955,6 +955,16 @@ def _written_byte_flipped(monkeypatch):
     monkeypatch.setattr(nifti, "write_nifti", write)
 
 
+def _views_depend_on_jobs(monkeypatch):
+    generate_views = synth.generate_views
+
+    def views(labels, priors, config, seed, n, jobs=1):
+        out = generate_views(labels, priors, config, seed, n, jobs)
+        return out[::-1] if jobs > 1 else out  # as if collected in completion order
+
+    monkeypatch.setattr(synth, "generate_views", views)
+
+
 # fault id -> (the check that must fail, the fault it plants by monkeypatching the library)
 PLANTED_FAULTS = {
     "hausdorff-off-by-1e-9": ("hausdorff-oracle", _hausdorff_off),
@@ -965,6 +975,7 @@ PLANTED_FAULTS = {
     "lattice-weight-off-by-1e-3": ("bias-oracle", _lattice_weight_off),
     "gzip-byte-flipped": ("nifti-roundtrip", _gzip_byte_flipped),
     "written-byte-flipped": ("nifti-roundtrip", _written_byte_flipped),
+    "views-depend-on-jobs": ("generator-determinism", _views_depend_on_jobs),
 }
 
 

@@ -9,7 +9,7 @@ from scipy import ndimage
 import sulcikit
 from sulcikit import synth, volume
 from sulcikit.errors import MissingPriorError, MissingSubstitutionError
-from sulcikit.oracles import deform_by_voxel, reflected_blur, trilinear_read
+from sulcikit.oracles import bias_by_voxel, deform_by_voxel, reflected_blur, trilinear_read
 from sulcikit.presets import default_generator_config, default_priors, make_phantom
 from sulcikit.synth import (
     DeformationField,
@@ -408,10 +408,10 @@ class TestGaussianBlur:
         out = gaussian_blur(image_from(data), 1.0)
         assert out.voxels.sum() == pytest.approx(2.0, rel=1e-6)
 
-    # the float32 contraction inside the blur (what its einsum returns), per
-    # release. Axes of 1, 2, 5 and 7 voxels are shorter than the kernel at
-    # larger sigma, so reflected taps of one row add up on one column, in
-    # ascending kernel order, before the matrices are cast to float32
+    # the float32 blur output, per release. Axes of 1, 2, 5 and 7 voxels are
+    # shorter than the kernel at larger sigma, so reflected taps of one row add
+    # up on one column, in ascending kernel order, before the matrices are cast
+    # to float32
     CONTRACTED_SHA256 = {
         "0.3.0": {
             (0.4, (2, 7, 23)): "af065ff160b344b8895f96e94163739b554cd133af7067b78461a1091328cb15",
@@ -438,14 +438,9 @@ class TestGaussianBlur:
     @pytest.mark.parametrize(
         "sigma, shape", sorted(itertools.product((0.4, 1.0, 2.5, 5.0), ((2, 7, 23), (1, 16, 5))))
     )
-    def test_contraction_bytes_pinned(self, image_from, monkeypatch, sigma, shape):
-        contracted = []
-        real = np.einsum
-        monkeypatch.setattr(
-            np, "einsum", lambda *a, **kw: contracted.append(real(*a, **kw)) or contracted[0]
-        )
-        gaussian_blur(image_from(scrambled_ramp(shape, np.float32)), sigma)
-        digest = hashlib.sha256(contracted[0].tobytes()).hexdigest()
+    def test_contraction_bytes_pinned(self, image_from, sigma, shape):
+        blurred = gaussian_blur(image_from(scrambled_ramp(shape, np.float32)), sigma)
+        digest = hashlib.sha256(blurred.voxels.tobytes()).hexdigest()
         assert digest == release_pins(self.CONTRACTED_SHA256)[(sigma, shape)], MOVED_BYTES
 
 
@@ -514,6 +509,21 @@ class TestBiasField:
         out = apply_bias_field(img, config, 8)
         assert (out.voxels > 0).all()
         assert out.voxels.std() > 0
+
+    @pytest.mark.parametrize("bias_grid, shape", [
+        ((2, 2, 2), (6, 6, 6)),
+        ((3, 5, 2), (9, 7, 5)),
+        ((3, 6, 2), (5, 6, 4)),  # y: one node per voxel
+    ])
+    def test_matches_per_voxel_oracle(self, image_from, bias_grid, shape):
+        img = image_from(np.random.default_rng(24).uniform(1.0, 2.0, shape))
+        config = default_generator_config(bias_grid=bias_grid, bias_std_range=(0.5, 0.5))
+        out = apply_bias_field(img, config, 7)
+        # the field's draws, as apply_bias_field makes them: its std, then the nodes
+        rng = np.random.default_rng(7)
+        sigma = rng.uniform(*config.bias_std_range)
+        control = rng.standard_normal(bias_grid) * sigma
+        np.testing.assert_allclose(out.voxels, bias_by_voxel(img.voxels, control), rtol=1e-6, atol=0)
 
     # sha256 of a seeded 80x96x80 image under a bias lattice of one node per
     # voxel, per release
